@@ -16,6 +16,7 @@ from pgcodes.analysis import (
     TraceKind,
     WordKind,
     classify_word,
+    classify_words,
     enumerate_spectrum,
     low_weight_search,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "WordKind",
     "TraceKind",
     "classify_word",
+    "classify_words",
     "enumerate_spectrum",
     "low_weight_search",
     "PointSet",

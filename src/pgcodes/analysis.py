@@ -16,7 +16,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from pgcodes import kernels
-from pgcodes.code import CodeModel, as_word, build_model, weight
+from pgcodes.code import (
+    CodeModel,
+    as_word,
+    as_words,
+    build_incidence_matrix,
+    build_model,
+    row_blocks,
+)
 from pgcodes.geometry import (
     DimensionOutOfRange,
     GeometryMismatch,
@@ -28,8 +35,8 @@ from pgcodes.geometry import (
     enumerate_subspaces,
     global_point_indices,
     hyperplane_point_indices,
+    incidence_bool,
     line_through_pairs,
-    nullspace_fq,
     point_array,
     subspace_point_indices,
     theta,
@@ -203,27 +210,151 @@ def line_profile(g: GeometrySpec, w) -> LineProfile:
 
 # -- classification ----------------------------------------------------------
 
+# WordClassifications.kinds holds positions in this tuple
+_KINDS = (
+    WordKind.ZERO,
+    WordKind.HYPERPLANE_MULTIPLE,
+    WordKind.HYPERPLANE_DIFFERENCE,
+    WordKind.OTHER,
+)
+_ZERO, _MULTIPLE, _DIFFERENCE, _OTHER = range(len(_KINDS))
 
-@lru_cache(maxsize=None)
-def _hyperplane_support_hash(g: GeometrySpec) -> dict[bytes, int]:
-    """Sorted point-index bytes of each hyperplane -> hyperplane index."""
-    return {row.tobytes(): i for i, row in enumerate(hyperplane_point_indices(g))}
+@dataclass(frozen=True, eq=False)
+class WordClassifications:
+    """classify_words result: one entry per row, as parallel arrays.
 
+    kinds holds positions in _KINDS; scalars is 0 and h1, h2 are -1
+    (hyperplane indices otherwise) where a kind carries no such witness.
+    Indexing gives the row's WordClassification.
+    """
 
-@lru_cache(maxsize=None)
-def _hyperplane_vector_hash(g: GeometrySpec) -> dict[bytes, int]:
-    """Incidence-vector bytes of each hyperplane -> hyperplane index."""
-    out = {}
-    npts = g.num_points
-    for i, row in enumerate(hyperplane_point_indices(g)):
-        vec = np.zeros(npts, dtype=np.uint8)
-        vec[row] = 1
-        out[vec.tobytes()] = i
-    return out
+    geometry: GeometrySpec
+    kinds: np.ndarray
+    scalars: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+
+    def __len__(self) -> int:
+        return self.kinds.shape[0]
+
+    def __getitem__(self, i: int) -> WordClassification:
+        kind = _KINDS[self.kinds[i]]
+        if kind in (WordKind.ZERO, WordKind.OTHER):
+            return WordClassification(kind)
+        g = self.geometry
+        h2 = int(self.h2[i])
+        return WordClassification(
+            kind,
+            scalar=int(self.scalars[i]),
+            h1=_hyperplane_by_index(g, int(self.h1[i])),
+            h2=_hyperplane_by_index(g, h2) if h2 >= 0 else None,
+        )
+
+    def of_kind(self, kind: WordKind) -> np.ndarray:
+        """Boolean mask of the rows classified as kind."""
+        return self.kinds == _KINDS.index(kind)
+
+    def counts(self) -> dict[str, int]:
+        """Rows per kind value, for the kinds that occur."""
+        tally = np.bincount(self.kinds, minlength=len(_KINDS))
+        return {kind.value: int(c) for kind, c in zip(_KINDS, tally) if c}
 
 
 def _hyperplane_by_index(g: GeometrySpec, i: int) -> Hyperplane:
     return Hyperplane(g, tuple(int(x) for x in point_array(g)[i]))
+
+
+@lru_cache(maxsize=None)
+def _incidence_columns(g: GeometrySpec) -> np.ndarray:
+    """Transposed incidence matrix as float32, for exact meet-count products."""
+    return build_incidence_matrix(g).T.astype(np.float32)
+
+
+def _meet_counts(g: GeometrySpec, sets: np.ndarray) -> np.ndarray:
+    """(r, theta_n) sizes |set & H| of each boolean row set with each hyperplane."""
+    return sets.astype(np.float32) @ _incidence_columns(g)
+
+
+def classify_words(model: CodeModel, words) -> WordClassifications:
+    """classify_word for every row of an (m, theta_n) word array.
+
+    All hyperplane tests are products with the incidence matrix, which give
+    |S & H| for a point set S and every hyperplane H at once:
+
+    - a multiple is constant on a support of weight theta_{n-1} that meets
+      some H in all its points;
+    - for p = 2 a word w of weight 2q^{n-1} is v^H1 + v^H2 iff w + v^H1 is a
+      hyperplane vector, which needs |supp(w) & H1| = q^{n-1}; each such H1
+      is tested with a second product and the smallest one that works is
+      the witness;
+    - for odd p the value a at the first support index splits the support
+      into its a- and -a-classes, each of q^{n-1} points; each class must
+      lie in exactly one hyperplane, and a(v^H1 - v^H2) must rebuild w.
+    """
+    g = model.geometry
+    arr = as_words(g, words)
+    parts = [_classify_block(g, arr[rows]) for rows in row_blocks(*arr.shape)]
+    return WordClassifications(g, *(np.concatenate(col) for col in zip(*parts)))
+
+
+def _classify_block(g: GeometrySpec, arr: np.ndarray):
+    p, q, n = g.field.p, g.q, g.n
+    plane, half = theta(n - 1, q), q ** (n - 1)
+    m = arr.shape[0]
+    kinds = np.full(m, _OTHER, dtype=np.int64)
+    scalars = np.zeros(m, dtype=np.int64)
+    h1 = np.full(m, -1, dtype=np.int64)
+    h2 = np.full(m, -1, dtype=np.int64)
+    nonzero = arr != 0
+    weights = nonzero.sum(axis=1)
+    lead = arr[np.arange(m), nonzero.argmax(axis=1)]
+    kinds[weights == 0] = _ZERO
+
+    constant = ((arr == lead[:, None]) | ~nonzero).all(axis=1)
+    cand = np.nonzero(constant & (weights == plane))[0]
+    full = _meet_counts(g, nonzero[cand]) == plane
+    hit = full.any(axis=1)
+    rows = cand[hit]
+    kinds[rows] = _MULTIPLE
+    scalars[rows] = lead[rows]
+    h1[rows] = full[hit].argmax(axis=1)
+
+    cand = np.nonzero(weights == 2 * half)[0]
+    if p == 2:
+        pos, hyp = np.nonzero(_meet_counts(g, nonzero[cand]) == half)
+        rest = nonzero[cand[pos]] ^ incidence_bool(g)[hyp]
+        partner = _meet_counts(g, rest) == plane
+        found = partner.any(axis=1)
+        pos, hyp, partner = pos[found], hyp[found], partner[found].argmax(axis=1)
+        first = np.unique(pos, return_index=True)[1]
+        rows = cand[pos[first]]
+        scalars[rows] = 1
+        h1[rows] = hyp[first]
+        h2[rows] = partner[first]
+    else:
+        a = lead[cand]
+        words = arr[cand]
+        class_a = words == a[:, None]
+        class_b = words == (p - a)[:, None]
+        balanced = (class_a.sum(axis=1) == half) & (class_b.sum(axis=1) == half)
+        cand, a, words = cand[balanced], a[balanced], words[balanced]
+        through_a = _meet_counts(g, class_a[balanced]) == half
+        through_b = _meet_counts(g, class_b[balanced]) == half
+        ha, hb = through_a.argmax(axis=1), through_b.argmax(axis=1)
+        inc = build_incidence_matrix(g)
+        rebuilt = (a[:, None].astype(np.int64) * (inc[ha].astype(np.int64) - inc[hb])) % p
+        # the rebuild also rules out ha == hb, which would give the zero word
+        ok = (
+            (through_a.sum(axis=1) == 1)
+            & (through_b.sum(axis=1) == 1)
+            & (rebuilt == words).all(axis=1)
+        )
+        rows = cand[ok]
+        scalars[rows] = a[ok]
+        h1[rows] = ha[ok]
+        h2[rows] = hb[ok]
+    kinds[rows] = _DIFFERENCE
+    return kinds, scalars, h1, h2
 
 
 def classify_word(model: CodeModel, w) -> WordClassification:
@@ -234,89 +365,23 @@ def classify_word(model: CodeModel, w) -> WordClassification:
     hyperplanes; only words of weight 2q^{n-1} can have this shape, so the
     weight acts as an exact gate, not a heuristic.  Witnesses are
     deterministic: the lexicographically smallest (H1, H2) pair for p = 2,
-    and the pair anchored at the smallest support index for odd p.
+    and the pair anchored at the smallest support index for odd p.  This is
+    the one-row case of classify_words.
     """
-    g = model.geometry
-    word = as_word(g, w)
-    if not word.any():
-        return WordClassification(WordKind.ZERO)
-    p = g.field.p
-    supp = support(word).astype(np.int32)
-    values = word[supp]
-    if (values == values[0]).all():
-        hidx = _hyperplane_support_hash(g).get(supp.tobytes())
-        if hidx is not None:
-            return WordClassification(
-                WordKind.HYPERPLANE_MULTIPLE,
-                scalar=int(values[0]),
-                h1=_hyperplane_by_index(g, hidx),
-            )
-    second = 2 * g.q ** (g.n - 1)
-    if len(supp) == second:
-        if p == 2:
-            vec_hash = _hyperplane_vector_hash(g)
-            hyp_pts = hyperplane_point_indices(g)
-            for h1 in range(g.num_points):
-                v1 = np.zeros(g.num_points, dtype=np.uint8)
-                v1[hyp_pts[h1]] = 1
-                partner = vec_hash.get(((word + v1) % 2).astype(np.uint8).tobytes())
-                if partner is not None and partner != h1:
-                    return WordClassification(
-                        WordKind.HYPERPLANE_DIFFERENCE,
-                        scalar=1,
-                        h1=_hyperplane_by_index(g, h1),
-                        h2=_hyperplane_by_index(g, partner),
-                    )
-        else:
-            a = int(word[supp[0]])
-            neg_a = (-a) % p
-            class_a = supp[word[supp] == a]
-            class_b = supp[word[supp] == neg_a]
-            if len(class_a) == len(class_b) == len(supp) // 2:
-                h1 = _hyperplane_through(g, class_a)
-                h2 = _hyperplane_through(g, class_b)
-                if h1 is not None and h2 is not None and h1 != h2:
-                    rebuilt = np.zeros(g.num_points, dtype=np.int64)
-                    rebuilt[hyperplane_point_indices(g)[h1]] += a
-                    rebuilt[hyperplane_point_indices(g)[h2]] -= a
-                    if np.array_equal(rebuilt % p, word):
-                        return WordClassification(
-                            WordKind.HYPERPLANE_DIFFERENCE,
-                            scalar=a,
-                            h1=_hyperplane_by_index(g, h1),
-                            h2=_hyperplane_by_index(g, h2),
-                        )
-    return WordClassification(WordKind.OTHER)
-
-
-def _hyperplane_through(g: GeometrySpec, point_idx: np.ndarray) -> int | None:
-    """Index of the unique hyperplane containing all given points, if any."""
-    rows = point_array(g)[point_idx]
-    ann = nullspace_fq(rows, g.field)
-    if ann.shape[0] != 1:
-        return None
-    fld = g.field
-    vec = ann[0]
-    nz = np.nonzero(vec)[0]
-    lead = int(vec[nz[0]])
-    if lead != 1:
-        vec = fld.mul_table[fld.inv_table[lead], vec]
-    from pgcodes.geometry import point_index_map
-
-    return point_index_map(g)[vec.tobytes()]
+    return classify_words(model, as_word(model.geometry, w)[None])[0]
 
 
 # -- spectrum ----------------------------------------------------------------
 
 
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """Each uint8 row as one byte string; these order like the rows' bytes."""
+    return np.ascontiguousarray(words).view(np.dtype((np.void, words.shape[1]))).ravel()
+
+
 def _sort_words(words: np.ndarray) -> np.ndarray:
-    if words.shape[0] == 0:
-        return words
-    order = sorted(
-        range(words.shape[0]),
-        key=lambda i: (int(np.count_nonzero(words[i])), words[i].tobytes()),
-    )
-    return words[order]
+    """Rows ordered by (weight, bytes)."""
+    return words[np.lexsort((_row_keys(words), np.count_nonzero(words, axis=1)))]
 
 
 def enumerate_spectrum(
@@ -374,8 +439,11 @@ def low_weight_search(
 
     Each round permutes the columns at random, re-systematizes, and keeps
     codewords spanned by at most two rows of the systematized generator.
-    Finds are deduplicated exactly; scalar orbits are reported separately
-    via canonical representatives.  Not guaranteed complete.
+    Rounds run in batches of kernels.isd_batch_size, drawing the same
+    permutations in the same order as one round at a time.  Finds are
+    deduplicated exactly as canonical (leading entry 1) scalar-orbit
+    representatives, and words holds every scalar multiple of them.  Not
+    guaranteed complete.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -389,36 +457,21 @@ def low_weight_search(
         return SearchResult(empty, empty, iterations, seed, max_weight)
     if not model.generator[: model.dimension].any(axis=1).all():
         raise NoInformationSetFound("generator has a zero row")
-    inv_mod = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
+    inverse = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     rng = np.random.default_rng(seed)
-    seen: set[bytes] = set()
-    found: list[np.ndarray] = []
-    for _ in range(iterations):
-        perm = rng.permutation(npts)
-        rows = kernels.isd_round(
-            np.ascontiguousarray(model.generator[:, perm]), p, max_weight, inv_mod
-        )
-        if rows.shape[0] == 0:
-            continue
-        back = np.empty_like(rows)
-        back[:, perm] = rows
-        for row in back:
-            base = row.astype(np.int64)
-            for a in range(1, p):
-                scaled = ((a * base) % p).astype(np.uint8)
-                key = scaled.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    found.append(scaled)
-    words = _sort_words(np.array(found, dtype=np.uint8) if found else empty)
-    reps: dict[bytes, np.ndarray] = {}
-    for w in words:
-        nz = np.nonzero(w)[0]
-        lead = int(w[nz[0]])
-        canon = ((int(pow(lead, p - 2, p)) * w.astype(np.int64)) % p).astype(np.uint8)
-        reps.setdefault(canon.tobytes(), canon)
-    orbits = _sort_words(np.array(list(reps.values()), dtype=np.uint8) if reps else empty)
-    return SearchResult(words, orbits, iterations, seed, max_weight)
+    batch = kernels.isd_batch_size(model.dimension, npts)
+    orbits = empty
+    for start in range(0, iterations, batch):
+        perms = np.array([rng.permutation(npts) for _ in range(min(batch, iterations - start))])
+        rows = kernels.isd_rounds(model.generator, perms, p, max_weight, inverse)[0]
+        lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
+        canon = (rows * inverse[lead][:, None].astype(np.uint16)) % p
+        orbits = np.concatenate([orbits, canon.astype(np.uint8)])
+        orbits = orbits[np.unique(_row_keys(orbits), return_index=True)[1]]
+    words = np.concatenate([(a * orbits.astype(np.uint16)) % p for a in range(1, p)])
+    return SearchResult(
+        _sort_words(words.astype(np.uint8)), _sort_words(orbits), iterations, seed, max_weight
+    )
 
 
 # -- subspace traces ---------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf import is_prime, make_field
+from .gf import FieldTooLarge, is_prime, make_field
 from .geometry import (
     GeometrySpec,
     gaussian_binomial,
@@ -152,7 +152,11 @@ def _validated_geometry(args) -> GeometrySpec:
         raise CliUsageError(f"--h must be at least 1, got {args.h}")
     if args.n < 2:
         raise CliUsageError(f"--n must be at least 2, got {args.n}")
-    return GeometrySpec(make_field(args.p, args.h), args.n)
+    try:
+        field = make_field(args.p, args.h)
+    except FieldTooLarge as exc:
+        raise CliUsageError(str(exc))
+    return GeometrySpec(field, args.n)
 
 
 def _json_text(obj) -> str:

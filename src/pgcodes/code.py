@@ -16,6 +16,18 @@ import numpy as np
 from pgcodes.geometry import GeometryMismatch, GeometrySpec, ProjPoint, incidence_bool, theta
 
 
+# whole-array word tests run in row blocks whose float32 copy stays near this
+# size, which bounds their temporaries to a few times as much
+BLOCK_BYTES = 1 << 18
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of rows whose float32 copies of the given width fit BLOCK_BYTES;
+    at least one, so callers see a block even when there are no rows."""
+    step = max(1, BLOCK_BYTES // (4 * width))
+    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
+
+
 class LengthMismatch(ValueError):
     """Word length does not match the geometry."""
 
@@ -122,6 +134,19 @@ def as_word(g: GeometrySpec, w) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def as_words(g: GeometrySpec, words) -> np.ndarray:
+    """An (m, theta_n) word array as uint8, validated like as_word."""
+    arr = np.asarray(words)
+    if arr.ndim != 2 or arr.shape[1] != g.num_points:
+        raise LengthMismatch(f"expected rows of length {g.num_points}, got shape {arr.shape}")
+    if arr.dtype != np.uint8:
+        arr = arr.astype(np.int64)
+    p = g.field.p
+    if arr.size and (arr.min() < 0 or arr.max() >= p):
+        raise ValueError(f"entries must lie in [0, {p})")
+    return arr.astype(np.uint8, copy=False)
+
+
 def inner_product(a: np.ndarray, b: np.ndarray, p: int) -> int:
     if a.shape != b.shape:
         raise LengthMismatch(f"length mismatch: {a.shape} vs {b.shape}")
@@ -185,8 +210,26 @@ class CodeModel:
         prods = (self.generator.astype(np.int64) @ w.astype(np.int64)) % p
         return not prods.any()
 
+    def hull_contains_rows(self, words) -> np.ndarray:
+        """Hull membership of every row of an (m, theta_n) word array.
+
+        A word lies in the code iff the check rows annihilate it and in the
+        dual iff the generator rows do, so both tests are one product.
+        """
+        g = self.geometry
+        p = g.field.p
+        arr = as_words(g, words)
+        # float32 sums of theta_n products below (p-1)^2 are exact under 2^24
+        exact = np.float32 if g.num_points * (p - 1) ** 2 < 2**24 else np.float64
+        tests = np.concatenate([self.check, self.generator]).T.astype(exact)
+        inside = np.empty(arr.shape[0], dtype=bool)
+        for rows in row_blocks(arr.shape[0], g.num_points):
+            sums = (arr[rows].astype(exact) @ tests).astype(np.int64)
+            inside[rows] = ~(sums % p).any(axis=1)
+        return inside
+
     def hull_contains(self, w) -> bool:
-        return self.contains(w) and self.dual_contains(w)
+        return bool(self.hull_contains_rows(as_word(self.geometry, w)[None])[0])
 
     def __repr__(self) -> str:
         g = self.geometry

@@ -6,7 +6,8 @@ integer index ``sum(c_i * p**i)`` in ``[0, q)``; the index order is the
 canonical element order used by all enumerations downstream.  Full
 addition/multiplication/inverse lookup tables are precomputed, which is the
 right trade-off for the tiny fields this package targets (q <= 16 in the
-standard grids, q <= a few hundred supported).
+standard grids).  The tables are uint8, so q <= 256 is supported and larger
+fields raise FieldTooLarge.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ class FieldMismatch(ValueError):
 
 class ZeroInverse(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
+
+
+class FieldTooLarge(ValueError):
+    """Field order exceeds what the uint8 operation tables can index."""
+
+
+MAX_FIELD_ORDER = 256
 
 
 def is_prime(n: int) -> bool:
@@ -247,6 +255,8 @@ def make_field(p: int, h: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     p = int(p)
     if h < 1:
         raise DegreeMismatch(f"extension degree must be >= 1, got {h}")
+    if p**h > MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"q = {p}^{h} exceeds the supported maximum {MAX_FIELD_ORDER}")
     if modulus is not None:
         mod = tuple(int(c) % p for c in modulus)
         if len(mod) != h + 1 or mod[-1] != 1:

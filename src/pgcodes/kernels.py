@@ -1,12 +1,18 @@
-"""Hot enumeration kernels, each in a numba and a pure-numpy variant.
+"""Hot enumeration kernels: spectrum sweeps and batched search rounds.
 
 The two hot loops are full-spectrum enumeration (p^dim messages, Gray-coded
 so each step is one basis-row update) and the randomized information-set
-rounds of the low-weight search.  Every public function dispatches to a
-numba-compiled implementation when numba is importable, or to a vectorized
-numpy implementation otherwise.  Setting the environment variable
+rounds of the low-weight search.
+
+spectrum dispatches to a numba-compiled sweep when numba is importable, or
+to a vectorized numpy sweep otherwise.  Setting the environment variable
 PGCODES_NO_NUMBA=1 forces the numpy path; both variants are also exported
-directly so tests and benchmarks can compare them.
+directly so tests can compare them.
+
+isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy: one
+Gauss-Jordan pass systematizes a (B, k, n) stack of column-permuted
+generators, and matrix products score every row pair, so only the pairs
+within the weight cap are ever built.  isd_round is its one-round case.
 
 Representation notes: words over F_2 are bit-packed into uint64 lanes with
 popcount-based weights inside the kernels; words over odd p stay byte
@@ -138,67 +144,6 @@ if HAVE_NUMBA:
                     overflow = True
         return hist, stored, words, overflow
 
-    @njit(cache=True)
-    def _isd_round_jit(gen, p, max_weight, inv_mod, out):
-        k, n = gen.shape
-        u = gen.copy()
-        r = 0
-        for c in range(n):
-            if r == k:
-                break
-            pr = -1
-            for i in range(r, k):
-                if u[i, c] != 0:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                for j in range(n):
-                    tmp = u[r, j]
-                    u[r, j] = u[pr, j]
-                    u[pr, j] = tmp
-            piv = u[r, c]
-            if piv != 1:
-                s = inv_mod[piv]
-                for j in range(n):
-                    u[r, j] = (u[r, j] * s) % p
-            for i in range(k):
-                if i != r and u[i, c] != 0:
-                    f = p - u[i, c]
-                    for j in range(n):
-                        u[i, j] = (u[i, j] + f * u[r, j]) % p
-            r += 1
-        count = 0
-        buf = np.zeros(n, dtype=np.uint8)
-        for i in range(k):
-            w = 0
-            for j in range(n):
-                if u[i, j] != 0:
-                    w += 1
-            if w <= max_weight:
-                for j in range(n):
-                    out[count, j] = u[i, j]
-                count += 1
-        for i in range(k):
-            for i2 in range(i + 1, k):
-                for c in range(1, p):
-                    w = 0
-                    ok = True
-                    for j in range(n):
-                        v = (u[i, j] + c * u[i2, j]) % p
-                        buf[j] = v
-                        if v != 0:
-                            w += 1
-                            if w > max_weight:
-                                ok = False
-                                break
-                    if ok:
-                        for j in range(n):
-                            out[count, j] = buf[j]
-                        count += 1
-        return count
-
 
 # -- pure numpy implementations ----------------------------------------------
 
@@ -242,23 +187,27 @@ def spectrum_gf2_numpy(rows: np.ndarray, collect_limit: int, capacity: int):
 
 
 def spectrum_modp_numpy(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
-    """Spectrum over odd F_p by suffix tabling + Gray-coded prefix sweep."""
+    """Spectrum over odd F_p by suffix tabling + Gray-coded prefix sweep.
+
+    Sums of two entries reach 2p - 2, so p >= 128 accumulates in uint16
+    (and builds the suffix table in int32) instead of uint8 and int16.
+    """
     k, n = rows.shape
+    acc, wide = (np.uint8, np.int16) if p < 128 else (np.uint16, np.int32)
+    rows = rows.astype(acc, copy=False)
     split = 0
     while split < k and p ** (split + 1) <= _SUFFIX_TARGET:
         split += 1
     k_hi = k - split
-    suffix = np.zeros((1, n), dtype=np.uint8)
+    suffix = np.zeros((1, n), dtype=acc)
     for i in range(split):
-        row = rows[k_hi + i].astype(np.int16)
-        suffix = np.vstack([((suffix.astype(np.int16) + a * row) % p) for a in range(p)]).astype(
-            np.uint8
-        )
+        row = rows[k_hi + i].astype(wide)
+        suffix = np.vstack([((suffix.astype(wide) + a * row) % p) for a in range(p)]).astype(acc)
     hist = np.zeros(n + 1, dtype=np.int64)
     chunks = []
     stored = 0
     overflow = False
-    cur = np.zeros(n, dtype=np.uint8)
+    cur = np.zeros(n, dtype=acc)
     for t in range(p**k_hi):
         if t:
             x = t - 1
@@ -267,7 +216,7 @@ def spectrum_modp_numpy(rows: np.ndarray, p: int, collect_limit: int, capacity: 
                 x //= p
                 r += 1
             cur = cur + rows[r]
-            cur = np.where(cur >= p, cur - p, cur).astype(np.uint8)
+            cur = np.where(cur >= p, cur - p, cur).astype(acc)
         block = cur[None, :] + suffix
         block = np.where(block >= p, block - p, block)
         weights = np.count_nonzero(block, axis=1)
@@ -286,34 +235,124 @@ def spectrum_modp_numpy(rows: np.ndarray, p: int, collect_limit: int, capacity: 
     return hist, words, overflow
 
 
-def isd_round_numpy(gen: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray):
-    """One Lee-Brickell round on an already column-permuted generator."""
-    k, n = gen.shape
-    u = gen.astype(np.int64)
-    r = 0
+# -- batched Lee-Brickell rounds ---------------------------------------------
+
+# a batch's stacked generators, and each scoring chunk's float32 copies (the
+# support and one indicator per nonzero value), stay near this many bytes
+_BATCH_BYTES = 1 << 18
+
+
+def isd_batch_size(k: int, n: int) -> int:
+    """Rounds per isd_rounds call for a k x n generator."""
+    return max(1, _BATCH_BYTES // (k * n))
+
+
+def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray) -> np.ndarray:
+    """RREF of every item of a (B, k, n) stack in one batched Gauss-Jordan pass.
+
+    Each item tracks which of its rows already hold a pivot; one column step
+    pivots every item that has a free row nonzero in that column and leaves
+    the others unchanged, and the pass stops once every item has k pivots.
+    Entries stay reduced, so the row updates fit uint8 while p^2 <= 256 and
+    uint16 up to p = 251.  Rows come back in pivot-column order, so each item
+    is exactly its rref_mod_p.
+    """
+    b, k, n = gens.shape
+    dtype = np.uint8 if p * p <= 256 else np.uint16
+    u = gens.astype(dtype)
+    inv = inv_mod.astype(dtype)
+    free = np.ones((b, k), dtype=bool)
+    pivot_col = np.full((b, k), n)
+    items = np.arange(b)
     for c in range(n):
-        if r == k:
-            break
-        nz = np.nonzero(u[r:, c])[0]
-        if nz.size == 0:
+        col = u[:, :, c].copy()
+        eligible = (col != 0) & free
+        has = eligible.any(axis=1)
+        if not has.any():
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            u[[r, pr]] = u[[pr, r]]
-        piv = int(u[r, c])
-        if piv != 1:
-            u[r] = (u[r] * int(inv_mod[piv])) % p
-        col = u[:, c].copy()
-        col[r] = 0
-        u = (u - col[:, None] * u[r][None, :]) % p
-        r += 1
-    found = [u[np.count_nonzero(u, axis=1) <= max_weight]]
+        row = eligible.argmax(axis=1)
+        prow = u[items, row, c:]
+        tail = u[:, :, c:]
+        if p == 2:
+            prow *= has[:, None]
+            tail ^= col[:, :, None] & prow[:, None, :]
+        else:
+            # items without a pivot here get a zero pivot row: a no-op update;
+            # x - (x // p) * p is several times faster than x % p
+            prow *= (inv[prow[:, 0]] * has)[:, None]
+            prow -= (prow // p) * p
+            update = (p - col)[:, :, None] * prow[:, None, :]
+            update += tail
+            update -= (update // p) * p
+            tail[...] = update
+        hit = np.nonzero(has)[0]
+        u[hit, row[hit], c:] = prow[hit]
+        free[hit, row[hit]] = False
+        pivot_col[hit, row[hit]] = c
+        if not free.any():
+            break
+    order = np.argsort(pivot_col, axis=1, kind="stable")
+    return np.take_along_axis(u, order[:, :, None], axis=1)
+
+
+def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):
+    """Rows and row pairs u_i + c*u_j (i < j) of weight <= max_weight.
+
+    Pair weights come from matrix products instead of building every
+    combination: wt(u_i + c*u_j) = wt_i + wt_j - |supp_i & supp_j| - z_c,
+    where z_c counts positions with u_i = -c*u_j != 0.  Over F_2, z_1 is the
+    whole overlap; for odd p it is a product of one-hot value indicators.
+    Only the pairs within max_weight are built.
+    """
+    b, k, n = u.shape
+    support = u != 0
+    weights = support.sum(axis=2)
+    flat = support.astype(np.float32)
+    shared = flat @ flat.transpose(0, 2, 1)
     i_idx, j_idx = np.triu_indices(k, 1)
-    for c in range(1, p):
-        combos = (u[i_idx] + c * u[j_idx]) % p
-        weights = np.count_nonzero(combos, axis=1)
-        found.append(combos[weights <= max_weight])
-    return np.vstack(found).astype(np.uint8)
+    base = weights[:, i_idx] + weights[:, j_idx] - shared[:, i_idx, j_idx]
+    if p == 2:
+        pair_weights = (base - shared[:, i_idx, j_idx])[:, :, None]
+    else:
+        values = np.arange(1, p)
+        onehot = (u[:, :, None, :] == values[:, None]).astype(np.float32).reshape(b, k, -1)
+        pair_weights = np.empty((b, i_idx.size, p - 1), dtype=np.float32)
+        for c in range(1, p):
+            # u_i = v meets u_j = -v/c, for each value v in the same order
+            partner = u[:, :, None, :] == ((-values * pow(c, p - 2, p)) % p)[:, None]
+            partner = partner.astype(np.float32).reshape(b, k, -1)
+            zeros = onehot @ partner.transpose(0, 2, 1)
+            pair_weights[:, :, c - 1] = base - zeros[:, i_idx, j_idx]
+    item, pair, coeff = np.nonzero(pair_weights <= max_weight)
+    i, j = i_idx[pair], j_idx[pair]
+    combos = u[item, i] + (coeff + 1).astype(u.dtype)[:, None] * u[item, j]
+    combos -= (combos // p) * p
+    single_item, single_row = np.nonzero(weights <= max_weight)
+    words = np.concatenate([u[single_item, single_row], combos]).astype(np.uint8)
+    return words, np.concatenate([single_item, item])
+
+
+def isd_rounds(
+    gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray
+):
+    """Lee-Brickell rounds, one per row of perms, on a k x n generator.
+
+    Round b systematizes gen[:, perms[b]].  Returns (words, items): the rows
+    and row-pair combinations u_i + c*u_j (i < j, c != 0) of each round's
+    RREF with weight <= max_weight, in gen's own column order, and the round
+    index of every word.
+    """
+    reduced = _systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod)
+    # column t of round b is gen's column perms[b, t]; weights do not depend
+    # on the column order, so restoring it first leaves the scores unchanged
+    restored = np.empty_like(reduced)
+    np.put_along_axis(restored, perms[:, None, :], reduced, axis=2)
+    b, k, n = restored.shape
+    step = max(1, _BATCH_BYTES // (4 * p * k * n))
+    starts = range(0, b, step)
+    found = [_low_weight_combinations(restored[s : s + step], p, max_weight) for s in starts]
+    words = np.concatenate([w for w, _ in found])
+    return words, np.concatenate([items + s for s, (_, items) in zip(starts, found)])
 
 
 # -- numba-dispatching wrappers ----------------------------------------------
@@ -340,16 +379,6 @@ def spectrum_modp_numba(rows: np.ndarray, p: int, collect_limit: int, capacity: 
     return hist, words[:stored].copy(), overflow
 
 
-def isd_round_numba(gen: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    k, n = gen.shape
-    cap = k + (p - 1) * (k * (k - 1) // 2)
-    out = np.zeros((cap, n), dtype=np.uint8)
-    count = _isd_round_jit(np.ascontiguousarray(gen), p, max_weight, inv_mod, out)
-    return out[:count].copy()
-
-
 def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
     """Dispatching full-spectrum enumeration.
 
@@ -367,7 +396,7 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
 
 
 def isd_round(gen_permuted: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray):
-    """Dispatching Lee-Brickell round; words come back in permuted columns."""
-    if USE_NUMBA:
-        return isd_round_numba(gen_permuted, p, max_weight, inv_mod)
-    return isd_round_numpy(gen_permuted, p, max_weight, inv_mod)
+    """One Lee-Brickell round on an already column-permuted generator: the
+    one-round case of isd_rounds."""
+    identity = np.arange(gen_permuted.shape[1])[None]
+    return isd_rounds(gen_permuted, identity, p, max_weight, inv_mod)[0]

@@ -29,7 +29,7 @@ from .code import build_incidence_matrix, build_model, expected_dimension, p_ran
 from .analysis import (
     DEFAULT_BUDGET,
     WordKind,
-    classify_word,
+    classify_words,
     enumerate_spectrum,
     line_profile,
     low_weight_search,
@@ -347,25 +347,26 @@ def _run_dimension(g, model) -> CheckResult:
     return CheckResult("dimension", "pass" if ok else "fail", details)
 
 
-def _classification_tally(model, words) -> tuple[dict, dict, list]:
-    kinds: dict = {}
-    by_weight: dict = {}
-    bad = []
-    for row in words:
-        got = classify_word(model, row)
-        kinds[got.kind.value] = kinds.get(got.kind.value, 0) + 1
-        w = int(weight(row))
-        by_weight[w] = by_weight.get(w, 0) + 1
-        expected_kind = (
-            WordKind.HYPERPLANE_MULTIPLE
-            if w == theta(model.geometry.n - 1, model.geometry.q)
-            else WordKind.HYPERPLANE_DIFFERENCE
-            if w == 2 * model.geometry.q ** (model.geometry.n - 1)
-            else None
-        )
-        if expected_kind is not None and got.kind is not expected_kind:
-            bad.append(row)
-    return kinds, by_weight, bad
+def _weights(words: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(words, axis=1)
+
+
+def _weight_tally(words: np.ndarray) -> dict:
+    values, counts = np.unique(_weights(words), return_counts=True)
+    return {int(w): int(c) for w, c in zip(values, counts)}
+
+
+def _classification_tally(model, words) -> tuple[dict, dict, np.ndarray]:
+    """Kind counts, weight counts, and the words whose weight names a kind
+    (theta_{n-1}: multiple, 2q^{n-1}: difference) that they do not have."""
+    g = model.geometry
+    classes = classify_words(model, words)
+    weights = _weights(words)
+    bad = (weights == theta(g.n - 1, g.q)) & ~classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)
+    bad |= (weights == 2 * g.q ** (g.n - 1)) & ~classes.of_kind(
+        WordKind.HYPERPLANE_DIFFERENCE
+    )
+    return classes.counts(), _weight_tally(words), words[bad]
 
 
 def _run_minweight(g, model, spectrum, search) -> CheckResult:
@@ -374,8 +375,8 @@ def _run_minweight(g, model, spectrum, search) -> CheckResult:
     if spectrum is not None:
         minw = min(w for w in spectrum.weight_counts if w)
         count = spectrum.weight_counts[minw]
-        min_words = [row for row in spectrum.low_weight if weight(row) == minw]
-        bad = [r for r in min_words if classify_word(model, r).kind is not WordKind.HYPERPLANE_MULTIPLE]
+        min_words = spectrum.low_weight[_weights(spectrum.low_weight) == minw]
+        bad = min_words[~classify_words(model, min_words).of_kind(WordKind.HYPERPLANE_MULTIPLE)]
         details = {
             "minimum_weight": minw,
             "expected": expected,
@@ -383,7 +384,7 @@ def _run_minweight(g, model, spectrum, search) -> CheckResult:
             "expected_count": expected_count,
             "classified": len(min_words),
         }
-        ok = minw == expected and count == expected_count and not bad
+        ok = minw == expected and count == expected_count and len(bad) == 0
         return CheckResult(
             "minweight", "pass" if ok else "fail", details, [_word_witness(r) for r in bad]
         )
@@ -399,7 +400,7 @@ def _run_minweight(g, model, spectrum, search) -> CheckResult:
         "classification_counts": kinds,
         "iterations": search.iterations,
     }
-    if (found_min is not None and found_min < expected) or bad:
+    if (found_min is not None and found_min < expected) or len(bad):
         return CheckResult("minweight", "fail", details, [_word_witness(r) for r in bad])
     return CheckResult("minweight", "evidence-only", details)
 
@@ -411,10 +412,7 @@ def _run_gap(g, model, spectrum, search) -> CheckResult:
         inside = {w: c for w, c in spectrum.weight_counts.items() if low < w < high}
         details = {"interval": [low, high], "weights_inside": inside}
         return CheckResult("gap", "pass" if not inside else "fail", details)
-    by_weight: dict = {}
-    for row in search.words:
-        w = int(weight(row))
-        by_weight[w] = by_weight.get(w, 0) + 1
+    by_weight = _weight_tally(search.words)
     inside = {w: c for w, c in by_weight.items() if low < w < high}
     details = {
         "interval": [low, high],
@@ -430,23 +428,20 @@ def _run_gap(g, model, spectrum, search) -> CheckResult:
 
 def _run_second(g, model, spectrum, search) -> CheckResult:
     target = 2 * g.q ** (g.n - 1)
-    words = (
-        [row for row in spectrum.low_weight if weight(row) == target]
-        if spectrum is not None
-        else [row for row in search.words if weight(row) == target]
-    )
-    bad_kind = [r for r in words if classify_word(model, r).kind is not WordKind.HYPERPLANE_DIFFERENCE]
-    bad_hull = [r for r in words if not model.hull_contains(r)]
+    source = spectrum.low_weight if spectrum is not None else search.words
+    words = source[_weights(source) == target]
+    bad_kind = words[~classify_words(model, words).of_kind(WordKind.HYPERPLANE_DIFFERENCE)]
+    bad_hull = words[~model.hull_contains_rows(words)]
     details = {
         "weight": target,
         "words_checked": len(words),
-        "all_hyperplane_differences": not bad_kind,
-        "all_in_hull": not bad_hull,
+        "all_hyperplane_differences": len(bad_kind) == 0,
+        "all_in_hull": len(bad_hull) == 0,
     }
     if spectrum is None:
         details["iterations"] = search.iterations
-    if bad_kind or bad_hull:
-        witnesses = [_word_witness(r) for r in bad_kind + bad_hull]
+    if len(bad_kind) or len(bad_hull):
+        witnesses = [_word_witness(r) for r in np.concatenate([bad_kind, bad_hull])]
         return CheckResult("second", "fail", details, witnesses)
     status = "pass" if spectrum is not None else "evidence-only"
     return CheckResult("second", status, details)
@@ -493,10 +488,8 @@ def _run_properties(g, model, rng) -> CheckResult:
     )
     pairing = (sample @ subs.T) % p
     item2 = bool((pairing == pairing[:, :1]).all())
-    item3 = all(
-        model.hull_contains((row % p).astype(np.uint8)) == (int(pairing[i, 0]) == 0)
-        for i, row in enumerate(sample)
-    )
+    in_hull = model.hull_contains_rows((sample % p).astype(np.uint8))
+    item3 = bool((in_hull == (pairing[:, 0] == 0)).all())
     details = {
         "subspaces": int(subs.shape[0]),
         "sample_words": int(sample.shape[0]),

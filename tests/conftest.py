@@ -1,6 +1,7 @@
-"""Shared fixtures: warm the compiled kernels once per session.
+"""Shared fixtures: warm the kernels once per session.
 
-The first call into a numba kernel pays the JIT (or cache-load) cost;
+The first call into a numba spectrum sweep pays the JIT (or cache-load)
+cost, and the first batched search round the numpy and BLAS set-up cost;
 warming here keeps the runtime-bounded acceptance checks honest about
 steady-state speed.
 """

@@ -103,3 +103,38 @@ def count_projective_classes(n: int, q: int) -> int:
 def naive_min_weight(generator_rows: np.ndarray, p: int) -> int:
     counts = brute_force_spectrum(generator_rows, p)
     return min(w for w in counts if w > 0)
+
+
+def brute_force_isd_candidates(reduced_rows: np.ndarray, p: int, max_weight: int) -> list:
+    """One Lee-Brickell round's finds from an RREF: the rows, and the pair
+    combinations u_i + c*u_j (i < j, c != 0), of weight <= max_weight."""
+    rows = [[int(x) for x in row] for row in reduced_rows]
+    found = [tuple(row) for row in rows if sum(1 for x in row if x) <= max_weight]
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        for c in range(1, p):
+            word = tuple((x + c * y) % p for x, y in zip(rows[i], rows[j]))
+            if sum(1 for x in word if x) <= max_weight:
+                found.append(word)
+    return found
+
+
+def brute_force_hyperplane_words(incidence: np.ndarray, p: int) -> dict:
+    """Every hyperplane multiple a*v^H and difference a*(v^H1 - v^H2).
+
+    Maps each word (as a tuple) to (kind value, scalar, h1, h2), where row
+    i of incidence is hyperplane i.  Difference witnesses follow the
+    documented rule: the lexicographically first (h1, h2) for p = 2, and for
+    odd p the pair whose scalar is the entry at the smallest support index.
+    """
+    vectors = [[int(x) for x in row] for row in incidence]
+    out: dict = {}
+    for h, vec in enumerate(vectors):
+        for a in range(1, p):
+            out[tuple((a * x) % p for x in vec)] = ("HyperplaneMultiple", a, h, None)
+    for h1, h2 in itertools.permutations(range(len(vectors)), 2):
+        for a in range(1, p):
+            word = tuple((a * (x - y)) % p for x, y in zip(vectors[h1], vectors[h2]))
+            anchor = next(x for x in word if x)
+            if (p == 2 and h1 < h2) or (p > 2 and anchor == a):
+                out.setdefault(word, ("HyperplaneDifference", a, h1, h2))
+    return out

@@ -1,5 +1,8 @@
 """Analysis checks: spectra vs brute force, classification, traces, search."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,15 @@ from pgcodes.geometry import (
     subspace_point_indices,
     to_subspace,
 )
-from pgcodes.code import all_one_word, build_model, incidence_vector, weight, zero_word
+from pgcodes import kernels
+from pgcodes.code import (
+    all_one_word,
+    build_incidence_matrix,
+    build_model,
+    incidence_vector,
+    weight,
+    zero_word,
+)
 from pgcodes.analysis import (
     BudgetExceeded,
     DimensionTooLow,
@@ -25,6 +36,7 @@ from pgcodes.analysis import (
     WordKind,
     classify_subspace_traces,
     classify_word,
+    classify_words,
     enumerate_spectrum,
     line_profile,
     low_weight_search,
@@ -35,7 +47,13 @@ from pgcodes.analysis import (
     tangent_collinearity,
 )
 
-from helpers import brute_force_spectrum, brute_force_words_of_weight
+from pgcodes.verify import DEFAULT_GRID
+
+from helpers import (
+    brute_force_hyperplane_words,
+    brute_force_spectrum,
+    brute_force_words_of_weight,
+)
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
@@ -396,6 +414,58 @@ def test_search_result_serializes_digit_strings():
         assert set(text) <= {"0", "1", "2"}
 
 
+def _one_round_at_a_time(model, max_weight, iterations, seed):
+    """The search's found set, one kernels.isd_round per permutation."""
+    g = model.geometry
+    p, npts = g.field.p, g.num_points
+    inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    found = set()
+    for _ in range(iterations):
+        perm = rng.permutation(npts)
+        rows = kernels.isd_round(np.ascontiguousarray(model.generator[:, perm]), p, max_weight, inv)
+        back = np.empty_like(rows)
+        back[:, perm] = rows
+        for row in back.astype(np.int64):
+            for a in range(1, p):
+                found.add(tuple(int(x) for x in (a * row) % p))
+    return found
+
+
+@pytest.mark.parametrize("g,max_weight", [(PG23, 6), (PG24, 8)])
+def test_search_batches_do_not_change_the_found_set(monkeypatch, g, max_weight):
+    model = build_model(g)
+    default = low_weight_search(model, max_weight, 40, seed=4)
+    # batches of 7 do not divide 40 rounds: the last batch has 5
+    monkeypatch.setattr("pgcodes.kernels.isd_batch_size", lambda k, n: 7)
+    small = low_weight_search(model, max_weight, 40, seed=4)
+    assert np.array_equal(default.words, small.words)
+    assert np.array_equal(default.orbit_representatives, small.orbit_representatives)
+    assert {tuple(int(x) for x in w) for w in small.words} == _one_round_at_a_time(
+        model, max_weight, 40, 4
+    )
+    keys = [(int(np.count_nonzero(w)), w.tobytes()) for w in small.words]
+    assert keys == sorted(keys)
+
+
+# sha256 of the sorted-key JSON of low_weight_search results, captured from
+# the one-round-at-a-time search before rounds were batched
+SEARCH_DIGESTS = [
+    ((5, 1, 2), 300, 11, "29f4f9e221f862b37f52ffe2c952e4202e61e3f200e87655fbee6bfbfb91aee8"),
+    ((7, 1, 2), 300, 12, "67a81b51811b298c20332ac07de9a4c1007f71fee04b98ec547b3ac26a7e1d8f"),
+    ((2, 3, 2), 300, 13, "d40b93d63dc778d09f29cdc90ce2c841d26bb8086bc01062291ed4d92008509f"),
+]
+
+
+@pytest.mark.parametrize("params,rounds,seed,digest", SEARCH_DIGESTS)
+def test_search_results_match_pinned_digests(params, rounds, seed, digest):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    result = low_weight_search(build_model(g), 2 * g.q ** (n - 1), rounds, seed)
+    text = json.dumps(result.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_search_edge_cases():
     model = build_model(PG22)
     empty = low_weight_search(model, 0, 5, seed=0)
@@ -404,6 +474,69 @@ def test_search_edge_cases():
         low_weight_search(model, 3, 0, seed=0)
     with pytest.raises(ValueError):
         low_weight_search(model, -1, 5, seed=0)
+
+
+# -- array classification against the brute-force oracle ---------------------
+
+
+def _geometry(params):
+    p, h, n = params
+    return GeometrySpec(make_field(p, h), n)
+
+
+def _check_classify_words(model, words):
+    """classify_words agrees with the oracle and, row by row, classify_word;
+    one-entry perturbations of the words are Other."""
+    g = model.geometry
+    p, npts = g.field.p, g.num_points
+    oracle = brute_force_hyperplane_words(build_incidence_matrix(g), p)
+    perturbed = words.copy()
+    rows = np.arange(words.shape[0])
+    cols = (7 * rows) % npts
+    perturbed[rows, cols] = (perturbed[rows, cols] + 1) % p
+    batch = np.concatenate([words, perturbed, np.zeros((1, npts), dtype=np.uint8)])
+    classes = classify_words(model, batch)
+    assert len(classes) == batch.shape[0]
+    assert classes.of_kind(WordKind.OTHER)[words.shape[0] : -1].all()
+    for i, row in enumerate(batch):
+        got = classes[i]
+        assert got == classify_word(model, row)
+        key = tuple(int(x) for x in row)
+        default = ("Zero" if not any(key) else "Other", None, None, None)
+        kind, scalar, h1, h2 = oracle.get(key, default)
+        assert got.kind.value == kind
+        assert got.scalar == scalar
+        assert (got.h1.index if got.h1 is not None else None) == h1
+        assert (got.h2.index if got.h2 is not None else None) == h2
+
+
+@pytest.mark.parametrize("params", [t for t in DEFAULT_GRID if t != (2, 3, 2)])
+def test_classify_words_matches_oracle_on_exhaustive_words(params):
+    model = build_model(_geometry(params))
+    words = enumerate_spectrum(model).low_weight
+    assert words.shape[0] > 0
+    _check_classify_words(model, words)
+
+
+@pytest.mark.parametrize("params,seed", [((7, 1, 2), 21), ((2, 3, 2), 22)])
+def test_classify_words_matches_oracle_on_search_words(params, seed):
+    g = _geometry(params)
+    model = build_model(g)
+    words = low_weight_search(model, 2 * g.q ** (g.n - 1), 100, seed).words
+    assert words.shape[0] > 0
+    _check_classify_words(model, words)
+
+
+def test_classify_words_counts_and_validation():
+    model = build_model(PG23)
+    words = np.stack([zero_word(PG23), hyperplane_word(PG23, 0), all_one_word(PG23)])
+    classes = classify_words(model, words)
+    assert classes.counts() == {"Zero": 1, "HyperplaneMultiple": 1, "Other": 1}
+    assert len(classify_words(model, np.zeros((0, 13), dtype=np.uint8))) == 0
+    with pytest.raises(ValueError):
+        classify_words(model, np.full((1, 13), 3))
+    with pytest.raises(ValueError):
+        classify_words(model, np.zeros(13, dtype=np.uint8))
 
 
 # -- tangent collinearity ----------------------------------------------------

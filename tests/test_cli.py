@@ -162,6 +162,13 @@ def test_composite_p_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_field_beyond_256_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "2", "--h", "9", "--n", "2", "--all"])
+    assert exc.value.code == 2
+    assert "256" in capsys.readouterr().err
+
+
 def test_bad_format_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometry", "info", "--p", "2", "--n", "2", "--format", "yaml"])

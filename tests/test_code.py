@@ -147,6 +147,24 @@ def test_hull_membership_examples():
 
 
 @pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])
+def test_hull_contains_rows_matches_code_and_dual_membership(g):
+    model = build_model(g)
+    p = g.field.p
+    rng = np.random.default_rng(g.num_points)
+    msgs = rng.integers(0, p, size=(20, model.dimension))
+    codewords = (msgs @ model.generator.astype(np.int64)) % p
+    noise = rng.integers(0, p, size=(20, g.num_points))
+    words = np.concatenate([codewords, noise, model.hull, build_incidence_matrix(g)])
+    words = words.astype(np.uint8)
+    expected = [model.contains(w) and model.dual_contains(w) for w in words]
+    assert model.hull_contains_rows(words).tolist() == expected
+    assert [model.hull_contains(w) for w in words] == expected
+    assert model.hull_contains_rows(np.zeros((0, g.num_points), dtype=np.uint8)).shape == (0,)
+    with pytest.raises(LengthMismatch):
+        model.hull_contains_rows(words[:, 1:])
+
+
+@pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])
 def test_hull_basis_lies_in_both_code_and_dual(g):
     model = build_model(g)
     for row in model.hull:

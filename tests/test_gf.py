@@ -8,6 +8,7 @@ import pytest
 from pgcodes.gf import (
     DegreeMismatch,
     FieldMismatch,
+    FieldTooLarge,
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
@@ -168,3 +169,14 @@ def test_json_serialization_shape():
     fld = make_field(2, 3)
     d = fld.to_json_dict()
     assert d == {"p": 2, "h": 3, "modulus": [1, 1, 0, 1]}
+
+
+def test_fields_beyond_the_uint8_tables_are_a_named_error():
+    # q = 256 is the largest order the uint8 tables can index
+    assert make_field(2, 8).q == 256
+    for p, h in [(2, 9), (257, 1), (17, 2)]:
+        with pytest.raises(FieldTooLarge):
+            make_field(p, h)
+    with pytest.raises(FieldTooLarge):
+        make_field(2, 9, modulus=[1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
+    assert issubclass(FieldTooLarge, ValueError)

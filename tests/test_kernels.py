@@ -1,7 +1,8 @@
 """Kernel agreement tests: numba vs numpy vs the naive oracle.
 
-The two implementations enumerate in different orders, so histograms are
-compared exactly and collected words as sets.
+The spectrum implementations enumerate in different orders, so histograms
+are compared exactly and collected words as sets.  The batched search
+rounds are checked item by item against each item's RREF.
 """
 
 import os
@@ -15,14 +16,22 @@ import pytest
 from pgcodes import kernels
 from pgcodes.kernels import (
     HAVE_NUMBA,
-    isd_round_numpy,
+    isd_batch_size,
+    isd_round,
+    isd_rounds,
     pack_bits,
     spectrum_gf2_numpy,
     spectrum_modp_numpy,
     unpack_bits,
 )
 
-from helpers import brute_force_spectrum, brute_force_words_of_weight
+from pgcodes.code import rref_mod_p
+
+from helpers import (
+    brute_force_isd_candidates,
+    brute_force_spectrum,
+    brute_force_words_of_weight,
+)
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 
@@ -79,6 +88,16 @@ def test_spectrum_modp_numpy_matches_bruteforce(p, k, n):
     for w in range(1, limit + 1):
         expected |= brute_force_words_of_weight(rows, p, w)
     assert got == expected
+
+
+def test_spectrum_modp_numpy_does_not_wrap_for_large_p():
+    # entry sums reach 2p - 2 > 255 once p >= 128
+    rows = np.array([[1, 0, 130], [0, 1, 5]], dtype=np.uint8)
+    hist, words, overflow = spectrum_modp_numpy(rows, 131, 3, 131**2)
+    assert hist.tolist() == [1, 0, 390, 16770]
+    assert _hist_as_counter(hist) == brute_force_spectrum(rows, 131)
+    assert not overflow
+    assert words.shape[0] == 131**2 - 1
 
 
 @needs_numba
@@ -141,13 +160,10 @@ def test_isd_round_finds_only_codewords(p, k, n):
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     perm = rng.permutation(n)
     permuted = rows[:, perm]
-    found = isd_round_numpy(permuted, p, n, inv)
+    found = isd_round(permuted, p, n, inv)
     _check_isd_output(permuted, p, n, found)
     # with max_weight = n every single-row word appears
     assert found.shape[0] >= k
-    if HAVE_NUMBA:
-        found_nb = kernels.isd_round_numba(permuted, p, n, inv)
-        assert {w.tobytes() for w in found} == {w.tobytes() for w in found_nb}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -155,7 +171,7 @@ def test_isd_round_respects_max_weight(p):
     rng = np.random.default_rng(31 * p)
     rows = random_rank_rows(rng, 5, 12, p)
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
-    found = isd_round_numpy(rows, p, 3, inv)
+    found = isd_round(rows, p, 3, inv)
     _check_isd_output(rows, p, 3, found)
 
 
@@ -178,3 +194,52 @@ def test_env_flag_disables_numba_in_subprocess():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _inverse_table(p):
+    return np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("p,k,n", [(2, 6, 15), (3, 5, 13), (5, 4, 11), (7, 4, 10), (131, 3, 6)])
+def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk):
+    if chunk is not None:
+        # score the 7 rounds in chunks of 2, the last one short
+        monkeypatch.setattr(kernels, "_BATCH_BYTES", chunk * 4 * p * k * n)
+    rng = np.random.default_rng(p * 100 + k)
+    # a zero column and a repeated column: items that meet them early get
+    # pivots on different columns than items that do not
+    core = random_rank_rows(rng, k, n - 2, p)
+    rows = np.hstack([np.zeros((k, 1), dtype=np.uint8), core[:, :1], core])
+    perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(6)])
+    pivot_sets = {tuple(rref_mod_p(rows[:, perm], p)[1]) for perm in perms}
+    assert len(pivot_sets) > 1
+    for max_weight in (n // 2, n):
+        words, items = isd_rounds(rows, perms, p, max_weight, _inverse_table(p))
+        assert words.dtype == np.uint8
+        for b, perm in enumerate(perms):
+            reduced, pivots = rref_mod_p(rows[:, perm], p)
+            candidates = brute_force_isd_candidates(reduced[: len(pivots)], p, max_weight)
+            # entry t of a permuted candidate belongs to column perm[t]
+            expected = [tuple(w[t] for t in np.argsort(perm)) for w in candidates]
+            got = [tuple(int(x) for x in w) for w in words[items == b]]
+            assert sorted(got) == sorted(expected)
+
+
+def test_isd_round_is_the_single_item_batch():
+    p = 5
+    rng = np.random.default_rng(9)
+    rows = random_rank_rows(rng, 4, 11, p)
+    perm = rng.permutation(11)
+    got = isd_round(rows[:, perm], p, 6, _inverse_table(p))
+    words, items = isd_rounds(rows, perm[None], p, 6, _inverse_table(p))
+    assert np.array_equal(got[:, np.argsort(perm)], words)
+    assert (items == 0).all()
+
+
+def test_isd_batch_size_bounds_the_batch():
+    # a batch's stacked k x n generators stay within 256 KB
+    for k, n in [(28, 73), (16, 31), (29, 57), (3, 6)]:
+        b = isd_batch_size(k, n)
+        assert b * k * n <= 1 << 18 < (b + 1) * k * n
+    assert isd_batch_size(2000, 2000) == 1

@@ -1,5 +1,6 @@
 """Suite orchestration, report schema, rendering, reproducibility."""
 
+import hashlib
 import json
 
 import jsonschema
@@ -139,6 +140,20 @@ def test_reports_are_reproducible_given_seed():
     b = run_suite((3, 1, 2), seed=42, restriction_samples=100, blocking_trials=5)
     assert emit_report(a, "json") == emit_report(b, "json")
     assert emit_report(a, "table") == emit_report(b, "table")
+
+
+def test_search_mode_report_matches_pinned_digest():
+    # captured before search rounds, classification and hull tests worked on
+    # whole arrays: the JSON report must stay byte-identical
+    r = run_suite(
+        (7, 1, 2),
+        ("dimension", "minweight", "gap", "second", "blocking"),
+        seed=5,
+        search_iterations=60,
+    )
+    assert r.mode == "search"
+    digest = hashlib.sha256(emit_report(r, "json").encode()).hexdigest()
+    assert digest == "b2deaede9c9d4ebdfded0bfb59ae9a9fce6a002204d1ff3dd8cbadbeea5765bc"
 
 
 def test_json_rendering_round_trips():
