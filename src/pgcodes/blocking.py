@@ -165,20 +165,24 @@ def _essential_indices(B: PointSet, k: int) -> set[int]:
     return set(spi[tangent_rows][hit[tangent_rows]].tolist())
 
 
+def _blocking_essential_indices(B: PointSet, k: int) -> set[int]:
+    _check_k(B.geometry, k)
+    if not is_k_blocking(B, k):
+        raise NotBlocking("essential points are defined for blocking sets only")
+    return _essential_indices(B, k)
+
+
 def essential_points(B: PointSet, k: int) -> set[ProjPoint]:
     """Points of B admitting at least one tangent (n-k)-subspace.
 
     B is minimal exactly when every point is essential.
     """
-    _check_k(B.geometry, k)
-    if not is_k_blocking(B, k):
-        raise NotBlocking("essential points are defined for blocking sets only")
     pts = enumerate_points(B.geometry)
-    return {pts[i] for i in _essential_indices(B, k)}
+    return {pts[i] for i in _blocking_essential_indices(B, k)}
 
 
 def is_minimal(B: PointSet, k: int) -> bool:
-    return len(essential_points(B, k)) == len(B)
+    return len(_blocking_essential_indices(B, k)) == len(B)
 
 
 def reduce_to_minimal(

@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 from pgcodes.geometry import GeometryMismatch, GeometrySpec, ProjPoint, incidence_bool, theta
+from pgcodes.kernels import _systematize
 
 
 # whole-array word tests run in row blocks whose float32 copy stays near this
@@ -56,29 +57,14 @@ def _inverse_table(p: int) -> np.ndarray:
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form mod prime p; returns (matrix, pivot columns)."""
-    m = mat.astype(np.int64) % p
-    inv = _inverse_table(p)
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        if m[r, c] != 1:
-            m[r] = (m[r] * inv[m[r, c]]) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - col[:, None] * m[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return m.astype(np.uint8), pivots
+    """Reduced row-echelon form mod prime p; returns (uint8 matrix, pivot columns).
+
+    Any integer matrix is reduced mod p first; the elimination is the
+    one-item case of the batched Gauss-Jordan pass in kernels._systematize.
+    """
+    m = np.asarray(mat).astype(np.int64) % p
+    reduced, pivots = _systematize(m[None], p, _inverse_table(p))
+    return reduced[0].astype(np.uint8), [c for c in pivots[0].tolist() if c < m.shape[1]]
 
 
 def p_rank(mat: np.ndarray, p: int) -> int:
@@ -87,15 +73,13 @@ def p_rank(mat: np.ndarray, p: int) -> int:
 
 
 def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0 mod p}."""
+    """Rows spanning {x : mat @ x = 0 mod p}: one row per free column f,
+    with 1 at f and minus column f of the RREF at the pivot columns."""
     reduced, pivots = rref_mod_p(mat, p)
-    ncols = mat.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-int(reduced[r, f])) % p
+    free = np.delete(np.arange(mat.shape[1]), pivots)
+    basis = np.zeros((free.size, mat.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (p - reduced[: len(pivots), free].T) % p
     return basis
 
 

@@ -1,4 +1,4 @@
-"""Hot enumeration kernels: spectrum sweeps and batched search rounds.
+"""Hot kernels: spectrum sweeps, batched search rounds and the mod-p eliminator.
 
 The two hot loops are full-spectrum enumeration (p^dim messages, Gray-coded
 so each step is one basis-row update) and the randomized information-set
@@ -9,10 +9,15 @@ to a vectorized numpy sweep otherwise.  Setting the environment variable
 PGCODES_NO_NUMBA=1 forces the numpy path; both variants are also exported
 directly so tests can compare them.
 
-isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy: one
-Gauss-Jordan pass systematizes a (B, k, n) stack of column-permuted
-generators, and matrix products score every row pair, so only the pairs
-within the weight cap are ever built.  isd_round is its one-round case.
+_systematize is the package's one mod-p Gauss-Jordan eliminator: a single
+pass brings every item of a (B, k, n) stack to reduced row-echelon form.
+code.rref_mod_p, and through it every rank, basis and nullspace of the code
+model, is its one-item case.
+
+isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy:
+_systematize reduces a stack of column-permuted generators, and matrix
+products score every row pair, so only the pairs within the weight cap are
+ever built.  isd_round is its one-round case.
 
 Representation notes: words over F_2 are bit-packed into uint64 lanes with
 popcount-based weights inside the kernels; words over odd p stay byte
@@ -247,15 +252,19 @@ def isd_batch_size(k: int, n: int) -> int:
     return max(1, _BATCH_BYTES // (k * n))
 
 
-def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray) -> np.ndarray:
+def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     """RREF of every item of a (B, k, n) stack in one batched Gauss-Jordan pass.
 
+    This is the package's mod-p eliminator: code.rref_mod_p is its one-item
+    case and isd_rounds runs it on a batch of column-permuted generators.
     Each item tracks which of its rows already hold a pivot; one column step
     pivots every item that has a free row nonzero in that column and leaves
     the others unchanged, and the pass stops once every item has k pivots.
-    Entries stay reduced, so the row updates fit uint8 while p^2 <= 256 and
-    uint16 up to p = 251.  Rows come back in pivot-column order, so each item
-    is exactly its rref_mod_p.
+    A step rewrites only the columns from the pivot on, in the rows that are
+    nonzero in that column for some item.  Entries stay reduced, so the row
+    updates fit uint8 while p^2 <= 256 and uint16 up to p = 251.  Returns
+    (reduced, pivots): rows come back in pivot-column order, and pivots[b, i]
+    is the pivot column of row i of item b, or n for a zero row.
     """
     b, k, n = gens.shape
     dtype = np.uint8 if p * p <= 256 else np.uint16
@@ -265,6 +274,8 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray) -> np.ndarray:
     pivot_col = np.full((b, k), n)
     items = np.arange(b)
     for c in range(n):
+        if not free.any():
+            break
         col = u[:, :, c].copy()
         eligible = (col != 0) & free
         has = eligible.any(axis=1)
@@ -272,27 +283,27 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray) -> np.ndarray:
             continue
         row = eligible.argmax(axis=1)
         prow = u[items, row, c:]
-        tail = u[:, :, c:]
+        touched = np.flatnonzero(col.any(axis=0))
+        col = col[:, touched, None]
         if p == 2:
             prow *= has[:, None]
-            tail ^= col[:, :, None] & prow[:, None, :]
+            u[:, touched, c:] ^= col & prow[:, None, :]
         else:
             # items without a pivot here get a zero pivot row: a no-op update;
             # x - (x // p) * p is several times faster than x % p
             prow *= (inv[prow[:, 0]] * has)[:, None]
             prow -= (prow // p) * p
-            update = (p - col)[:, :, None] * prow[:, None, :]
-            update += tail
+            update = (p - col) * prow[:, None, :]
+            update += u[:, touched, c:]
             update -= (update // p) * p
-            tail[...] = update
+            u[:, touched, c:] = update
         hit = np.nonzero(has)[0]
         u[hit, row[hit], c:] = prow[hit]
         free[hit, row[hit]] = False
         pivot_col[hit, row[hit]] = c
-        if not free.any():
-            break
     order = np.argsort(pivot_col, axis=1, kind="stable")
-    return np.take_along_axis(u, order[:, :, None], axis=1)
+    pivots = np.take_along_axis(pivot_col, order, axis=1)
+    return np.take_along_axis(u, order[:, :, None], axis=1), pivots
 
 
 def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):
@@ -342,7 +353,7 @@ def isd_rounds(
     RREF with weight <= max_weight, in gen's own column order, and the round
     index of every word.
     """
-    reduced = _systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod)
+    reduced = _systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod)[0]
     # column t of round b is gen's column perms[b, t]; weights do not depend
     # on the column order, so restoring it first leaves the scores unchanged
     restored = np.empty_like(reduced)

@@ -65,6 +65,34 @@ def python_rank_mod_p(matrix, p: int) -> int:
     return rank
 
 
+def rref_mod_p_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form mod prime p, one pivot at a time on a full
+    int64 copy: every step rescales the pivot row and clears its column in
+    every other row.  Returns (uint8 matrix, pivot columns)."""
+    m = np.asarray(mat).astype(np.int64) % p
+    inv = [pow(a, p - 2, p) if a else 0 for a in range(p)]
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        if m[r, c] != 1:
+            m[r] = (m[r] * inv[m[r, c]]) % p
+        col = m[:, c].copy()
+        col[r] = 0
+        m = (m - col[:, None] * m[r][None, :]) % p
+        pivots.append(c)
+        r += 1
+    return m.astype(np.uint8), pivots
+
+
 def gaussian_binomial_product(a: int, b: int, q: int) -> int:
     """Number of b-dim subspaces of an a-dim space over GF(q), product form."""
     if b < 0 or b > a:

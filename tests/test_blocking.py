@@ -203,6 +203,26 @@ def test_essential_requires_blocking():
         essential_points(PointSet(PG23, [0, 1]), 1)
 
 
+def test_is_minimal_requires_blocking_and_valid_k():
+    with pytest.raises(NotBlocking):
+        is_minimal(PointSet(PG23, [0, 1]), 1)
+    with pytest.raises(DimensionOutOfRange):
+        is_minimal(line_set(PG23, 1), 2)
+
+
+def test_is_minimal_builds_no_point_objects(monkeypatch):
+    import pgcodes.blocking as blocking
+
+    def refuse(g):
+        raise AssertionError("is_minimal enumerated the points")
+
+    monkeypatch.setattr(blocking, "enumerate_points", refuse)
+    assert is_minimal(line_set(PG23, 1), 1)
+    line = line_set(PG23, 0)
+    extra = next(i for i in range(13) if i not in line.indices)
+    assert not is_minimal(PointSet(PG23, list(line.indices) + [extra]), 1)
+
+
 # -- reduction ---------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Code construction checks: incidence matrix, rank, bases, membership."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from pgcodes.code import (
     zero_word,
 )
 
-from helpers import python_rank_mod_p
+from helpers import python_rank_mod_p, rref_mod_p_reference
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
@@ -79,14 +81,84 @@ def test_rref_pivots_and_idempotence():
             assert col[r] == 1 and np.count_nonzero(col) == 1
 
 
+def _reference_cases(p):
+    """Random matrices for the eliminator oracle: (name, integer matrix)."""
+    rng = np.random.default_rng(p)
+    low_rank = rng.integers(0, p, size=(9, 3)) @ rng.integers(0, p, size=(3, 14))
+    wide = rng.integers(0, p, size=(5, 17))
+    repeated = np.hstack([wide[:, :4], wide[:, 2:3], wide[:, 4:]])
+    return [
+        ("rank-deficient", low_rank),
+        ("tall", rng.integers(0, p, size=(15, 6))),
+        ("wide", wide),
+        ("square", rng.integers(0, p, size=(12, 12))),
+        ("all-zero", np.zeros((4, 7), dtype=np.int64)),
+        ("no rows", np.zeros((0, 5), dtype=np.int64)),
+        ("unreduced entries", rng.integers(-3 * p, 3 * p, size=(7, 11))),
+        ("repeated column", repeated),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131])
+def test_rref_mod_p_matches_reference_loop(p):
+    for name, mat in _reference_cases(p):
+        reduced, pivots = rref_mod_p(mat, p)
+        expected, expected_pivots = rref_mod_p_reference(mat, p)
+        assert reduced.dtype == np.uint8, name
+        assert np.array_equal(reduced, expected), name
+        assert pivots == expected_pivots, name
+        assert all(isinstance(c, int) for c in pivots), name
+        assert len(pivots) == python_rank_mod_p(mat.tolist(), p), name
+
+
 def test_nullspace_is_orthogonal_complement():
     rng = np.random.default_rng(3)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 131):
         mat = rng.integers(0, p, size=(6, 10))
         null = nullspace_mod_p(mat, p)
         prod = (mat.astype(np.int64) @ null.T.astype(np.int64)) % p
         assert not prod.any()
         assert p_rank(mat, p) + null.shape[0] == 10
+        # a null vector is fixed by its free coordinates, so the identity
+        # there pins the basis exactly
+        pivots = rref_mod_p(mat, p)[1]
+        free = [c for c in range(10) if c not in pivots]
+        assert np.array_equal(null[:, free], np.eye(len(free), dtype=np.uint8))
+    assert nullspace_mod_p(np.zeros((3, 4), dtype=np.int64), 3).tolist() == np.eye(4).tolist()
+    assert nullspace_mod_p(np.eye(4, dtype=np.int64), 3).shape == (0, 4)
+
+
+def _model_digest(model):
+    h = hashlib.sha256()
+    for arr in (model.generator, model.check, model.hull):
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+# sha256 over the shapes and bytes of the generator, check and hull bases
+# for every DEFAULT_GRID triple and PG(3,8), PG(3,9), PG(2,16),
+# captured from the full-matrix int64 elimination before the batched one
+# replaced it
+MODEL_DIGESTS = {
+    (2, 1, 2): "cd28c74a71b64ca58bdca143aee63cbb5a86ebf749931e4fb9454da01409739e",
+    (3, 1, 2): "cff45983ae7d754fe390bb9bdbe4300fb3540c6de08524fc340bd17d12a02c63",
+    (2, 2, 2): "6a2eda081769e88521ce063677f3697089ffec08faff26bb992fff39360a8bf1",
+    (2, 3, 2): "466bdc41a8731231ff7154c3876276bb336b514e172669dd13e6fe463cacb47f",
+    (2, 1, 3): "eec6866e645a21bca4f9be2f5f4f8bddb93dd5e98a22259cb41c10c2cd0b695c",
+    (3, 1, 3): "b3111e8c9d7f4bc9eefc0033e8cfe46f17e350bd525ffb3bcd91e811f1a3c892",
+    (2, 2, 3): "fb84e2f7819cbcce6eb04b96ad57a893eb30b983afc59e82ba7c08e994517434",
+    (2, 1, 4): "52fb6ba97e242a1e0ab3edca8776b6fdda1e4ac5ade6be78a89b9aa10c1bb82d",
+    (2, 3, 3): "9a9462a22115a3acc4c87b13acc812a160a4af8d8bfead78248a89f6e6039bba",
+    (3, 2, 3): "ff68887e58ad4353d900aa105298259d22b7a5d0a526406ee7058c36b88ed595",
+    (2, 4, 2): "1d874cd0e6e52f8dccee7ddba55b408c9d05fe729d4167d22ca22face244e935",
+}
+
+
+@pytest.mark.parametrize("params", list(MODEL_DIGESTS))
+def test_model_bases_match_pinned_digests(params):
+    p, h, n = params
+    assert _model_digest(CodeModel(GeometrySpec(make_field(p, h), n))) == MODEL_DIGESTS[params]
 
 
 def test_rank_nullity_over_the_code():

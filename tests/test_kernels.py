@@ -25,12 +25,11 @@ from pgcodes.kernels import (
     unpack_bits,
 )
 
-from pgcodes.code import rref_mod_p
-
 from helpers import (
     brute_force_isd_candidates,
     brute_force_spectrum,
     brute_force_words_of_weight,
+    rref_mod_p_reference,
 )
 
 needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
@@ -212,13 +211,13 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
     core = random_rank_rows(rng, k, n - 2, p)
     rows = np.hstack([np.zeros((k, 1), dtype=np.uint8), core[:, :1], core])
     perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(6)])
-    pivot_sets = {tuple(rref_mod_p(rows[:, perm], p)[1]) for perm in perms}
+    pivot_sets = {tuple(rref_mod_p_reference(rows[:, perm], p)[1]) for perm in perms}
     assert len(pivot_sets) > 1
     for max_weight in (n // 2, n):
         words, items = isd_rounds(rows, perms, p, max_weight, _inverse_table(p))
         assert words.dtype == np.uint8
         for b, perm in enumerate(perms):
-            reduced, pivots = rref_mod_p(rows[:, perm], p)
+            reduced, pivots = rref_mod_p_reference(rows[:, perm], p)
             candidates = brute_force_isd_candidates(reduced[: len(pivots)], p, max_weight)
             # entry t of a permuted candidate belongs to column perm[t]
             expected = [tuple(w[t] for t in np.argsort(perm)) for w in candidates]
