@@ -58,6 +58,10 @@ class NoInformationSetFound(RuntimeError):
     """Could not systematize the generator on any sampled column set."""
 
 
+class InconsistentSpectrum(RuntimeError):
+    """A weight histogram violates the MacWilliams identities."""
+
+
 class NotInCode(ValueError):
     """Word is not a codeword of the relevant code."""
 
@@ -384,6 +388,36 @@ def _sort_words(words: np.ndarray) -> np.ndarray:
     return words[np.lexsort((_row_keys(words), np.count_nonzero(words, axis=1)))]
 
 
+def dual_weight_counts(hist, p: int, k: int) -> list[int]:
+    """Weight distribution B_0..B_n of the dual of a k-dimensional code over
+    F_p whose weight histogram is hist (hist[i] = A_i).
+
+    The MacWilliams identities give B_j = p^-k sum_i A_i K_j(i), computed in
+    exact integers.  The Krawtchouk values K_j(i) follow the recurrence
+    (j+1) K_{j+1}(i) = (j + (p-1)(n-j) - p i) K_j(i) - (p-1)(n-j+1) K_{j-1}(i)
+    over the nonzero A_i only.  Raises InconsistentSpectrum unless every B_j
+    is a non-negative integer, B_0 = 1 and sum_j B_j = p^(n-k).
+    """
+    n = len(hist) - 1
+    support = [(i, int(a)) for i, a in enumerate(hist) if a]
+    prev, cur = [0] * len(support), [1] * len(support)
+    counts = []
+    for j in range(n + 1):
+        total = sum(a * kj for (_, a), kj in zip(support, cur))
+        if total < 0 or total % p**k:
+            raise InconsistentSpectrum(f"MacWilliams: B_{j} = {total} / {p}^{k}")
+        counts.append(total // p**k)
+        prev, cur = cur, [
+            ((j + (p - 1) * (n - j) - p * i) * kj - (p - 1) * (n - j + 1) * km) // (j + 1)
+            for (i, _), kj, km in zip(support, cur, prev)
+        ]
+    if counts[0] != 1 or sum(counts) != p ** (n - k):
+        raise InconsistentSpectrum(
+            f"MacWilliams: B_0 = {counts[0]}, sum of B_j = {sum(counts)}, not p^(n-k)"
+        )
+    return counts
+
+
 def enumerate_spectrum(
     model: CodeModel,
     budget: int = DEFAULT_BUDGET,
@@ -414,6 +448,7 @@ def enumerate_spectrum(
             break
         capacity *= 4
     assert int(hist.sum()) == messages
+    dual_weight_counts(hist, p, model.dimension)
     words = _sort_words(words)
     if callback is not None:
         for w in words:

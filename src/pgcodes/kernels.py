@@ -1,13 +1,14 @@
-"""Hot kernels: spectrum sweeps, batched search rounds and the mod-p eliminator.
+"""Hot kernels: the spectrum sweep, batched search rounds and the mod-p eliminator.
 
-The two hot loops are full-spectrum enumeration (p^dim messages, Gray-coded
-so each step is one basis-row update) and the randomized information-set
-rounds of the low-weight search.
+The two hot loops are full-spectrum enumeration (all p^k messages of a k-row
+generator) and the randomized information-set rounds of the low-weight
+search.  Both are plain numpy whose inner work is float32 matrix products.
 
-spectrum dispatches to a numba-compiled sweep when numba is importable, or
-to a vectorized numpy sweep otherwise.  Setting the environment variable
-PGCODES_NO_NUMBA=1 forces the numpy path; both variants are also exported
-directly so tests can compare them.
+spectrum is a meet-in-the-middle sweep, one code path for every p: tables of
+all combinations of a suffix and a middle group of rows are built once, the
+remaining top rows are walked in mixed-radix Gray order, and at each step one
+matrix product gives the weight of every (suffix, middle) sum.  Over F_2 the
+tables hold +-1 entries; over odd p they hold one-hot value indicators.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -19,224 +20,106 @@ _systematize reduces a stack of column-permuted generators, and matrix
 products score every row pair, so only the pairs within the weight cap are
 ever built.  isd_round is its one-round case.
 
-Representation notes: words over F_2 are bit-packed into uint64 lanes with
-popcount-based weights inside the kernels; words over odd p stay byte
-vectors.  Packing assumes a little-endian platform (bit j of a row lands in
-bit j%64 of lane j//64).
+Every float32 product here is a sum of small integers whose partial sums
+stay far below 2^24, so it is exact whatever order BLAS sums in, and results
+do not depend on threading.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "PGCODES_NO_NUMBA"
+# -- spectrum sweep ----------------------------------------------------------
+
+# the suffix table's float32 encoding and each step's float32 weight block
+# stay near this many bytes
+_SPECTRUM_BYTES = 1 << 19
+# the middle table holds at most this many rows, or p rows if p is larger
+_MIDDLE_ROWS = 256
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "") in ("", "0")
+def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
+    """All p^m combinations sum_i c_i rows[i] mod p of m rows, as uint8 rows."""
+    n = rows.shape[1]
+    table = np.zeros((1, n), dtype=np.uint16)
+    coeffs = np.arange(p, dtype=np.uint16)[:, None, None]
+    for row in rows:
+        # c * row + entry stays below 251 * 251 < 2^16
+        table = ((table + coeffs * row) % p).reshape(p * len(table), n)
+    return table.astype(np.uint8)
 
 
-HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
+def _encode(values: np.ndarray, p: int, negated: bool = False) -> np.ndarray:
+    """float32 rows whose products count the zeros of sums of two words.
 
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA
-
-
-# -- bit packing -------------------------------------------------------------
-
-
-def pack_bits(rows: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 uint8 -> (m, ceil(n/64)) uint64, bit j at lane j//64."""
-    m, n = rows.shape
-    lanes = (n + 63) // 64
-    padded = np.zeros((m, lanes * 64), dtype=np.uint8)
-    padded[:, :n] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    Over F_2, entry x becomes 1 - 2x, and the product of the encodings of u
+    and v is n - 2 wt(u + v).  Over odd p, entry x becomes the p indicators
+    [x = t] (negated: [-x = t]), and the product of u's encoding and v's
+    negated encoding is the number of zeros of u + v.
+    """
+    if p == 2:
+        return 1 - 2 * values.astype(np.float32)
+    targets = ((-np.arange(p)) % p if negated else np.arange(p)).astype(np.uint8)
+    return (values[:, :, None] == targets).reshape(len(values), -1).astype(np.float32)
 
 
-def unpack_bits(packed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_bits, trimming the lane padding back to n columns."""
-    if packed.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.uint8)
-    as_bytes = packed.view(np.uint8)
-    return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :n]
+def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
+    """Weight histogram of all p^k messages of a k x n generator over F_p.
 
-
-# -- numba kernels -----------------------------------------------------------
-
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _spectrum_gf2_jit(rows, nbits, total, collect_limit, capacity):
-        k, lanes = rows.shape
-        hist = np.zeros(nbits + 1, dtype=np.int64)
-        words = np.zeros((capacity, lanes), dtype=np.uint64)
-        cur = np.zeros(lanes, dtype=np.uint64)
-        hist[0] += 1
-        stored = 0
-        overflow = False
-        for t in range(1, total):
-            tt = t
-            r = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                r += 1
-            w = 0
-            for j in range(lanes):
-                cur[j] ^= rows[r, j]
-                x = cur[j]
-                x = x - ((x >> _S1) & _M1)
-                x = (x & _M2) + ((x >> _S2) & _M2)
-                x = (x + (x >> _S4)) & _M4
-                w += np.int64((x * _H01) >> _S56)
-            hist[w] += 1
-            if 0 < w <= collect_limit:
-                if stored < capacity:
-                    for j in range(lanes):
-                        words[stored, j] = cur[j]
-                    stored += 1
-                else:
-                    overflow = True
-        return hist, stored, words, overflow
-
-    @njit(cache=True)
-    def _spectrum_modp_jit(rows, p, total, collect_limit, capacity):
-        k, n = rows.shape
-        hist = np.zeros(n + 1, dtype=np.int64)
-        words = np.zeros((capacity, n), dtype=np.uint8)
-        cur = np.zeros(n, dtype=np.uint8)
-        hist[0] += 1
-        stored = 0
-        overflow = False
-        for t in range(1, total):
-            x = t - 1
-            r = 0
-            while x % p == p - 1:
-                x //= p
-                r += 1
-            w = 0
-            for j in range(n):
-                v = cur[j] + rows[r, j]
-                if v >= p:
-                    v -= p
-                cur[j] = v
-                if v != 0:
-                    w += 1
-            hist[w] += 1
-            if 0 < w <= collect_limit:
-                if stored < capacity:
-                    for j in range(n):
-                        words[stored, j] = cur[j]
-                    stored += 1
-                else:
-                    overflow = True
-        return hist, stored, words, overflow
-
-
-# -- pure numpy implementations ----------------------------------------------
-
-_SUFFIX_TARGET = 1 << 14
-
-
-def spectrum_gf2_numpy(rows: np.ndarray, collect_limit: int, capacity: int):
-    """Spectrum over F_2 by suffix tabling + Gray-coded prefix sweep."""
-    k, n = rows.shape
-    packed = pack_bits(rows)
-    split = 0
-    while split < k and (1 << (split + 1)) <= _SUFFIX_TARGET:
-        split += 1
-    k_hi = k - split
-    suffix = np.zeros((1, packed.shape[1]), dtype=np.uint64)
-    for i in range(split):
-        suffix = np.concatenate([suffix, suffix ^ packed[k_hi + i]])
-    hist = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    stored = 0
-    overflow = False
-    cur = np.zeros(packed.shape[1], dtype=np.uint64)
-    for t in range(1 << k_hi):
-        if t:
-            cur = cur ^ packed[(t & -t).bit_length() - 1]
-        block = suffix ^ cur
-        weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
-        hist += np.bincount(weights, minlength=n + 1)
-        mask = (weights > 0) & (weights <= collect_limit)
-        if mask.any():
-            sel = block[mask]
-            room = capacity - stored
-            if sel.shape[0] > room:
-                overflow = True
-                sel = sel[:room]
-            if sel.shape[0]:
-                chunks.append(sel)
-                stored += sel.shape[0]
-    words = unpack_bits(np.vstack(chunks) if chunks else np.zeros((0, packed.shape[1]), np.uint64), n)
-    return hist, words, overflow
-
-
-def spectrum_modp_numpy(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
-    """Spectrum over odd F_p by suffix tabling + Gray-coded prefix sweep.
-
-    Sums of two entries reach 2p - 2, so p >= 128 accumulates in uint16
-    (and builds the suffix table in int32) instead of uint8 and int16.
+    Returns (hist, words, overflow): hist[w] counts the messages whose word
+    has weight w; words holds the words of weight in [1, collect_limit],
+    at most capacity of them, and overflow says whether any were dropped.
+    The word order is implementation-defined; callers that need determinism
+    must sort.
     """
     k, n = rows.shape
-    acc, wide = (np.uint8, np.int16) if p < 128 else (np.uint16, np.int32)
-    rows = rows.astype(acc, copy=False)
-    split = 0
-    while split < k and p ** (split + 1) <= _SUFFIX_TARGET:
-        split += 1
-    k_hi = k - split
-    suffix = np.zeros((1, n), dtype=acc)
-    for i in range(split):
-        row = rows[k_hi + i].astype(wide)
-        suffix = np.vstack([((suffix.astype(wide) + a * row) % p) for a in range(p)]).astype(acc)
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    scale = 2 if p == 2 else 1
+    width = n * (1 if p == 2 else p) + 1
+    middle = min(k, 1)
+    while middle < k and p ** (middle + 1) <= _MIDDLE_ROWS:
+        middle += 1
+    suffix = 0
+    while suffix < k - middle and p ** (suffix + 1) * 4 * max(width, p**middle) <= _SPECTRUM_BYTES:
+        suffix += 1
+    top = k - middle - suffix
+    suffix_values = _combinations(rows[top + middle :], p)
+    middle_values = _combinations(rows[top : top + middle], p).astype(np.uint16)
+    # suffix rows [-code(u), n] times middle rows [negated code(v), 1] give
+    # n - (n - 2 wt(u + v)) over F_2 and n - zeros(u + v) over odd p
+    suffix_code = np.hstack(
+        [-_encode(suffix_values, p), np.full((len(suffix_values), 1), n, dtype=np.float32)]
+    )
+    ones = np.ones((len(middle_values), 1), dtype=np.float32)
     hist = np.zeros(n + 1, dtype=np.int64)
     chunks = []
     stored = 0
     overflow = False
-    cur = np.zeros(n, dtype=acc)
-    for t in range(p**k_hi):
+    cur = np.zeros(n, dtype=np.uint16)
+    for t in range(p**top):
         if t:
-            x = t - 1
-            r = 0
+            # mixed-radix Gray order: step t adds top row r, where r counts
+            # the trailing (p - 1) digits of t - 1 in base p
+            x, r = t - 1, 0
             while x % p == p - 1:
                 x //= p
                 r += 1
-            cur = cur + rows[r]
-            cur = np.where(cur >= p, cur - p, cur).astype(acc)
-        block = cur[None, :] + suffix
-        block = np.where(block >= p, block - p, block)
-        weights = np.count_nonzero(block, axis=1)
-        hist += np.bincount(weights, minlength=n + 1)
-        mask = (weights > 0) & (weights <= collect_limit)
-        if mask.any():
-            sel = block[mask].astype(np.uint8)
-            room = capacity - stored
-            if sel.shape[0] > room:
-                overflow = True
-                sel = sel[:room]
-            if sel.shape[0]:
-                chunks.append(sel)
-                stored += sel.shape[0]
-    words = np.vstack(chunks).astype(np.uint8) if chunks else np.zeros((0, n), np.uint8)
+            cur = (cur + rows[r]) % p
+        shifted = ((middle_values + cur) % p).astype(np.uint8)
+        middle_code = np.hstack([_encode(shifted, p, negated=True), ones])
+        # scale * weight of suffix row i plus shifted middle row j
+        weights = (suffix_code @ middle_code.T).astype(np.int32)
+        hist += np.bincount(weights.ravel(), minlength=scale * n + 1)[::scale]
+        if collect_limit < 1:
+            continue
+        i, j = np.nonzero((weights > 0) & (weights <= scale * collect_limit))
+        if i.size > capacity - stored:
+            overflow = True
+            i, j = i[: capacity - stored], j[: capacity - stored]
+        if i.size:
+            chunks.append(((suffix_values[i] + shifted[j].astype(np.uint16)) % p).astype(np.uint8))
+            stored += i.size
+    words = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
     return hist, words, overflow
 
 
@@ -364,46 +247,6 @@ def isd_rounds(
     found = [_low_weight_combinations(restored[s : s + step], p, max_weight) for s in starts]
     words = np.concatenate([w for w, _ in found])
     return words, np.concatenate([items + s for s, (_, items) in zip(starts, found)])
-
-
-# -- numba-dispatching wrappers ----------------------------------------------
-
-
-def spectrum_gf2_numba(rows: np.ndarray, collect_limit: int, capacity: int):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    n = rows.shape[1]
-    total = 1 << rows.shape[0]
-    hist, stored, words, overflow = _spectrum_gf2_jit(
-        pack_bits(rows), n, total, collect_limit, capacity
-    )
-    return hist, unpack_bits(words[:stored], n), overflow
-
-
-def spectrum_modp_numba(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    total = p ** rows.shape[0]
-    hist, stored, words, overflow = _spectrum_modp_jit(
-        np.ascontiguousarray(rows), p, total, collect_limit, capacity
-    )
-    return hist, words[:stored].copy(), overflow
-
-
-def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
-    """Dispatching full-spectrum enumeration.
-
-    Returns (hist, collected words with weight in [1, collect_limit],
-    overflow flag).  The word order is implementation-defined; callers that
-    need determinism must sort.
-    """
-    if USE_NUMBA:
-        if p == 2:
-            return spectrum_gf2_numba(rows, collect_limit, capacity)
-        return spectrum_modp_numba(rows, p, collect_limit, capacity)
-    if p == 2:
-        return spectrum_gf2_numpy(rows, collect_limit, capacity)
-    return spectrum_modp_numpy(rows, p, collect_limit, capacity)
 
 
 def isd_round(gen_permuted: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray):

@@ -29,7 +29,9 @@ from .code import build_incidence_matrix, build_model, expected_dimension, p_ran
 from .analysis import (
     DEFAULT_BUDGET,
     WordKind,
+    _sort_words,
     classify_words,
+    dual_weight_counts,
     enumerate_spectrum,
     line_profile,
     low_weight_search,
@@ -460,6 +462,7 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
         return CheckResult("hull", "skipped", details)
     hist, _, _ = kernels.spectrum(model.hull, g.field.p, 0, 1)
     assert int(hist.sum()) == messages
+    dual_weight_counts(hist, g.field.p, hull_dim)
     nonzero = np.nonzero(hist[1:])[0]
     minw = int(nonzero[0]) + 1 if nonzero.size else None
     details = {
@@ -561,7 +564,7 @@ def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
         model.generator, p, g.num_points, messages
     )
     assert not overflow
-    incidence_words = [w for w in words if w.max() <= 1]
+    incidence_words = [w for w in _sort_words(words) if w.max() <= 1]
     checked = 0
     bad = []
     for w in incidence_words:

@@ -1,7 +1,7 @@
 """Shared fixtures: warm the kernels once per session.
 
-The first call into a numba spectrum sweep pays the JIT (or cache-load)
-cost, and the first batched search round the numpy and BLAS set-up cost;
+The first spectrum sweep and the first batched search round pay numpy's
+and BLAS's set-up cost (thread pool start, first-touch allocations);
 warming here keeps the runtime-bounded acceptance checks honest about
 steady-state speed.
 """

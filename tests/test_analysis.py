@@ -28,8 +28,10 @@ from pgcodes.code import (
     zero_word,
 )
 from pgcodes.analysis import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DimensionTooLow,
+    InconsistentSpectrum,
     NotInCode,
     QInX,
     TraceKind,
@@ -37,6 +39,7 @@ from pgcodes.analysis import (
     classify_subspace_traces,
     classify_word,
     classify_words,
+    dual_weight_counts,
     enumerate_spectrum,
     line_profile,
     low_weight_search,
@@ -47,7 +50,7 @@ from pgcodes.analysis import (
     tangent_collinearity,
 )
 
-from pgcodes.verify import DEFAULT_GRID
+from pgcodes.verify import DEFAULT_GRID, run_suite
 
 from helpers import (
     brute_force_hyperplane_words,
@@ -123,6 +126,49 @@ def test_spectrum_collects_exactly_the_low_weight_words():
     # deterministic order: sorted by weight then entries
     keys = [(weight(row), row.tobytes()) for row in report.low_weight]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("params", DEFAULT_GRID)
+def test_macwilliams_dual_counts_hold_on_the_default_grid(params):
+    p, h, n = params
+    model = build_model(GeometrySpec(make_field(p, h), n))
+    for basis, dual in ((model.generator, model.check), (model.hull, None)):
+        hist, _, _ = kernels.spectrum(basis, p, 0, 1)
+        counts = dual_weight_counts(hist, p, basis.shape[0])
+        if dual is not None and p ** dual.shape[0] <= DEFAULT_BUDGET:
+            # the check basis spans the dual code: enumerate it directly
+            assert counts == kernels.spectrum(dual, p, 0, 1)[0].tolist()
+
+
+@pytest.mark.parametrize("g", [PG22, PG23, PG32, PG24])
+def test_macwilliams_rejects_a_histogram_with_one_count_moved(g):
+    model = build_model(g)
+    hist = kernels.spectrum(model.generator, g.field.p, 0, 1)[0]
+    low = int(np.flatnonzero(hist[1:])[0]) + 1
+    tampered = hist.copy()
+    tampered[low] -= 1
+    tampered[low + 1] += 1
+    with pytest.raises(InconsistentSpectrum):
+        dual_weight_counts(tampered, g.field.p, model.dimension)
+    with pytest.raises(InconsistentSpectrum):
+        dual_weight_counts(hist, g.field.p, model.dimension + 1)
+
+
+def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
+    sweep = kernels.spectrum
+
+    def tampered(rows, p, collect_limit, capacity):
+        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
+        low = int(np.flatnonzero(hist[1:])[0]) + 1
+        hist[low] -= 1
+        hist[low + 1] += 1
+        return hist, words, overflow
+
+    monkeypatch.setattr(kernels, "spectrum", tampered)
+    with pytest.raises(InconsistentSpectrum):
+        enumerate_spectrum(build_model(PG23))
+    with pytest.raises(InconsistentSpectrum):
+        run_suite((3, 1, 2), suites=["hull"])
 
 
 def test_spectrum_budget_gate():
@@ -392,14 +438,6 @@ def test_search_is_deterministic_given_seed():
     b = low_weight_search(model, 6, 40, seed=5)
     assert np.array_equal(a.words, b.words)
     assert np.array_equal(a.orbit_representatives, b.orbit_representatives)
-
-
-def test_search_agrees_across_kernel_backends(monkeypatch):
-    model = build_model(PG24)
-    default = low_weight_search(model, 8, 30, seed=3)
-    monkeypatch.setattr("pgcodes.kernels.USE_NUMBA", False)
-    numpy_only = low_weight_search(model, 8, 30, seed=3)
-    assert np.array_equal(default.words, numpy_only.words)
 
 
 def test_search_result_serializes_digit_strings():

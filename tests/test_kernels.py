@@ -1,29 +1,23 @@
-"""Kernel agreement tests: numba vs numpy vs the naive oracle.
+"""Kernel tests: the spectrum sweep and the batched search rounds against
+naive oracles.
 
-The spectrum implementations enumerate in different orders, so histograms
-are compared exactly and collected words as sets.  The batched search
-rounds are checked item by item against each item's RREF.
+The sweep enumerates in an implementation-defined order, so histograms are
+compared exactly and collected words as sets.  The batched search rounds are
+checked item by item against each item's RREF.
 """
 
-import os
-import subprocess
-import sys
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgcodes import kernels
-from pgcodes.kernels import (
-    HAVE_NUMBA,
-    isd_batch_size,
-    isd_round,
-    isd_rounds,
-    pack_bits,
-    spectrum_gf2_numpy,
-    spectrum_modp_numpy,
-    unpack_bits,
-)
+from pgcodes.code import build_model
+from pgcodes.geometry import GeometrySpec
+from pgcodes.gf import make_field
+from pgcodes.kernels import isd_batch_size, isd_round, isd_rounds, spectrum
 
 from helpers import (
     brute_force_isd_candidates,
@@ -31,8 +25,6 @@ from helpers import (
     brute_force_words_of_weight,
     rref_mod_p_reference,
 )
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 
 
 def random_rank_rows(rng, k, n, p):
@@ -45,17 +37,15 @@ def random_rank_rows(rng, k, n, p):
             return rows
 
 
-@pytest.mark.parametrize("n", [3, 17, 63, 64, 65, 73, 130])
-def test_pack_unpack_roundtrip(n):
-    rng = np.random.default_rng(7)
-    rows = rng.integers(0, 2, size=(5, n)).astype(np.uint8)
-    packed = pack_bits(rows)
-    assert packed.shape == (5, (n + 63) // 64)
-    assert np.array_equal(unpack_bits(packed, n), rows)
-
-
 def _hist_as_counter(hist):
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
+
+
+def _words_up_to(rows, p, limit):
+    expected = set()
+    for w in range(1, limit + 1):
+        expected |= brute_force_words_of_weight(rows, p, w)
+    return expected
 
 
 @pytest.mark.parametrize("k,n", [(3, 7), (6, 15), (9, 21), (10, 73)])
@@ -63,14 +53,11 @@ def test_spectrum_gf2_numpy_matches_bruteforce(k, n):
     rng = np.random.default_rng(k * 100 + n)
     rows = random_rank_rows(rng, k, n, 2)
     limit = n // 2
-    hist, words, overflow = spectrum_gf2_numpy(rows, limit, 1 << k)
+    hist, words, overflow = spectrum(rows, 2, limit, 1 << k)
     assert not overflow
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, 2)
     got = {tuple(int(x) for x in w) for w in words}
-    expected = set()
-    for w in range(1, limit + 1):
-        expected |= brute_force_words_of_weight(rows, 2, w)
-    assert got == expected
+    assert got == _words_up_to(rows, 2, limit)
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 4, 13), (3, 7, 13), (5, 4, 11), (7, 3, 8)])
@@ -78,67 +65,86 @@ def test_spectrum_modp_numpy_matches_bruteforce(p, k, n):
     rng = np.random.default_rng(p * 1000 + k)
     rows = random_rank_rows(rng, k, n, p)
     limit = n // 2
-    hist, words, overflow = spectrum_modp_numpy(rows, p, limit, p**k)
+    hist, words, overflow = spectrum(rows, p, limit, p**k)
     assert not overflow
     assert int(hist.sum()) == p**k
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     got = {tuple(int(x) for x in w) for w in words}
-    expected = set()
-    for w in range(1, limit + 1):
-        expected |= brute_force_words_of_weight(rows, p, w)
-    assert got == expected
+    assert got == _words_up_to(rows, p, limit)
 
 
 def test_spectrum_modp_numpy_does_not_wrap_for_large_p():
     # entry sums reach 2p - 2 > 255 once p >= 128
     rows = np.array([[1, 0, 130], [0, 1, 5]], dtype=np.uint8)
-    hist, words, overflow = spectrum_modp_numpy(rows, 131, 3, 131**2)
+    hist, words, overflow = spectrum(rows, 131, 3, 131**2)
     assert hist.tolist() == [1, 0, 390, 16770]
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, 131)
     assert not overflow
     assert words.shape[0] == 131**2 - 1
 
 
-@needs_numba
-@pytest.mark.parametrize("k,n", [(3, 7), (8, 21), (10, 73), (12, 40)])
-def test_spectrum_gf2_numba_agrees_with_numpy(k, n):
-    rng = np.random.default_rng(k + n)
-    rows = random_rank_rows(rng, k, n, 2)
-    limit = max(2, n // 3)
-    h_np, w_np, o_np = spectrum_gf2_numpy(rows, limit, 1 << k)
-    h_nb, w_nb, o_nb = kernels.spectrum_gf2_numba(rows, limit, 1 << k)
-    assert np.array_equal(h_np, h_nb)
-    assert o_np == o_nb is False
-    assert {w.tobytes() for w in w_np} == {w.tobytes() for w in w_nb}
-
-
-@needs_numba
-@pytest.mark.parametrize("p,k,n", [(3, 6, 13), (5, 5, 31), (7, 4, 20)])
-def test_spectrum_modp_numba_agrees_with_numpy(p, k, n):
-    rng = np.random.default_rng(p * k)
-    rows = random_rank_rows(rng, k, n, p)
-    limit = max(2, n // 3)
-    h_np, w_np, o_np = spectrum_modp_numpy(rows, p, limit, p**k)
-    h_nb, w_nb, o_nb = kernels.spectrum_modp_numba(rows, p, limit, p**k)
-    assert np.array_equal(h_np, h_nb)
-    assert o_np == o_nb is False
-    assert {w.tobytes() for w in w_np} == {w.tobytes() for w in w_nb}
-
-
 def test_overflow_truncates_words_but_not_histogram():
     rng = np.random.default_rng(5)
     rows = random_rank_rows(rng, 6, 15, 2)
-    full_hist, full_words, _ = spectrum_gf2_numpy(rows, 15, 1 << 6)
-    hist, words, overflow = spectrum_gf2_numpy(rows, 15, 3)
+    full_hist, full_words, _ = spectrum(rows, 2, 15, 1 << 6)
+    hist, words, overflow = spectrum(rows, 2, 15, 3)
     assert overflow
     assert words.shape[0] == 3
     assert np.array_equal(hist, full_hist)
-    if HAVE_NUMBA:
-        hist_nb, words_nb, over_nb = kernels.spectrum_gf2_numba(rows, 15, 3)
-        assert over_nb
-        assert words_nb.shape[0] == 3
-        assert np.array_equal(hist_nb, full_hist)
     assert full_words.shape[0] == (1 << 6) - 1
+
+
+# largest k per p that the brute-force oracles enumerate quickly
+_ORACLE_ROWS = {2: 9, 3: 6, 5: 4, 7: 3, 131: 2}
+
+
+@st.composite
+def _sweeps(draw):
+    p = draw(st.sampled_from(sorted(_ORACLE_ROWS)))
+    k = draw(st.integers(0, _ORACLE_ROWS[p]))
+    n = draw(st.integers(0, 3 if p == 131 else 9))
+    rows = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    limit = draw(st.integers(-1, n + 1))
+    # table sizes down to a single middle row and an empty suffix, so that
+    # small k already walks top rows in Gray order
+    sizes = draw(st.sampled_from([(0, 1), (1 << 10, 1), (1 << 12, 8), (1 << 20, 256)]))
+    return p, np.array(rows, dtype=np.uint8).reshape(k, n), limit, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sweeps())
+def test_spectrum_matches_oracles_on_random_generators(sweep):
+    p, rows, limit, (budget, middle_rows) = sweep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
+        mp.setattr(kernels, "_MIDDLE_ROWS", middle_rows)
+        hist, words, overflow = spectrum(rows, p, limit, p ** rows.shape[0])
+    expected = brute_force_spectrum(rows, p)
+    assert hist.shape == (rows.shape[1] + 1,)
+    assert _hist_as_counter(hist) == expected
+    assert not overflow
+    assert words.dtype == np.uint8 and words.shape[1] == rows.shape[1]
+    # one word per message, so a rank-deficient generator repeats words
+    assert words.shape[0] == sum(c for w, c in expected.items() if 0 < w <= limit)
+    got = {tuple(int(x) for x in w) for w in words}
+    assert got == _words_up_to(rows, p, limit)
+
+
+# sha256 of the int64 hull weight histograms, pinned from the byte-wise and
+# bit-packed Gray sweeps that the matrix-product sweep replaced
+HULL_DIGESTS = {
+    (2, 3, 2): "790cd0f0f7b2fa2c6eea09e8848c3009dd2e431de9d3c150ddd950a8b7acff4a",
+    (3, 1, 4): "b96d4d02b916eb1995c3096785b9bbd969cd90e03471ca6eb62058bbae1c99bb",
+}
+
+
+@pytest.mark.parametrize("p,h,n", sorted(HULL_DIGESTS))
+def test_hull_histogram_matches_pinned_digest(p, h, n):
+    model = build_model(GeometrySpec(make_field(p, h), n))
+    hist, words, overflow = spectrum(model.hull, p, 0, 1)
+    assert hist.dtype == np.int64 and words.shape == (0, model.geometry.num_points)
+    assert not overflow
+    assert hashlib.sha256(hist.tobytes()).hexdigest() == HULL_DIGESTS[(p, h, n)]
 
 
 def _check_isd_output(rows, p, max_weight, found):
@@ -172,27 +178,6 @@ def test_isd_round_respects_max_weight(p):
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     found = isd_round(rows, p, 3, inv)
     _check_isd_output(rows, p, 3, found)
-
-
-def test_dispatcher_matches_direct_variants():
-    rng = np.random.default_rng(2)
-    rows = random_rank_rows(rng, 5, 13, 3)
-    h_direct, w_direct, _ = spectrum_modp_numpy(rows, 3, 6, 3**5)
-    h_disp, w_disp, _ = kernels.spectrum(rows, 3, 6, 3**5)
-    assert np.array_equal(h_direct, h_disp)
-    assert {w.tobytes() for w in w_direct} == {w.tobytes() for w in w_disp}
-
-
-def test_env_flag_disables_numba_in_subprocess():
-    env = dict(os.environ, PGCODES_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from pgcodes import kernels; print(kernels.USE_NUMBA)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 def _inverse_table(p):

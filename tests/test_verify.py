@@ -6,6 +6,7 @@ import json
 import jsonschema
 import pytest
 
+from pgcodes import kernels, verify
 from pgcodes.verify import (
     DEFAULT_GRID,
     REPORT_SCHEMA,
@@ -133,6 +134,23 @@ def test_skip_gates_for_hull_and_bbw_budgets():
     assert r.check("hull").status == "skipped"
     r = run_suite((2, 2, 2), suites=["bbw"], bbw_budget=16)
     assert r.check("bbw").status == "skipped"
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
+def test_bbw_witnesses_do_not_depend_on_kernel_word_order(monkeypatch, params):
+    # every (word, external point) pair fails, so the witnesses list every
+    # incidence word in the order the suite visits them
+    monkeypatch.setattr(verify, "tangent_collinearity", lambda model, x, q: (False, None))
+    expected = run_suite(params, suites=["bbw"]).check("bbw")
+    assert expected.status == "fail" and len(expected.witnesses) > 1
+    sweep = kernels.spectrum
+
+    def reversed_words(*args):
+        hist, words, overflow = sweep(*args)
+        return hist, words[::-1], overflow
+
+    monkeypatch.setattr(kernels, "spectrum", reversed_words)
+    assert run_suite(params, suites=["bbw"]).check("bbw") == expected
 
 
 def test_reports_are_reproducible_given_seed():
