@@ -18,6 +18,7 @@ import numpy as np
 from pgcodes import kernels
 from pgcodes.code import (
     CodeModel,
+    LengthMismatch,
     as_word,
     as_words,
     build_incidence_matrix,
@@ -609,13 +610,66 @@ def classify_subspace_traces(
 
 
 # -- tangent collinearity ----------------------------------------------------
+#
+# For a planar point set X and a point Q, the tangent points are the points
+# P != Q of X whose line PQ meets X only at P.  Two distinct tangent points
+# fix a line, so they are collinear iff there are fewer than two or one line
+# holds them all.  Both counts are products with the point-line incidence
+# matrix: |l & X| for every line l, then |l & T| for the tangent set T.
+
+
+@lru_cache(maxsize=None)
+def _line_columns(g: GeometrySpec) -> np.ndarray:
+    """(theta_n, lines) float32 point-line incidence, for exact meet counts."""
+    lines = subspace_point_indices(g, 1)
+    cols = np.zeros((g.num_points, lines.shape[0]), dtype=np.float32)
+    cols[lines, np.arange(lines.shape[0])[:, None]] = 1
+    cols.setflags(write=False)
+    return cols
+
+
+def _tangent_block(g: GeometrySpec, sets: np.ndarray):
+    """Per (set, Q) of an (r, theta_n) boolean block: |T|, the most points
+    of T on one line, and that line's index."""
+    lines = _line_columns(g)
+    r, npts = sets.shape
+    tangent = np.zeros((r, lines.shape[1] + 1), dtype=bool)
+    tangent[:, :-1] = sets.astype(np.float32) @ lines == 1
+    # the -1 that line_through_pairs holds for P = Q picks the last column,
+    # which stays False; t[w, Q, P] says P is a tangent point of set w at Q
+    t = tangent[:, line_through_pairs(g)] & sets[:, None, :]
+    meets = t.reshape(r * npts, npts).astype(np.float32) @ lines
+    best = meets.argmax(axis=1)
+    top = meets[np.arange(best.size), best]
+    return t.sum(axis=2), top.reshape(r, npts), best.reshape(r, npts)
+
+
+def tangent_collinear_rows(g: GeometrySpec, inside) -> np.ndarray:
+    """(m, theta_n) answers for an (m, theta_n) boolean array of planar point
+    sets: are the tangent points of set w seen from point Q collinear?
+
+    Entries at points Q of the set itself are True: every line through Q
+    then meets the set twice, so there are no tangent points.
+    """
+    if g.n != 2:
+        raise DimensionOutOfRange("tangent collinearity is a planar check")
+    sets = np.asarray(inside, dtype=bool)
+    if sets.ndim != 2 or sets.shape[1] != g.num_points:
+        raise LengthMismatch(f"expected rows of length {g.num_points}, got shape {sets.shape}")
+    ok = np.empty(sets.shape, dtype=bool)
+    for rows in row_blocks(sets.shape[0], g.num_points**2):
+        sizes, top, _ = _tangent_block(g, sets[rows])
+        ok[rows] = (sizes < 2) | (top == sizes)
+    return ok
 
 
 def tangent_collinearity(model: CodeModel, points, q_point) -> tuple[bool, Subspace | None]:
     """For planar 0/1 codewords: are the tangent-through-Q points collinear?
 
     A point P of X counts when the line PQ meets X only at P.  Returns the
-    common line as witness when at least two such points exist.
+    common line as witness when at least two such points exist.  This is
+    the one-row case of tangent_collinear_rows, after checking that Q lies
+    outside X and that X's incidence vector is a codeword.
     """
     g = model.geometry
     if g.n != 2:
@@ -627,27 +681,15 @@ def tangent_collinearity(model: CodeModel, points, q_point) -> tuple[bool, Subsp
         qi = q_point.index
     else:
         qi = int(q_point)
-    xset = set(xidx.tolist())
-    if qi in xset:
+    if qi in xidx.tolist():
         raise QInX(f"point index {qi} lies in the set")
-    vec = np.zeros(g.num_points, dtype=np.uint8)
-    vec[xidx] = 1
-    if not model.contains(vec):
-        raise NotInCode("the set's incidence vector is not a codeword")
-    pair_lines = line_through_pairs(g)
-    line_pts = subspace_point_indices(g, 1)
     mask = np.zeros(g.num_points, dtype=bool)
     mask[xidx] = True
-    tangent_points = []
-    for pi in xidx.tolist():
-        li = int(pair_lines[pi, qi])
-        if int(mask[line_pts[li]].sum()) == 1:
-            tangent_points.append(pi)
-    if len(tangent_points) < 2:
+    if not model.contains(mask.astype(np.uint8)):
+        raise NotInCode("the set's incidence vector is not a codeword")
+    size, top, best = (a[0, qi] for a in _tangent_block(g, mask[None]))
+    if size < 2:
         return True, None
-    first, second = tangent_points[0], tangent_points[1]
-    common = int(pair_lines[first, second])
-    for pi in tangent_points[2:]:
-        if int(pair_lines[first, pi]) != common:
-            return False, None
-    return True, _ambient_subspace_from_indices(g, line_pts[common].tolist())
+    if top != size:
+        return False, None
+    return True, _ambient_subspace_from_indices(g, subspace_point_indices(g, 1)[best].tolist())

@@ -175,18 +175,28 @@ class CodeModel:
     def hull_dimension(self) -> int:
         return self.hull.shape[0]
 
-    def _reduce(self, w: np.ndarray, basis: np.ndarray, pivots: tuple[int, ...]) -> np.ndarray:
-        p = self.geometry.field.p
-        r = w.astype(np.int64).copy()
-        for row, pc in zip(basis, pivots):
-            coeff = int(r[pc])
-            if coeff:
-                r = (r - coeff * row.astype(np.int64)) % p
-        return r
+    def _annihilated_rows(self, words, tests: np.ndarray) -> np.ndarray:
+        """For each row of an (m, theta_n) word array: do all rows of tests
+        have zero inner product with it mod p?  One product per row block."""
+        g = self.geometry
+        p = g.field.p
+        arr = as_words(g, words)
+        # float32 sums of theta_n products below (p-1)^2 are exact under 2^24
+        exact = np.float32 if g.num_points * (p - 1) ** 2 < 2**24 else np.float64
+        columns = tests.T.astype(exact)
+        inside = np.empty(arr.shape[0], dtype=bool)
+        for rows in row_blocks(arr.shape[0], g.num_points):
+            sums = (arr[rows].astype(exact) @ columns).astype(np.int64)
+            inside[rows] = ~(sums % p).any(axis=1)
+        return inside
+
+    def contains_rows(self, words) -> np.ndarray:
+        """Code membership of every row of an (m, theta_n) word array: a word
+        lies in the code iff the check rows annihilate it."""
+        return self._annihilated_rows(words, self.check)
 
     def contains(self, w) -> bool:
-        w = as_word(self.geometry, w)
-        return not self._reduce(w, self.generator, self.generator_pivots).any()
+        return bool(self.contains_rows(as_word(self.geometry, w)[None])[0])
 
     def dual_contains(self, w) -> bool:
         w = as_word(self.geometry, w)
@@ -200,17 +210,7 @@ class CodeModel:
         A word lies in the code iff the check rows annihilate it and in the
         dual iff the generator rows do, so both tests are one product.
         """
-        g = self.geometry
-        p = g.field.p
-        arr = as_words(g, words)
-        # float32 sums of theta_n products below (p-1)^2 are exact under 2^24
-        exact = np.float32 if g.num_points * (p - 1) ** 2 < 2**24 else np.float64
-        tests = np.concatenate([self.check, self.generator]).T.astype(exact)
-        inside = np.empty(arr.shape[0], dtype=bool)
-        for rows in row_blocks(arr.shape[0], g.num_points):
-            sums = (arr[rows].astype(exact) @ tests).astype(np.int64)
-            inside[rows] = ~(sums % p).any(axis=1)
-        return inside
+        return self._annihilated_rows(words, np.concatenate([self.check, self.generator]))
 
     def hull_contains(self, w) -> bool:
         return bool(self.hull_contains_rows(as_word(self.geometry, w)[None])[0])

@@ -4,7 +4,9 @@ run_suite builds the code for one (p, h, n) triple and runs a selection
 of named check suites, each recording pass/fail with enough detail to
 audit.  Where the full message space fits the budget the checks are
 exhaustive; beyond it the weight-facing suites degrade to randomized
-search evidence and say so in their status.
+search evidence and say so in their status.  Suites test whole word arrays:
+bbw asks about every (incidence word, external point) pair in one call, and
+restriction tests its sampled (subspace, word) pairs a dimension at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ import numpy as np
 
 from . import kernels
 from .gf import make_field
-from .geometry import (
-    GeometrySpec,
-    enumerate_subspaces,
-    hyperplane_point_indices,
-    subspace_point_indices,
-    theta,
-)
-from .code import build_incidence_matrix, build_model, expected_dimension, p_rank, weight
+from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
+from .code import build_incidence_matrix, build_model, expected_dimension, weight
 from .analysis import (
     DEFAULT_BUDGET,
+    NotInCode,
     WordKind,
     _sort_words,
     classify_words,
@@ -35,10 +32,7 @@ from .analysis import (
     enumerate_spectrum,
     line_profile,
     low_weight_search,
-    restrict,
-    restriction_model,
-    support,
-    tangent_collinearity,
+    tangent_collinear_rows,
 )
 from .blocking import PointSet, is_k_blocking, is_minimal, reduce_to_minimal
 
@@ -342,7 +336,7 @@ def run_suite(
 
 
 def _run_dimension(g, model) -> CheckResult:
-    rank = p_rank(build_incidence_matrix(g), g.field.p)
+    rank = model.dimension  # the pivot count of the incidence matrix's RREF
     expected = expected_dimension(g)
     details = {"p_rank": rank, "formula": expected, "dimension": model.dimension}
     ok = rank == expected == model.dimension
@@ -505,48 +499,42 @@ def _run_properties(g, model, rng) -> CheckResult:
 
 
 def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
-    pool = [s for k in range(2, g.n) for s in enumerate_subspaces(g, k)]
+    # the pool is every k-subspace, 2 <= k < n, in enumerate_subspaces order
+    tables = [subspace_point_indices(g, k) for k in range(2, g.n)]
+    offsets = np.cumsum([0] + [len(t) for t in tables])
+    pool = int(offsets[-1])
     if not pool:
         details = {
             "pairs_checked": 0,
             "note": "no proper subspace has dimension 2 or more; restriction is the identity",
         }
         return CheckResult("restriction", "pass", details)
-    words = [np.ones(g.num_points, dtype=np.uint8)]
-    words.extend(model.generator)
-    if spectrum is not None:
-        words.extend(spectrum.low_weight)
-    words.extend(
-        (row % g.field.p).astype(np.uint8) for row in _random_codewords(model, rng, 64)
-    )
-    checked = 0
-    bad = []
-    while checked < samples:
-        s = pool[int(rng.integers(len(pool)))]
-        w = words[int(rng.integers(len(words)))]
-        local = restriction_model(s)
-        restricted = restrict(w, s)
-        closure = local.contains(restricted)
-        supp_ok = set(np.nonzero(restricted)[0].tolist()) == {
-            i
-            for i, gp in enumerate(_global_points(s))
-            if w[gp]
+    extra = [spectrum.low_weight] if spectrum is not None else []
+    randoms = (_random_codewords(model, rng, 64) % g.field.p).astype(np.uint8)
+    ones = np.ones((1, g.num_points), dtype=np.uint8)
+    words = np.concatenate([ones, model.generator, *extra, randoms])
+    draws = [(int(rng.integers(pool)), int(rng.integers(len(words)))) for _ in range(samples)]
+    si, wi = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    which = np.searchsorted(offsets, si, side="right") - 1
+    local = si - offsets[which]
+    failed = np.zeros(si.size, dtype=bool)
+    for i, table in enumerate(tables):
+        picked = which == i
+        pts = table[local[picked]]
+        full = words[wi[picked]]
+        restricted = np.take_along_axis(full, pts, axis=1)
+        closure = build_model(GeometrySpec(g.field, i + 2)).contains_rows(restricted)
+        supp_ok = ((restricted != 0) == np.take_along_axis(full != 0, pts, axis=1)).all(axis=1)
+        failed[picked] = ~(closure & supp_ok)
+    bad = [
+        {
+            "word": _word_witness(words[w]),
+            "subspace": {"dimension": i + 2, "points": tables[i][s].tolist()},
         }
-        if not (closure and supp_ok):
-            bad.append({"word": _word_witness(w), "subspace": _subspace_witness(s)})
-        checked += 1
-    details = {"pairs_checked": checked, "subspace_pool": len(pool), "word_pool": len(words)}
+        for i, s, w in zip(which[failed].tolist(), local[failed].tolist(), wi[failed].tolist())
+    ]
+    details = {"pairs_checked": si.size, "subspace_pool": pool, "word_pool": len(words)}
     return CheckResult("restriction", "pass" if not bad else "fail", details, bad)
-
-
-def _global_points(s):
-    from .geometry import global_point_indices
-
-    return global_point_indices(s).tolist()
-
-
-def _subspace_witness(s) -> dict:
-    return {"dimension": s.dim, "points": _global_points(s)}
 
 
 def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
@@ -564,20 +552,17 @@ def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
         model.generator, p, g.num_points, messages
     )
     assert not overflow
-    incidence_words = [w for w in _sort_words(words) if w.max() <= 1]
-    checked = 0
-    bad = []
-    for w in incidence_words:
-        x = support(w).tolist()
-        inside = set(x)
-        for q_idx in range(g.num_points):
-            if q_idx in inside:
-                continue
-            ok, _ = tangent_collinearity(model, x, q_idx)
-            checked += 1
-            if not ok:
-                bad.append({"word": _word_witness(w), "external_point": q_idx})
-    details = {"incidence_words": len(incidence_words), "pairs_checked": checked}
+    words = _sort_words(words)
+    words = words[words.max(axis=1) <= 1]
+    if not model.contains_rows(words).all():
+        raise NotInCode("an incidence word of the sweep is not a codeword")
+    inside = words != 0
+    ok = tangent_collinear_rows(g, inside)
+    bad = [
+        {"word": _word_witness(words[wi]), "external_point": qi}
+        for wi, qi in zip(*(a.tolist() for a in np.nonzero(~ok & ~inside)))
+    ]
+    details = {"incidence_words": len(words), "pairs_checked": int((~inside).sum())}
     return CheckResult("bbw", "pass" if not bad else "fail", details, bad)
 
 

@@ -93,6 +93,25 @@ def rref_mod_p_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return m.astype(np.uint8), pivots
 
 
+def tangent_collinearity_reference(lines, points, q_idx: int) -> bool:
+    """Are the tangent points of a planar point set seen from q_idx collinear?
+
+    lines is a list of point-index sets, one per line.  One point at a time:
+    P of the set counts when the line PQ meets the set only at P; the first
+    two such points fix a line and every later one must lie on it.
+    """
+    xset = set(points)
+
+    def line_of(a: int, b: int) -> set:
+        return next(line for line in lines if a in line and b in line)
+
+    tangent = [pi for pi in sorted(xset) if len(line_of(pi, q_idx) & xset) == 1]
+    if len(tangent) < 2:
+        return True
+    common = line_of(tangent[0], tangent[1])
+    return all(pi in common for pi in tangent[2:])
+
+
 def gaussian_binomial_product(a: int, b: int, q: int) -> int:
     """Number of b-dim subspaces of an a-dim space over GF(q), product form."""
     if b < 0 or b > a:

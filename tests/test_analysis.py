@@ -20,6 +20,7 @@ from pgcodes.geometry import (
 )
 from pgcodes import kernels
 from pgcodes.code import (
+    LengthMismatch,
     all_one_word,
     build_incidence_matrix,
     build_model,
@@ -47,6 +48,7 @@ from pgcodes.analysis import (
     restriction_model,
     support,
     support_points,
+    tangent_collinear_rows,
     tangent_collinearity,
 )
 
@@ -56,6 +58,7 @@ from helpers import (
     brute_force_hyperplane_words,
     brute_force_spectrum,
     brute_force_words_of_weight,
+    tangent_collinearity_reference,
 )
 
 PG22 = GeometrySpec(make_field(2), 2)
@@ -613,3 +616,38 @@ def test_tangent_collinearity_errors():
         tangent_collinearity(model, [0, 1], 5)
     with pytest.raises(DimensionOutOfRange):
         tangent_collinearity(build_model(PG32), [0], 1)
+
+
+@pytest.mark.parametrize("g", [PG22, PG23, PG24])
+def test_tangent_collinear_rows_matches_the_scalar_reference(g):
+    # every 0/1 codeword (these always pass) and random 0/1 sets outside the
+    # code (which reach the False branch), against every point Q
+    model = build_model(g)
+    words = enumerate_spectrum(model, collect_limit=g.num_points).low_weight
+    codewords = np.concatenate([zero_word(g)[None], words[words.max(axis=1) <= 1]]) != 0
+    rng = np.random.default_rng(g.num_points)
+    noise = rng.random((300, g.num_points)) < 0.4
+    noise = noise[~model.contains_rows(noise.astype(np.uint8))]
+    sets = np.concatenate([codewords, noise])
+    lines = [set(row) for row in subspace_point_indices(g, 1).tolist()]
+    expected = [
+        [
+            bool(row[qi]) or tangent_collinearity_reference(lines, np.nonzero(row)[0].tolist(), qi)
+            for qi in range(g.num_points)
+        ]
+        for row in sets
+    ]
+    ok = tangent_collinear_rows(g, sets)
+    assert ok.tolist() == expected
+    assert ok[: len(codewords)].all()
+    assert not ok[len(codewords) :].all()
+    assert tangent_collinear_rows(g, sets[:0]).shape == (0, g.num_points)
+
+
+def test_tangent_collinear_rows_rejects_bad_input():
+    with pytest.raises(DimensionOutOfRange):
+        tangent_collinear_rows(PG32, np.zeros((1, PG32.num_points), dtype=bool))
+    with pytest.raises(LengthMismatch):
+        tangent_collinear_rows(PG23, np.zeros((1, 12), dtype=bool))
+    with pytest.raises(LengthMismatch):
+        tangent_collinear_rows(PG23, np.zeros(13, dtype=bool))

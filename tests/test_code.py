@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pgcodes import code
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     GeometrySpec,
@@ -234,6 +235,37 @@ def test_hull_contains_rows_matches_code_and_dual_membership(g):
     assert model.hull_contains_rows(np.zeros((0, g.num_points), dtype=np.uint8)).shape == (0,)
     with pytest.raises(LengthMismatch):
         model.hull_contains_rows(words[:, 1:])
+
+
+@pytest.mark.parametrize(
+    "g", [PG22, PG23, GeometrySpec(make_field(5), 2), GeometrySpec(make_field(7), 2)]
+)
+def test_contains_rows_matches_contains_and_a_rank_oracle(g, monkeypatch):
+    model = build_model(g)
+    p, npts = g.field.p, g.num_points
+    rng = np.random.default_rng(p)
+    msgs = rng.integers(0, p, size=(20, model.dimension))
+    codewords = (msgs @ model.generator.astype(np.int64)) % p
+    noise = rng.integers(0, p, size=(20, npts))
+    # the minimum distance is theta_{n-1} > 1, so one changed entry leaves the code
+    moved = codewords.copy()
+    moved[np.arange(20), rng.integers(npts, size=20)] += rng.integers(1, p, size=20)
+    words = np.concatenate([codewords, noise, moved % p, build_incidence_matrix(g)])
+    words = words.astype(np.uint8)
+    inside = model.contains_rows(words)
+    assert inside.tolist() == [model.contains(w) for w in words]
+    assert inside[:20].all() and not inside[40:60].any() and inside[60:].all()
+    for w, expected in list(zip(words, inside))[::4]:
+        rank = python_rank_mod_p(np.vstack([model.generator, w]), p)
+        assert (rank == model.dimension) == expected
+    # blocks of three rows give the same answers
+    monkeypatch.setattr(code, "BLOCK_BYTES", 4 * npts * 3)
+    assert model.contains_rows(words).tolist() == inside.tolist()
+    assert model.contains_rows(np.zeros((0, npts), dtype=np.uint8)).shape == (0,)
+    with pytest.raises(LengthMismatch):
+        model.contains_rows(words[:, 1:])
+    with pytest.raises(ValueError):
+        model.contains_rows(np.full((1, npts), p))
 
 
 @pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])

@@ -4,9 +4,14 @@ import hashlib
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from pgcodes import kernels, verify
+from pgcodes import code, kernels, verify
+from pgcodes.analysis import NotInCode, enumerate_spectrum
+from pgcodes.code import CodeModel, build_incidence_matrix, build_model, expected_dimension
+from pgcodes.geometry import GeometrySpec, enumerate_subspaces, global_point_indices
+from pgcodes.gf import make_field
 from pgcodes.verify import (
     DEFAULT_GRID,
     REPORT_SCHEMA,
@@ -140,7 +145,9 @@ def test_skip_gates_for_hull_and_bbw_budgets():
 def test_bbw_witnesses_do_not_depend_on_kernel_word_order(monkeypatch, params):
     # every (word, external point) pair fails, so the witnesses list every
     # incidence word in the order the suite visits them
-    monkeypatch.setattr(verify, "tangent_collinearity", lambda model, x, q: (False, None))
+    monkeypatch.setattr(
+        verify, "tangent_collinear_rows", lambda g, inside: np.zeros(inside.shape, dtype=bool)
+    )
     expected = run_suite(params, suites=["bbw"]).check("bbw")
     assert expected.status == "fail" and len(expected.witnesses) > 1
     sweep = kernels.spectrum
@@ -151,6 +158,187 @@ def test_bbw_witnesses_do_not_depend_on_kernel_word_order(monkeypatch, params):
 
     monkeypatch.setattr(kernels, "spectrum", reversed_words)
     assert run_suite(params, suites=["bbw"]).check("bbw") == expected
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
+def test_bbw_witnesses_list_pairs_word_by_word(monkeypatch, params):
+    # with every pair failing, the witnesses run word by word and, within a
+    # word, through its external points in ascending order
+    monkeypatch.setattr(
+        verify, "tangent_collinear_rows", lambda g, inside: np.zeros(inside.shape, dtype=bool)
+    )
+    check = run_suite(params, suites=["bbw"]).check("bbw")
+    words = []
+    for witness in check.witnesses:
+        if not words or words[-1] != witness["word"]:
+            words.append(witness["word"])
+    assert len({json.dumps(w) for w in words}) == len(words)
+    nested = [
+        {"word": w, "external_point": q} for w in words for q, x in enumerate(w["digits"]) if not x
+    ]
+    assert check.witnesses == nested
+    assert len(nested) == check.details["pairs_checked"]
+
+
+def test_bbw_rejects_a_sweep_word_outside_the_code(monkeypatch):
+    sweep = kernels.spectrum
+
+    def with_a_stray_word(*args):
+        hist, words, overflow = sweep(*args)
+        stray = np.zeros((1, words.shape[1]), dtype=words.dtype)
+        stray[0, 0] = 1
+        return hist, np.concatenate([words, stray]), overflow
+
+    monkeypatch.setattr(kernels, "spectrum", with_a_stray_word)
+    with pytest.raises(NotInCode):
+        run_suite((2, 1, 2), suites=["bbw"])
+
+
+@pytest.mark.parametrize("params", [(2, 1, 3), (3, 1, 3), (2, 1, 4)])
+def test_restriction_witnesses_follow_the_draw_sequence(monkeypatch, params):
+    # every local membership fails, so the witnesses list every sampled
+    # (subspace, word) pair in draw order; the draws are replayed here from
+    # Subspace objects in enumerate_subspaces order
+    monkeypatch.setattr(
+        CodeModel, "contains_rows", lambda self, words: np.zeros(len(words), dtype=bool)
+    )
+    seed, samples = 3, 40
+    report = run_suite(params, ["minweight", "restriction"], seed=seed, restriction_samples=samples)
+    check = report.check("restriction")
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    model = build_model(g)
+    rng = verify._suite_rng(seed, "restriction")
+    randoms = verify._random_codewords(model, rng, 64)
+    words = [np.ones(g.num_points, dtype=np.uint8), *model.generator]
+    words += list(enumerate_spectrum(model).low_weight)
+    words += [(row % p).astype(np.uint8) for row in randoms]
+    pool = [s for k in range(2, n) for s in enumerate_subspaces(g, k)]
+    expected = []
+    for _ in range(samples):
+        s = pool[int(rng.integers(len(pool)))]
+        w = words[int(rng.integers(len(words)))]
+        expected.append(
+            {
+                "word": {"weight": int(np.count_nonzero(w)), "digits": w.tolist()},
+                "subspace": {"dimension": s.dim, "points": global_point_indices(s).tolist()},
+            }
+        )
+    assert check.status == "fail"
+    assert check.details == {
+        "pairs_checked": samples,
+        "subspace_pool": len(pool),
+        "word_pool": len(words),
+    }
+    assert check.witnesses == expected
+    assert {w["subspace"]["dimension"] for w in expected} == set(range(2, n))
+
+
+def test_dimension_suite_eliminates_the_incidence_matrix_once(monkeypatch):
+    g = GeometrySpec(make_field(3), 3)
+    incidence = build_incidence_matrix(g)
+    rref = code.rref_mod_p
+    calls = []
+
+    def counting_rref(mat, p):
+        calls.append(np.array_equal(mat, incidence))
+        return rref(mat, p)
+
+    monkeypatch.setattr(code, "rref_mod_p", counting_rref)
+    # a fresh model rather than the cached one, so its elimination is counted
+    monkeypatch.setattr(verify, "build_model", CodeModel)
+    check = run_suite((3, 1, 3), ["dimension"]).check("dimension")
+    assert calls.count(True) == 1
+    dim = expected_dimension(g)
+    assert check.status == "pass"
+    assert check.details == {"p_rank": dim, "formula": dim, "dimension": dim}
+
+
+# sha256 of emit_report(run_suite(params, seed=seed), fmt) for json, table and
+# csv, captured before bbw and restriction worked on whole arrays
+PINNED_REPORTS = {
+    ((2, 1, 2), 0): (
+        "fd2e72f7cd12e19597fbec890764a19f30f10dbeb1749b518f03449fae9d0a9c",
+        "215b576d03d7e45a997e11ad9e3a22e898541fcda8b193c054f485777dbb1058",
+        "49112b759944ba98030c515ce6491f8845ceb14159d0b1735c5eb15e2a7c38da",
+    ),
+    ((2, 1, 2), 7): (
+        "89535ee5652bf575390383db5ed8a6aca162e91ecf5e1a910950cae1d677549a",
+        "1dc9c7efd19137e5c2c2f362f6f950e92862000a51b34b84f9a093490234dde8",
+        "49112b759944ba98030c515ce6491f8845ceb14159d0b1735c5eb15e2a7c38da",
+    ),
+    ((3, 1, 2), 0): (
+        "e1e1b2b0e16caef090a9c1dc6b3e9202049a65549c2350982706226bad4e38db",
+        "549862e27781d44e1001e0ecc5688b7bf8656562f75b458ffa0694944d24f240",
+        "58fd694c977d28331335495b1efd2ddce7339c4e73bb966409cc5d6d63a37974",
+    ),
+    ((3, 1, 2), 7): (
+        "e82b383b1422171e5953ed212c07857795a9ca68e9523ee2d4efb93ebdd290a2",
+        "a186b1a5e86c9db0c7f509b33c4bab86344a97b59831db12e570db1aaf58defe",
+        "58fd694c977d28331335495b1efd2ddce7339c4e73bb966409cc5d6d63a37974",
+    ),
+    ((2, 2, 2), 0): (
+        "d05a15c922b035b7ec7142f2cdfcb5961f7d84de5cddb05958e8ea5a0050c231",
+        "d07146f4b73cd906e070c08eb9537a938fc59b18e01849ecedf8f5859a0aa7af",
+        "78d102cd314c2b607e74eed96e0e4366a85b6d8c833189611dd2187bd592795d",
+    ),
+    ((2, 2, 2), 7): (
+        "08c576bc59a67417e1a26a065a0d01d484f9cf9736187ccb406207ab8e2a6d66",
+        "77b89bccaffe7ec39ea092ddef2141186a1b703ec38ef9c1b8b7aede06cbde23",
+        "78d102cd314c2b607e74eed96e0e4366a85b6d8c833189611dd2187bd592795d",
+    ),
+    ((2, 1, 3), 0): (
+        "f20a7213137b1796690c36d23174d8daee429f6381d21f4dbefcfffb68fc2b14",
+        "53d2236181557aae5544320e018c1e21d078d066c70f57f172d8097779e805f6",
+        "48b7792eec6bfa5ef944afc9169ada4d94a3903c2398d31b742e412b31a52a87",
+    ),
+    ((2, 1, 3), 7): (
+        "0ac29a46c2cdace369b994a9651acb6e96a67ef05e83598a63fa0cfc38ea555f",
+        "776f8668ec19f902554b422ecf6dcac504ce392c6cdcea2a74e51beb7d05ba7b",
+        "48b7792eec6bfa5ef944afc9169ada4d94a3903c2398d31b742e412b31a52a87",
+    ),
+    ((3, 1, 3), 0): (
+        "018e122c2540f04c0cc459ef0b27a6aca5c13cf59436125c46173648015d1efc",
+        "8dd5d3ce213cf0637086b29edf8f33e94f6aec1dcbcd62e695bee6dca4422475",
+        "0f0cef26d389c3dea6bfb2a6e98c08f7cce61da8615effbd0a002f2991bdd27b",
+    ),
+    ((3, 1, 3), 7): (
+        "4465ddba5c5b7afc525faf0efe81a66d6e0eca96ffbed4a0fd07cf1e1519f010",
+        "f2af7e8dcce11dcf11e0ec6e4c28a7ef63c1e01defc728eed5e945aea2c63f65",
+        "0f0cef26d389c3dea6bfb2a6e98c08f7cce61da8615effbd0a002f2991bdd27b",
+    ),
+    ((2, 2, 3), 0): (
+        "889540a13e00661f5a21c877379a00bf5727df4f980ecddb6da2d046f81f5963",
+        "22022f44b946dbe04f30fa1dbf3bf5e11af3daffdb487e634b86946355337eb6",
+        "a5f06fb336eb9d6a2dae72f1e246e89dc359306516119ca1a1a9c4f05b2349d5",
+    ),
+    ((2, 2, 3), 7): (
+        "888e40dcaeb47a3d4cb5a8d85778758ff2a95c3a58cec970092d428fe64cc0dc",
+        "767322f143d2d15bd2423981a98c286a9c527632b2953861330d3071267c64ae",
+        "a5f06fb336eb9d6a2dae72f1e246e89dc359306516119ca1a1a9c4f05b2349d5",
+    ),
+    ((2, 1, 4), 0): (
+        "b05c1ccf7d97bec9c7ad6f40b49e447579cf6b5cbf5076f48637c1687412969a",
+        "935acc370543e940ff74c0f1c17e5a942343a1938e74cb2b956f6974687724b8",
+        "ce2adf22a9fa0a5abebb545bb06845ed6e09693616b4d4709c6770535266cef9",
+    ),
+    ((2, 1, 4), 7): (
+        "49d2517df3b7024f398ab08137799633331b518b7417ce82d2df95d9ebb98c14",
+        "a632292d3334dce5dabd16d032bb9b6ddba6bbf23f38a8e0ba8d07b3ad17f9a4",
+        "ce2adf22a9fa0a5abebb545bb06845ed6e09693616b4d4709c6770535266cef9",
+    ),
+}
+
+
+@pytest.mark.parametrize("params, seed", list(PINNED_REPORTS))
+def test_exhaustive_reports_match_pinned_digests(params, seed):
+    report = run_suite(params, seed=seed)
+    assert report.mode == "exhaustive"
+    digests = tuple(
+        hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "table", "csv")
+    )
+    assert digests == PINNED_REPORTS[params, seed]
 
 
 def test_reports_are_reproducible_given_seed():
