@@ -4,6 +4,14 @@ Words are plain numpy uint8 vectors of length theta_n over F_p, indexed by
 the global point order.  The incidence matrix has hyperplane rows in the
 same order, so it is symmetric.  All linear algebra here is mod p (the
 prime subfield), not mod q.
+
+A model build eliminates the incidence matrix once and its k-row generator
+once more, right to left; nothing of size (theta_n - k) x theta_n is ever
+eliminated.  The check basis needs no more, by matroid duality: the RREF of
+the dual code has its pivots on the lexicographically first basis J of the
+dual matroid, the complement of the lexicographically last column basis K
+of the generator, and K is the set of pivots of the generator reduced right
+to left (see check_basis).
 """
 
 from __future__ import annotations
@@ -59,12 +67,17 @@ def _inverse_table(p: int) -> np.ndarray:
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form mod prime p; returns (uint8 matrix, pivot columns).
 
-    Any integer matrix is reduced mod p first; the elimination is the
-    one-item case of the batched Gauss-Jordan pass in kernels._systematize.
+    A uint8 matrix with entries below p, such as the incidence matrix or a
+    basis from this module, goes to the eliminator without a widening copy;
+    any other integer matrix is reduced mod p in int64 first.  The
+    elimination is the one-item case of the batched Gauss-Jordan pass in
+    kernels._systematize, which works in uint8 or uint16.
     """
-    m = np.asarray(mat).astype(np.int64) % p
+    m = np.asarray(mat)
+    if m.dtype != np.uint8 or (m.size and m.max() >= p):
+        m = m.astype(np.int64) % p
     reduced, pivots = _systematize(m[None], p, _inverse_table(p))
-    return reduced[0].astype(np.uint8), [c for c in pivots[0].tolist() if c < m.shape[1]]
+    return reduced[0].astype(np.uint8, copy=False), [c for c in pivots[0].tolist() if c < m.shape[1]]
 
 
 def p_rank(mat: np.ndarray, p: int) -> int:
@@ -81,6 +94,41 @@ def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (p - reduced[: len(pivots), free].T) % p
     return basis
+
+
+def check_basis(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of {x : mat @ x = 0 mod p} and its pivot columns, from one
+    elimination of mat with its columns reversed.
+
+    The pivots of the reversed matrix, read back as columns n-1-c, are the
+    lexicographically last column basis K of mat; the rest, J, holds the
+    pivots of the kernel's RREF.  Row i of that RREF is 1 at J[i] and,
+    at each K column, minus the entry in column J[i] of the row of mat's
+    right-to-left RREF that has its pivot there.  Those rows are zero to
+    the right of their pivots, so every row is zero left of J[i].
+    """
+    mat = np.asarray(mat)
+    n = mat.shape[1]
+    reduced, reversed_pivots = rref_mod_p(mat[:, ::-1], p)
+    last = n - 1 - np.array(reversed_pivots, dtype=np.intp)
+    first = np.delete(np.arange(n), last)
+    basis = np.zeros((first.size, n), dtype=np.uint8)
+    basis[np.arange(first.size), first] = 1
+    basis[:, last] = (p - reduced[: last.size, ::-1][:, first].T) % p
+    return basis, first.tolist()
+
+
+def _exact_float(inner: int, p: int) -> type:
+    """Float type whose sums of `inner` products of entries in [0, p) are
+    exact: float32 while they stay below 2^24, float64 beyond."""
+    return np.float32 if inner * (p - 1) ** 2 < 2**24 else np.float64
+
+
+def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p as uint8 for matrices with entries in [0, p), by one
+    exact float product."""
+    exact = _exact_float(a.shape[1], p)
+    return (a.astype(exact) @ b.astype(exact) % p).astype(np.uint8)
 
 
 def zero_word(g: GeometrySpec) -> np.ndarray:
@@ -140,6 +188,13 @@ def inner_product(a: np.ndarray, b: np.ndarray, p: int) -> int:
 class CodeModel:
     """The code C(n,q) with generator, check, and hull bases in RREF.
 
+    The generator is the RREF of the incidence matrix.  The check basis is
+    the RREF of its kernel, read off the generator reduced right to left:
+    its pivots J are the complement of that reduction's pivots K (the dual
+    matroid's first basis is the complement of the matroid's last one), so
+    no (theta_n - k)-row matrix is eliminated.  The hull comes from the
+    kernel of the Gram matrix; both products are exact float products.
+
     The construction asserts the closed-form dimension; a mismatch would
     mean the incidence matrix or the elimination is wrong, so it fails
     loudly rather than continuing with a broken basis.
@@ -159,13 +214,11 @@ class CodeModel:
                 f"p-rank {self.dimension} != closed form {expected} for "
                 f"PG({geometry.n},{geometry.q})"
             )
-        check, check_pivots = rref_mod_p(nullspace_mod_p(self.generator, p), p)
-        self.check = check[: len(check_pivots)]
+        self.check, check_pivots = check_basis(self.generator, p)
         self.check_pivots = tuple(check_pivots)
-        gram = (self.generator.astype(np.int64) @ self.generator.T.astype(np.int64)) % p
+        gram = _product_mod_p(self.generator, self.generator.T, p)
         combo = nullspace_mod_p(gram, p)
-        hull_rows = (combo.astype(np.int64) @ self.generator.astype(np.int64)) % p
-        hull, hull_pivots = rref_mod_p(hull_rows, p)
+        hull, hull_pivots = rref_mod_p(_product_mod_p(combo, self.generator, p), p)
         self.hull = hull[: len(hull_pivots)]
         self.hull_pivots = tuple(hull_pivots)
         for arr in (self.generator, self.check, self.hull):
@@ -181,8 +234,7 @@ class CodeModel:
         g = self.geometry
         p = g.field.p
         arr = as_words(g, words)
-        # float32 sums of theta_n products below (p-1)^2 are exact under 2^24
-        exact = np.float32 if g.num_points * (p - 1) ** 2 < 2**24 else np.float64
+        exact = _exact_float(g.num_points, p)
         columns = tests.T.astype(exact)
         inside = np.empty(arr.shape[0], dtype=bool)
         for rows in row_blocks(arr.shape[0], g.num_points):
@@ -199,10 +251,7 @@ class CodeModel:
         return bool(self.contains_rows(as_word(self.geometry, w)[None])[0])
 
     def dual_contains(self, w) -> bool:
-        w = as_word(self.geometry, w)
-        p = self.geometry.field.p
-        prods = (self.generator.astype(np.int64) @ w.astype(np.int64)) % p
-        return not prods.any()
+        return bool(self._annihilated_rows(as_word(self.geometry, w)[None], self.generator)[0])
 
     def hull_contains_rows(self, words) -> np.ndarray:
         """Hull membership of every row of an (m, theta_n) word array.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,8 +76,10 @@ class GeometrySpec:
     def q(self) -> int:
         return self.field.q
 
-    @property
+    @cached_property
     def num_points(self) -> int:
+        # stored in the instance __dict__ on first use; eq, hash and repr
+        # see only the fields
         return theta(self.n, self.field.q)
 
     def point(self, coords) -> "ProjPoint":

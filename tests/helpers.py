@@ -93,6 +93,22 @@ def rref_mod_p_reference(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return m.astype(np.uint8), pivots
 
 
+
+def check_basis_reference(gen, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of {x : gen @ x = 0 mod p} by the two-step path: a nullspace
+    basis from gen's RREF (1 at a free column, minus that column of the
+    RREF at the pivots), then an elimination of the whole basis.  Both
+    eliminations are rref_mod_p_reference.  Returns (uint8 matrix, pivots)."""
+    reduced, pivots = rref_mod_p_reference(gen, p)
+    ncols = reduced.shape[1]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for r, c in enumerate(pivots):
+            basis[i, c] = -int(reduced[r, f]) % p
+    return rref_mod_p_reference(basis, p)
+
 def tangent_collinearity_reference(lines, points, q_idx: int) -> bool:
     """Are the tangent points of a planar point set seen from q_idx collinear?
 

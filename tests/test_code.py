@@ -1,9 +1,11 @@
 """Code construction checks: incidence matrix, rank, bases, membership."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgcodes import code
 from pgcodes.gf import make_field
@@ -24,6 +26,7 @@ from pgcodes.code import (
     as_word,
     build_incidence_matrix,
     build_model,
+    check_basis,
     expected_dimension,
     incidence_vector,
     inner_product,
@@ -34,7 +37,7 @@ from pgcodes.code import (
     zero_word,
 )
 
-from helpers import python_rank_mod_p, rref_mod_p_reference
+from helpers import check_basis_reference, python_rank_mod_p, rref_mod_p_reference
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
@@ -96,6 +99,7 @@ def _reference_cases(p):
         ("all-zero", np.zeros((4, 7), dtype=np.int64)),
         ("no rows", np.zeros((0, 5), dtype=np.int64)),
         ("unreduced entries", rng.integers(-3 * p, 3 * p, size=(7, 11))),
+        ("unreduced uint8", rng.integers(0, 256, size=(7, 11), dtype=np.uint8)),
         ("repeated column", repeated),
     ]
 
@@ -129,6 +133,59 @@ def test_nullspace_is_orthogonal_complement():
     assert nullspace_mod_p(np.eye(4, dtype=np.int64), 3).shape == (0, 4)
 
 
+@st.composite
+def _generators(draw):
+    """(p, RREF'd generator, the matrix it came from) with zero and repeated
+    columns, from rank 0 up to as many rows as columns."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 131]))
+    ncols = draw(st.integers(1, 12))
+    nrows = draw(st.integers(0, ncols + 2))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=nrows * ncols, max_size=nrows * ncols))
+    mat = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        mat[:, c] = 0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, ncols - 1), st.integers(0, ncols - 1)), max_size=3)):
+        mat[:, dst] = mat[:, src]
+    reduced, pivots = rref_mod_p_reference(mat, p)
+    return p, reduced[: len(pivots)], mat
+
+
+def _assert_check_basis(gen, p, source=None):
+    expected, expected_pivots = check_basis_reference(gen, p)
+    for mat in (gen, gen if source is None else source):
+        basis, pivots = check_basis(mat, p)
+        assert basis.dtype == np.uint8
+        assert basis.shape == (gen.shape[1] - gen.shape[0], gen.shape[1])
+        assert np.array_equal(basis, expected)
+        assert pivots == expected_pivots
+        assert all(isinstance(c, int) for c in pivots)
+        assert not ((gen.astype(np.int64) @ basis.T.astype(np.int64)) % p).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators())
+def test_check_basis_matches_the_two_step_reference(case):
+    p, gen, source = case
+    # the same kernel from the generator and from the matrix it reduces
+    _assert_check_basis(gen, p, source)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131])
+def test_check_basis_edge_cases(p):
+    # rank 0: the check basis is the identity
+    _assert_check_basis(np.zeros((0, 6), dtype=np.uint8), p, np.zeros((3, 6), dtype=np.int64))
+    assert np.array_equal(check_basis(np.zeros((0, 6), dtype=np.uint8), p)[0], np.eye(6))
+    # k = theta: the check basis is empty
+    _assert_check_basis(np.eye(5, dtype=np.uint8), p)
+    assert check_basis(np.eye(5, dtype=np.uint8), p)[0].shape == (0, 5)
+    # one column, zero and not
+    _assert_check_basis(np.zeros((0, 1), dtype=np.uint8), p)
+    _assert_check_basis(np.ones((1, 1), dtype=np.uint8), p)
+    # every column a repeat of the first: the kernel has pivots 0..n-2
+    _assert_check_basis(np.ones((1, 7), dtype=np.uint8), p)
+    assert check_basis(np.ones((1, 7), dtype=np.uint8), p)[1] == list(range(6))
+
+
 def _model_digest(model):
     h = hashlib.sha256()
     for arr in (model.generator, model.check, model.hull):
@@ -140,7 +197,8 @@ def _model_digest(model):
 # sha256 over the shapes and bytes of the generator, check and hull bases
 # for every DEFAULT_GRID triple and PG(3,8), PG(3,9), PG(2,16),
 # captured from the full-matrix int64 elimination before the batched one
-# replaced it
+# replaced it; PG(2,32) and PG(3,16) were captured from the nullspace-then-RREF
+# check basis before check_basis replaced it
 MODEL_DIGESTS = {
     (2, 1, 2): "cd28c74a71b64ca58bdca143aee63cbb5a86ebf749931e4fb9454da01409739e",
     (3, 1, 2): "cff45983ae7d754fe390bb9bdbe4300fb3540c6de08524fc340bd17d12a02c63",
@@ -153,6 +211,8 @@ MODEL_DIGESTS = {
     (2, 3, 3): "9a9462a22115a3acc4c87b13acc812a160a4af8d8bfead78248a89f6e6039bba",
     (3, 2, 3): "ff68887e58ad4353d900aa105298259d22b7a5d0a526406ee7058c36b88ed595",
     (2, 4, 2): "1d874cd0e6e52f8dccee7ddba55b408c9d05fe729d4167d22ca22face244e935",
+    (2, 5, 2): "a3b14b29bbb418de323ae8dcb5425e3e4e700c11d2f59798c58d28cc6f53bd1f",
+    (2, 4, 3): "7d93bd89f39e1f1d27c4e518fc474ba5ec4a159ffff7aec6814656c8b1de1bbb",
 }
 
 
@@ -160,6 +220,44 @@ MODEL_DIGESTS = {
 def test_model_bases_match_pinned_digests(params):
     p, h, n = params
     assert _model_digest(CodeModel(GeometrySpec(make_field(p, h), n))) == MODEL_DIGESTS[params]
+
+
+@pytest.mark.parametrize("params", [(2, 2, 2), (3, 1, 3), (3, 2, 3)])
+def test_model_build_eliminates_the_incidence_matrix_and_small_matrices(params, monkeypatch):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    incidence = build_incidence_matrix(g)
+    rref = code.rref_mod_p
+    calls = []
+
+    def counting_rref(mat, p):
+        calls.append(np.array(mat))
+        return rref(mat, p)
+
+    monkeypatch.setattr(code, "rref_mod_p", counting_rref)
+    model = CodeModel(g)
+    # incidence, reversed generator, Gram matrix, hull rows
+    assert len(calls) == 4
+    assert np.array_equal(calls[0], incidence)
+    assert np.array_equal(calls[1], model.generator[:, ::-1])
+    assert calls[2].shape == (model.dimension, model.dimension)
+    assert all(mat.shape[0] <= model.dimension for mat in calls[1:])
+
+
+def test_rref_of_the_incidence_matrix_makes_no_wide_copy():
+    g = GeometrySpec(make_field(3, 2), 3)
+    mat = build_incidence_matrix(g)
+    rref_mod_p(mat[:2], 3)  # fills the inverse table outside the trace
+    tracemalloc.start()
+    try:
+        reduced, pivots = rref_mod_p(mat, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pivots) == expected_dimension(g)
+    # the uint8 input, the working copy and the result: two int64 copies
+    # of the input were 16 theta^2 bytes
+    assert peak <= 6 * g.num_points**2
 
 
 def test_rank_nullity_over_the_code():

@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pgcodes import geometry
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -360,3 +361,22 @@ def test_coercion_canonicalizes_scalar_multiples():
     assert p1.coords == (1, 2, 0)
     with pytest.raises(ValueError):
         PG23.point((0, 0, 0))
+
+
+def test_num_points_computes_theta_once_per_spec(monkeypatch):
+    calls = []
+    real_theta = geometry.theta
+
+    def counting_theta(m, q):
+        calls.append((m, q))
+        return real_theta(m, q)
+
+    monkeypatch.setattr(geometry, "theta", counting_theta)
+    g = GeometrySpec(make_field(3), 2)
+    assert [g.num_points for _ in range(5)] == [13] * 5
+    assert calls == [(2, 3)]
+    # a cached value changes neither equality, hash nor repr
+    h = GeometrySpec(make_field(3), 2)
+    assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+    assert h.num_points == 13
+    assert calls == [(2, 3), (2, 3)]
