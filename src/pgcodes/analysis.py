@@ -27,11 +27,11 @@ from pgcodes.code import (
 )
 from pgcodes.geometry import (
     DimensionOutOfRange,
-    GeometryMismatch,
     GeometrySpec,
     Hyperplane,
     ProjPoint,
     Subspace,
+    as_point_index,
     enumerate_points,
     enumerate_subspaces,
     global_point_indices,
@@ -201,16 +201,18 @@ def restriction_model(s: Subspace) -> CodeModel:
 # -- line profiles -----------------------------------------------------------
 
 
+def tally(values) -> dict[int, int]:
+    """How often each distinct value occurs, in ascending order of value."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return {int(v): int(c) for v, c in zip(distinct, counts)}
+
+
 def line_profile(g: GeometrySpec, w) -> LineProfile:
     """Tally of support-line intersection residues mod p, plus tangents."""
     word = as_word(g, w)
     mask = word != 0
     counts = mask[subspace_point_indices(g, 1)].sum(axis=1)
-    p = g.field.p
-    residues: dict[int, int] = {}
-    for r, c in zip(*np.unique(counts % p, return_counts=True)):
-        residues[int(r)] = int(c)
-    return LineProfile(residues=residues, tangent_lines=int((counts == 1).sum()))
+    return LineProfile(residues=tally(counts % g.field.p), tangent_lines=int((counts == 1).sum()))
 
 
 # -- classification ----------------------------------------------------------
@@ -519,18 +521,7 @@ def _as_index_set(g: GeometrySpec, points) -> np.ndarray:
         if points.shape != (g.num_points,):
             raise ValueError("mask length does not match the geometry")
         return np.nonzero(points)[0].astype(np.int32)
-    idx = []
-    for pt in points:
-        if isinstance(pt, ProjPoint):
-            if pt.geometry != g:
-                raise GeometryMismatch("point from a different geometry")
-            idx.append(pt.index)
-        else:
-            v = int(pt)
-            if not 0 <= v < g.num_points:
-                raise ValueError(f"point index {v} out of range")
-            idx.append(v)
-    return np.array(sorted(set(idx)), dtype=np.int32)
+    return np.array(sorted({as_point_index(g, pt) for pt in points}), dtype=np.int32)
 
 
 def _ambient_subspace_from_indices(g: GeometrySpec, idx: Iterable[int]) -> Subspace:
@@ -675,12 +666,7 @@ def tangent_collinearity(model: CodeModel, points, q_point) -> tuple[bool, Subsp
     if g.n != 2:
         raise DimensionOutOfRange("tangent collinearity is a planar check")
     xidx = _as_index_set(g, points)
-    if isinstance(q_point, ProjPoint):
-        if q_point.geometry != g:
-            raise GeometryMismatch("point from a different geometry")
-        qi = q_point.index
-    else:
-        qi = int(q_point)
+    qi = as_point_index(g, q_point)
     if qi in xidx.tolist():
         raise QInX(f"point index {qi} lies in the set")
     mask = np.zeros(g.num_points, dtype=bool)

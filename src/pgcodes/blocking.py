@@ -22,6 +22,7 @@ from .geometry import (
     Hyperplane,
     ProjPoint,
     Subspace,
+    as_point_index,
     enumerate_points,
     enumerate_subspaces,
     hyperplane_point_indices,
@@ -57,17 +58,7 @@ class PointSet:
 
     def __init__(self, geometry: GeometrySpec, points: Iterable) -> None:
         object.__setattr__(self, "geometry", geometry)
-        seen = set()
-        for item in points:
-            if isinstance(item, ProjPoint):
-                if item.geometry != geometry:
-                    raise GeometryMismatch("point from a different geometry")
-                seen.add(item.index)
-            else:
-                idx = int(item)
-                if not 0 <= idx < geometry.num_points:
-                    raise GeometryMismatch(f"point index {idx} out of range")
-                seen.add(idx)
+        seen = {as_point_index(geometry, item) for item in points}
         object.__setattr__(self, "indices", tuple(sorted(seen)))
 
     def __setattr__(self, name, value):

@@ -18,12 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .gf import FieldTooLarge, is_prime, make_field
-from .geometry import (
-    GeometrySpec,
-    gaussian_binomial,
-    point_index_map,
-    theta,
-)
+from .geometry import GeometrySpec, gaussian_binomial, theta
 from .code import build_incidence_matrix, build_model, expected_dimension, p_rank
 from .analysis import (
     DEFAULT_BUDGET,
@@ -31,6 +26,7 @@ from .analysis import (
     digit_string,
     enumerate_spectrum,
     low_weight_search,
+    tally,
 )
 from .blocking import NotBlocking, PointSet, reduce_to_minimal
 from .verify import (
@@ -254,27 +250,24 @@ def cmd_code_spectrum(args) -> tuple[str, bool]:
             2 * g.q ** (g.n - 1) if args.max_weight is None else args.max_weight
         )
         result = low_weight_search(model, max_weight, args.iterations, seed=args.seed)
-        found: dict = {}
-        for row in result.words:
-            w = int(np.count_nonzero(row))
-            found[w] = found.get(w, 0) + 1
+        found = tally(np.count_nonzero(result.words, axis=1))
         if args.format == "json":
             doc = {
                 "mode": "search",
                 "max_weight": max_weight,
                 "iterations": args.iterations,
                 "seed": args.seed,
-                "found_counts": {str(w): c for w, c in sorted(found.items())},
+                "found_counts": {str(w): c for w, c in found.items()},
                 "representatives": [
                     digit_string(row) for row in result.orbit_representatives
                 ],
             }
             return _json_text(doc), False
         if args.format == "csv":
-            pairs = [("weight", "count")] + [(w, c) for w, c in sorted(found.items())]
+            pairs = [("weight", "count")] + list(found.items())
             return _kv_csv(pairs), False
         lines = [f"search: {args.iterations} rounds, words up to weight {max_weight}"]
-        lines += [f"weight {w}: {c} words" for w, c in sorted(found.items())]
+        lines += [f"weight {w}: {c} words" for w, c in found.items()]
         return "\n".join(lines) + "\n", False
     report = enumerate_spectrum(model, budget=args.budget)
     if args.format == "json":
@@ -318,8 +311,6 @@ def parse_pointset_text(text: str, g: GeometrySpec) -> PointSet:
     Coordinates need not be canonical; each line is scaled so its first
     nonzero coefficient becomes 1 before lookup.
     """
-    index_map = point_index_map(g)
-    f = g.field
     indices = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -338,12 +329,9 @@ def parse_pointset_text(text: str, g: GeometrySpec) -> PointSet:
             raise CliUsageError(
                 f"line {lineno}: coefficients must be field element indices in [0, {g.q})"
             )
-        lead = next((c for c in coeffs if c), None)
-        if lead is None:
+        if not any(coeffs):
             raise CliUsageError(f"line {lineno}: the zero vector is not a projective point")
-        inv = int(f.inv_table[lead])
-        canon = bytes(int(f.mul_table[inv, c]) for c in coeffs)
-        indices.append(index_map[canon])
+        indices.append(g.point(coeffs).index)
     return PointSet(g, indices)
 
 

@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from pgcodes.geometry import GeometryMismatch, GeometrySpec, ProjPoint, incidence_bool, theta
+from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
 from pgcodes.kernels import _systematize
 
 
@@ -142,13 +142,7 @@ def all_one_word(g: GeometrySpec) -> np.ndarray:
 def incidence_vector(g: GeometrySpec, points) -> np.ndarray:
     """0/1 word supported exactly on the given points (ProjPoint or index)."""
     w = zero_word(g)
-    for pt in points:
-        if isinstance(pt, ProjPoint):
-            if pt.geometry != g:
-                raise GeometryMismatch("point from a different geometry")
-            w[pt.index] = 1
-        else:
-            w[int(pt)] = 1
+    w[[as_point_index(g, pt) for pt in points]] = 1
     return w
 
 

@@ -13,6 +13,11 @@ Conventions fixed once and relied on everywhere:
   - points and hyperplanes are listed in ascending lexicographic order of
     their canonical coordinate tuples; the positions in that list are the
     global indices that words, masks and incidence matrices refer to;
+  - that order has a closed form (point_indices): a canonical vector whose
+    leading 1 has m coordinates after it comes after the theta_{m-1}
+    vectors with fewer, and among the q^m vectors with its own lead it sits
+    at the base-q value of its tail, so its index is
+    (base-q value of the vector) - q^m + theta_{m-1};
   - hyperplane i has dual coordinates equal to point i's coordinates, so
     the incidence matrix is symmetric.
 """
@@ -146,7 +151,7 @@ class ProjPoint:
     @property
     def index(self) -> int:
         """Position in enumerate_points, the global point index."""
-        return point_index_map(self.geometry)[bytes(self.coords)]
+        return int(point_indices(self.geometry, self.coords))
 
     def __repr__(self) -> str:
         return f"ProjPoint{self.coords}"
@@ -165,10 +170,22 @@ class Hyperplane:
     @property
     def index(self) -> int:
         """Position in enumerate_hyperplanes; equals the dual point's index."""
-        return point_index_map(self.geometry)[bytes(self.dual_coords)]
+        return int(point_indices(self.geometry, self.dual_coords))
 
     def __repr__(self) -> str:
         return f"Hyperplane{self.dual_coords}"
+
+
+def as_point_index(g: GeometrySpec, point) -> int:
+    """The global index of a ProjPoint of g or of an int in [0, theta_n)."""
+    if isinstance(point, ProjPoint):
+        if point.geometry != g:
+            raise GeometryMismatch("point from a different geometry")
+        return point.index
+    idx = int(point)
+    if not 0 <= idx < g.num_points:
+        raise GeometryMismatch(f"point index {idx} out of range")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -199,11 +216,12 @@ class Subspace:
 
 
 def fq_matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Matrix product over GF(q) on element-index arrays."""
+    """Matrix product over GF(q) on element-index arrays, broadcast over
+    leading axes like a @ b."""
     add_t, mul_t = field.add_table, field.mul_table
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for t in range(a.shape[1]):
-        out = add_t[out, mul_t[a[:, t][:, None], b[t, :][None, :]]]
+    out = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape), dtype=np.uint8)
+    for t in range(a.shape[-1]):
+        out = add_t[out, mul_t[a[..., :, t, None], b[..., t, None, :]]]
     return out
 
 
@@ -271,13 +289,16 @@ def canonical_vectors(field: FieldSpec, length: int) -> np.ndarray:
         m = length - 1 - lead
         block = np.zeros((q**m, length), dtype=np.uint8)
         block[:, lead] = 1
-        if m:
-            tails = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.uint8)
-            block[:, lead + 1 :] = tails
+        block[:, lead + 1 :] = _digits(q, m)
         blocks.append(block)
     out = np.vstack(blocks)
     out.setflags(write=False)
     return out
+
+
+def _digits(q: int, m: int) -> np.ndarray:
+    """(q^m, m) uint8: every m-tuple over range(q), in itertools.product order."""
+    return (np.arange(q**m)[:, None] // q ** np.arange(m - 1, -1, -1) % q).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -286,10 +307,23 @@ def point_array(g: GeometrySpec) -> np.ndarray:
     return canonical_vectors(g.field, g.n + 1)
 
 
-@lru_cache(maxsize=None)
-def point_index_map(g: GeometrySpec) -> dict[bytes, int]:
-    """Canonical coordinate bytes -> global point index."""
-    return {row.tobytes(): i for i, row in enumerate(point_array(g))}
+def point_indices(g: GeometrySpec, vecs) -> np.ndarray:
+    """Global indices of canonical vectors (..., n+1), by their closed-form rank.
+
+    With m = n - (position of the leading 1) the rank is (base-q value of
+    the vector) - q^m + theta_{m-1}, see the module docstring.  It is exact
+    in int64 while q^(n+1) < 2^63 and refused with DimensionOutOfRange
+    beyond, where int64 would wrap.
+    """
+    q = g.q
+    if q ** (g.n + 1) >= 2**63:
+        raise DimensionOutOfRange(f"point ranks of PG({g.n},{q}) overflow int64")
+    v = np.asarray(vecs)
+    value = np.zeros(v.shape[:-1], dtype=np.int64)
+    for c in range(g.n + 1):
+        value = value * q + v[..., c]
+    lead = q ** (g.n - (v != 0).argmax(axis=-1))  # q^m
+    return value - lead + (lead - 1) // (q - 1)
 
 
 def enumerate_points(g: GeometrySpec) -> list[ProjPoint]:
@@ -372,93 +406,90 @@ def to_subspace(obj) -> Subspace:
     raise TypeError(f"cannot view {type(obj).__name__} as a subspace")
 
 
-def enumerate_subspaces(g: GeometrySpec, k: int) -> list[Subspace]:
-    """All projective k-subspaces, one canonical RREF basis each.
+@lru_cache(maxsize=None)
+def _subspace_bases(g: GeometrySpec, k: int) -> np.ndarray:
+    """(N_k, k+1, n+1) canonical RREF bases of every projective k-subspace.
 
-    Generated pivot pattern by pivot pattern, so no de-duplication pass is
+    Generated pivot pattern by pivot pattern, with the free entries of each
+    pattern in itertools.product order, so no de-duplication pass is
     needed; the count is asserted against the Gaussian binomial.
     """
     if not 0 <= k <= g.n - 1:
         raise DimensionOutOfRange(f"k must be in [0, {g.n - 1}], got {k}")
     n1 = g.n + 1
-    q = g.q
-    out = []
+    blocks = []
     for pivs in itertools.combinations(range(n1), k + 1):
-        free_pos = [
-            (i, c)
-            for i in range(k + 1)
-            for c in range(pivs[i] + 1, n1)
-            if c not in pivs
-        ]
-        base = np.zeros((k + 1, n1), dtype=np.uint8)
-        for i, pc in enumerate(pivs):
-            base[i, pc] = 1
-        for assignment in itertools.product(range(q), repeat=len(free_pos)):
-            mat = base.copy()
-            for (i, c), v in zip(free_pos, assignment):
-                mat[i, c] = v
-            out.append(Subspace(g, tuple(tuple(int(x) for x in row) for row in mat)))
-    assert len(out) == gaussian_binomial(n1, k + 1, q)
+        free = [(i, c) for i in range(k + 1) for c in range(pivs[i] + 1, n1) if c not in pivs]
+        rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        block = np.zeros((g.q ** len(free), k + 1, n1), dtype=np.uint8)
+        block[:, np.arange(k + 1), list(pivs)] = 1
+        block[:, rows, cols] = _digits(g.q, len(free))
+        blocks.append(block)
+    out = np.concatenate(blocks)
+    assert len(out) == gaussian_binomial(n1, k + 1, g.q)
+    out.setflags(write=False)
     return out
+
+
+def _as_subspaces(g: GeometrySpec, bases: np.ndarray) -> list[Subspace]:
+    return [Subspace(g, tuple(map(tuple, basis))) for basis in bases.tolist()]
+
+
+def enumerate_subspaces(g: GeometrySpec, k: int) -> list[Subspace]:
+    """All projective k-subspaces, one canonical RREF basis each, in the
+    row order of subspace_point_indices."""
+    return _as_subspaces(g, _subspace_bases(g, k))
 
 
 def subspaces_through(s: Subspace, k: int) -> list[Subspace]:
-    """All k-subspaces containing s, for dim(s) < k <= n-1."""
+    """All k-subspaces containing s, for dim(s) < k <= n-1.
+
+    A k-subspace contains s exactly when it holds all theta_dim(s) points
+    of s, which one mask sum per row of the k-subspace table counts.
+    """
     g = s.geometry
     if not s.dim < k <= g.n - 1:
         raise DimensionOutOfRange(f"need dim(s) < k <= {g.n - 1}, got k = {k}")
-    s_rows = np.array(s.basis, dtype=np.uint8).reshape(-1, g.n + 1)
-    out = []
-    for cand in enumerate_subspaces(g, k):
-        stacked = np.vstack([np.array(cand.basis, dtype=np.uint8), s_rows])
-        _, pivots = rref_fq(stacked, g.field)
-        if len(pivots) == cand.dim + 1:
-            out.append(cand)
-    return out
+    inside = np.zeros(g.num_points, dtype=bool)
+    if s.dim >= 0:
+        inside[global_point_indices(s)] = True
+    hits = inside[subspace_point_indices(g, k)].sum(axis=1) == theta(s.dim, g.q)
+    return _as_subspaces(g, _subspace_bases(g, k)[hits])
+
+
+def _spanned_vectors(g: GeometrySpec, bases: np.ndarray) -> np.ndarray:
+    """(..., theta_d, n+1) canonical vectors of the points spanned by RREF
+    bases (..., d+1, n+1), in ascending global index order.
+
+    The internal canonical vectors map through each basis to ambient
+    canonical vectors, and the map preserves lexicographic order because
+    the pivot columns of an RREF basis are unit columns.
+    """
+    return fq_matmul(canonical_vectors(g.field, bases.shape[-2]), bases, g.field)
 
 
 def points_of(s: Subspace) -> list[ProjPoint]:
-    """Canonical points of a subspace, in ascending global index order.
-
-    Internal canonical coordinates map through the RREF basis to ambient
-    canonical vectors, and the map preserves lexicographic order because
-    pivot columns of an RREF basis are unit columns.
-    """
+    """Canonical points of a subspace, in ascending global index order."""
     if s.dim < 0:
         raise EmptySubspace("the empty subspace has no points")
-    g = s.geometry
-    lam = canonical_vectors(g.field, s.dim + 1)
-    basis = np.array(s.basis, dtype=np.uint8)
-    rows = fq_matmul(lam, basis, g.field)
-    return [ProjPoint(g, tuple(int(x) for x in row)) for row in rows]
+    rows = _spanned_vectors(s.geometry, np.array(s.basis, dtype=np.uint8))
+    return [ProjPoint(s.geometry, tuple(row)) for row in rows.tolist()]
 
 
 def global_point_indices(s: Subspace) -> np.ndarray:
-    """Sorted global indices of a subspace's points.
-
-    Ascending because the internal-to-ambient coordinate map preserves
-    lexicographic order; position within this array is the subspace's own
-    internal point index.
-    """
+    """Sorted global indices of a subspace's points; position within this
+    array is the subspace's own internal point index."""
     if s.dim < 0:
         raise EmptySubspace("the empty subspace has no points")
     g = s.geometry
-    index_map = point_index_map(g)
-    lam = canonical_vectors(g.field, s.dim + 1)
-    rows = fq_matmul(lam, np.array(s.basis, dtype=np.uint8), g.field)
-    return np.array([index_map[row.tobytes()] for row in rows], dtype=np.int32)
+    return point_indices(g, _spanned_vectors(g, np.array(s.basis, dtype=np.uint8)))
 
 
 @lru_cache(maxsize=None)
 def subspace_point_indices(g: GeometrySpec, k: int) -> np.ndarray:
-    """(N_k, theta_k) sorted global point indices of every k-subspace."""
-    index_map = point_index_map(g)
-    spaces = enumerate_subspaces(g, k)
-    out = np.empty((len(spaces), theta(k, g.q)), dtype=np.int32)
-    for i, s in enumerate(spaces):
-        lam = canonical_vectors(g.field, k + 1)
-        rows = fq_matmul(lam, np.array(s.basis, dtype=np.uint8), g.field)
-        out[i] = [index_map[row.tobytes()] for row in rows]
+    """(N_k, theta_k) sorted global point indices of every k-subspace, in
+    enumerate_subspaces order."""
+    out = point_indices(g, _spanned_vectors(g, _subspace_bases(g, k))).astype(np.int32)
     out.setflags(write=False)
     return out
 
@@ -469,25 +500,13 @@ def line_through_pairs(g: GeometrySpec) -> np.ndarray:
 
     Diagonal entries are -1; line indices refer to enumerate_subspaces(g, 1).
     """
-    npts = g.num_points
-    table = np.full((npts, npts), -1, dtype=np.int32)
-    for li, pts in enumerate(subspace_point_indices(g, 1)):
-        for a, b in itertools.combinations(pts.tolist(), 2):
-            table[a, b] = table[b, a] = li
+    lines = subspace_point_indices(g, 1)
+    which = np.arange(len(lines), dtype=np.int32)[:, None, None]
+    # one scatter over every ordered pair of points on each line, the
+    # diagonal included, writes every entry; numpy never materializes the
+    # broadcast (N_1, q+1, q+1) index arrays, so it needs little beyond the table
+    table = np.empty((g.num_points, g.num_points), dtype=np.int32)
+    table[lines[:, :, None], lines[:, None, :]] = which
+    np.fill_diagonal(table, -1)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=None)
-def lines_through_point(g: GeometrySpec) -> np.ndarray:
-    """(theta_n, theta_{n-1}) sorted line indices through each point."""
-    npts = g.num_points
-    per_point = theta(g.n - 1, g.q)
-    buckets: list[list[int]] = [[] for _ in range(npts)]
-    for li, pts in enumerate(subspace_point_indices(g, 1)):
-        for p in pts.tolist():
-            buckets[p].append(li)
-    out = np.array(buckets, dtype=np.int32)
-    assert out.shape == (npts, per_point)
-    out.setflags(write=False)
-    return out

@@ -32,6 +32,7 @@ from .analysis import (
     enumerate_spectrum,
     line_profile,
     low_weight_search,
+    tally,
     tangent_collinear_rows,
 )
 from .blocking import PointSet, is_k_blocking, is_minimal, reduce_to_minimal
@@ -347,11 +348,6 @@ def _weights(words: np.ndarray) -> np.ndarray:
     return np.count_nonzero(words, axis=1)
 
 
-def _weight_tally(words: np.ndarray) -> dict:
-    values, counts = np.unique(_weights(words), return_counts=True)
-    return {int(w): int(c) for w, c in zip(values, counts)}
-
-
 def _classification_tally(model, words) -> tuple[dict, dict, np.ndarray]:
     """Kind counts, weight counts, and the words whose weight names a kind
     (theta_{n-1}: multiple, 2q^{n-1}: difference) that they do not have."""
@@ -362,7 +358,7 @@ def _classification_tally(model, words) -> tuple[dict, dict, np.ndarray]:
     bad |= (weights == 2 * g.q ** (g.n - 1)) & ~classes.of_kind(
         WordKind.HYPERPLANE_DIFFERENCE
     )
-    return classes.counts(), _weight_tally(words), words[bad]
+    return classes.counts(), tally(_weights(words)), words[bad]
 
 
 def _run_minweight(g, model, spectrum, search) -> CheckResult:
@@ -408,7 +404,7 @@ def _run_gap(g, model, spectrum, search) -> CheckResult:
         inside = {w: c for w, c in spectrum.weight_counts.items() if low < w < high}
         details = {"interval": [low, high], "weights_inside": inside}
         return CheckResult("gap", "pass" if not inside else "fail", details)
-    by_weight = _weight_tally(search.words)
+    by_weight = tally(_weights(search.words))
     inside = {w: c for w, c in by_weight.items() if low < w < high}
     details = {
         "interval": [low, high],

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: plain itertools / python-int
 arithmetic with no shared code paths into the package, so agreement between
-package output and these oracles is meaningful evidence.
+package output and these oracles is meaningful evidence.  The subspace-table
+oracles are the one exception: they keep the package's earlier loops and
+share with it only the field tables, the two-dimensional fq_matmul product,
+Subspace validation and the point order of point_array.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import itertools
 from collections import Counter
 
 import numpy as np
+
+from pgcodes.geometry import Subspace, canonical_vectors, fq_matmul, point_array, theta
 
 
 def brute_force_spectrum(generator_rows: np.ndarray, p: int) -> Counter:
@@ -201,3 +206,37 @@ def brute_force_hyperplane_words(incidence: np.ndarray, p: int) -> dict:
             if (p == 2 and h1 < h2) or (p > 2 and anchor == a):
                 out.setdefault(word, ("HyperplaneDifference", a, h1, h2))
     return out
+
+
+def subspace_point_indices_reference(g, k: int) -> np.ndarray:
+    """(N_k, theta_k) sorted global point indices of every k-subspace, one
+    subspace at a time: each RREF basis is built pivot pattern by pivot
+    pattern with its free entries in itertools.product order, validated as
+    a Subspace, multiplied out with fq_matmul, and its points looked up in a
+    dict of coordinate bytes."""
+    n1, q = g.n + 1, g.q
+    index = {row.tobytes(): i for i, row in enumerate(point_array(g))}
+    lam = canonical_vectors(g.field, k + 1)
+    out = []
+    for pivs in itertools.combinations(range(n1), k + 1):
+        free = [(i, c) for i in range(k + 1) for c in range(pivs[i] + 1, n1) if c not in pivs]
+        for assignment in itertools.product(range(q), repeat=len(free)):
+            mat = np.zeros((k + 1, n1), dtype=np.uint8)
+            for i, c in enumerate(pivs):
+                mat[i, c] = 1
+            for (i, c), v in zip(free, assignment):
+                mat[i, c] = v
+            s = Subspace(g, tuple(tuple(int(x) for x in row) for row in mat))
+            rows = fq_matmul(lam, np.array(s.basis, dtype=np.uint8), g.field)
+            out.append([index[row.tobytes()] for row in rows])
+    return np.array(out, dtype=np.int32).reshape(-1, theta(k, q))
+
+
+def line_through_pairs_reference(g) -> np.ndarray:
+    """(theta_n, theta_n) line index through each point pair, -1 on the
+    diagonal, written pair by pair from the reference line table."""
+    table = np.full((g.num_points, g.num_points), -1, dtype=np.int32)
+    for li, pts in enumerate(subspace_point_indices_reference(g, 1)):
+        for a, b in itertools.combinations(pts.tolist(), 2):
+            table[a, b] = table[b, a] = li
+    return table

@@ -9,6 +9,7 @@ import pytest
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
+    GeometryMismatch,
     GeometrySpec,
     enumerate_points,
     enumerate_subspaces,
@@ -616,6 +617,21 @@ def test_tangent_collinearity_errors():
         tangent_collinearity(model, [0, 1], 5)
     with pytest.raises(DimensionOutOfRange):
         tangent_collinearity(build_model(PG32), [0], 1)
+
+
+def test_point_arguments_outside_the_geometry_are_refused():
+    # -1 must not stand for the last point: with X a line through point 12
+    # of PG(2,3), Q = -1 would be a point of X and still get an answer
+    model = build_model(PG23)
+    last = PG23.num_points - 1
+    x = next(row for row in subspace_point_indices(PG23, 1).tolist() if last in row)
+    for bad in (-1, PG23.num_points):
+        with pytest.raises(GeometryMismatch):
+            tangent_collinearity(model, x, bad)
+        with pytest.raises(GeometryMismatch):
+            tangent_collinearity(model, [bad], 0)
+        with pytest.raises(GeometryMismatch):
+            classify_subspace_traces(PG23, [bad], 1)
 
 
 @pytest.mark.parametrize("g", [PG22, PG23, PG24])

@@ -79,8 +79,9 @@ def test_pointset_immutable_and_hashable():
 def test_pointset_rejects_foreign_points():
     with pytest.raises(GeometryMismatch):
         PointSet(PG22, [enumerate_points(PG23)[0]])
-    with pytest.raises(GeometryMismatch):
-        PointSet(PG22, [7])
+    for bad in (-1, PG22.num_points):
+        with pytest.raises(GeometryMismatch):
+            PointSet(PG22, [bad])
 
 
 def test_pointset_serialization_is_sorted_coordinates():

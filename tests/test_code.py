@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pgcodes import code
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
+    GeometryMismatch,
     GeometrySpec,
     enumerate_hyperplanes,
     enumerate_points,
@@ -273,6 +274,13 @@ def test_incidence_vector_examples():
     assert weight(w) == 4
     j = incidence_vector(PG23, enumerate_points(PG23))
     assert np.array_equal(j, all_one_word(PG23))
+
+
+def test_incidence_vector_rejects_indices_outside_the_geometry():
+    # -1 would otherwise set the last point and theta_n raise a bare IndexError
+    for bad in (-1, PG23.num_points):
+        with pytest.raises(GeometryMismatch):
+            incidence_vector(PG23, [0, bad])
 
 
 def test_generator_rows_and_j_are_codewords():

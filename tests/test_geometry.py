@@ -1,16 +1,19 @@
 """Geometry checks: enumeration, incidence, lattice operations, counting.
 
 Counts are pinned against the naive oracles in helpers.py, which share no
-code with the package.
+code with the package; the subspace tables are compared with the package's
+earlier loops, kept there as references.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgcodes import geometry
-from pgcodes.gf import make_field
+from pgcodes.gf import is_prime, make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
     EmptySubspace,
@@ -29,8 +32,8 @@ from pgcodes.geometry import (
     intersect,
     line_through,
     line_through_pairs,
-    lines_through_point,
     point_array,
+    point_indices,
     points_of,
     span,
     subspace_point_indices,
@@ -39,7 +42,15 @@ from pgcodes.geometry import (
     to_subspace,
 )
 
-from helpers import count_projective_classes, gaussian_binomial_product, theta_oracle
+from pgcodes.verify import DEFAULT_GRID
+
+from helpers import (
+    count_projective_classes,
+    gaussian_binomial_product,
+    line_through_pairs_reference,
+    subspace_point_indices_reference,
+    theta_oracle,
+)
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
@@ -271,6 +282,8 @@ def test_subspaces_through_really_contain_the_seed():
     assert len(through) == theta(2, 3)
     for line in through:
         assert span(line, pt) == line
+    # in enumerate_subspaces order
+    assert through == [s for s in enumerate_subspaces(PG33, 1) if span(s, pt) == s]
 
 
 def test_points_of_counts_and_order():
@@ -329,15 +342,61 @@ def test_two_points_determine_one_line():
             assert lines[li] == line_through(pts[i], pts[j])
 
 
-def test_lines_through_point_counts():
-    for g in (PG22, PG23, PG32):
-        table = lines_through_point(g)
-        assert table.shape == (g.num_points, theta(g.n - 1, g.q))
-        # consistency with the pair table
-        pair = line_through_pairs(g)
-        for i in range(g.num_points):
-            via_pairs = sorted(set(int(pair[i, j]) for j in range(g.num_points) if j != i))
-            assert table[i].tolist() == via_pairs
+@pytest.mark.parametrize("p,h,n", sorted(set(DEFAULT_GRID) | {(2, 2, 3), (3, 2, 2), (3, 1, 4)}))
+def test_subspace_tables_match_the_loop_reference(p, h, n):
+    g = GeometrySpec(make_field(p, h), n)
+    for k in range(n):
+        table, ref = subspace_point_indices(g, k), subspace_point_indices_reference(g, k)
+        assert table.dtype == ref.dtype and np.array_equal(table, ref)
+    table, ref = line_through_pairs(g), line_through_pairs_reference(g)
+    assert table.dtype == ref.dtype and np.array_equal(table, ref)
+
+
+# every PG(n, q) with q <= 256 and at most 10^5 points
+_RANK_GEOMETRIES = [
+    (p, h, n)
+    for p in range(2, 257)
+    if is_prime(p)
+    for h in range(1, 9)
+    if p**h <= 256
+    for n in range(2, 17)
+    if theta(n, p**h) <= 10**5
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RANK_GEOMETRIES), st.integers(0, 2**32 - 1))
+def test_point_indices_invert_point_array(phn, seed):
+    p, h, n = phn
+    g = GeometrySpec(make_field(p, h), n)
+    pts = point_array(g)
+    assert np.array_equal(point_indices(g, pts), np.arange(g.num_points))
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(0, g.q, size=(64, n + 1))
+    lead = rng.integers(0, n + 1, size=64)
+    vecs[np.arange(n + 1) < lead[:, None]] = 0
+    vecs[np.arange(64), lead] = 1
+    assert np.array_equal(pts[point_indices(g, vecs)], vecs)
+
+
+def test_point_rank_is_exact_up_to_int64_and_refused_beyond():
+    # the last point of PG(61,2) and of PG(6,256): q^(n+1) is 2^62 and 2^56
+    for g in (GeometrySpec(make_field(2), 61), GeometrySpec(make_field(2, 8), 6)):
+        last = g.point((1,) + (g.q - 1,) * g.n)
+        assert last.index == theta(g.n, g.q) - 1
+    # q^(n+1) = 2^63 and 2^72: int64 would wrap, so the rank is refused
+    # before anything of the geometry's size is allocated
+    for g in (GeometrySpec(make_field(2), 62), GeometrySpec(make_field(2, 8), 8)):
+        pt, hyp = g.point((0,) * g.n + (1,)), g.hyperplane((1,) + (0,) * g.n)
+        tracemalloc.start()
+        try:
+            for obj in (pt, hyp):
+                with pytest.raises(DimensionOutOfRange):
+                    obj.index
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_line_meets_hyperplane_in_1_or_q_plus_1_points():
