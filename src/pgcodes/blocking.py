@@ -6,11 +6,20 @@ and reduction of a blocking set to a minimal one by repeatedly removing
 non-essential points.  Reduction is order-independent below a size
 bound; the deterministic mode always removes the smallest removable
 point, and the randomized mode exists to probe that order independence.
+
+Reduction runs on a boolean mask and counts each (n-k)-subspace's meet
+with the set once.  A point is essential when some subspace meets the set
+in that point alone, and essential points stay essential: removing a
+non-essential point P lowers only the counts of the subspaces through P,
+and a subspace meeting the set in one other point does not pass through
+P.  So each removal looks only at the subspaces through P, and a count
+that falls to 1 makes that subspace's one remaining point essential.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -176,6 +185,71 @@ def is_minimal(B: PointSet, k: int) -> bool:
     return len(_blocking_essential_indices(B, k)) == len(B)
 
 
+@lru_cache(maxsize=None)
+def _subspaces_through_points(g: GeometrySpec, dim: int) -> np.ndarray:
+    """(theta_n, r) ascending rows of the dim-subspace table through each
+    point: one stable argsort of the flattened table groups its positions
+    by point, and every point lies on the same number r of subspaces."""
+    table = subspace_point_indices(g, dim)
+    order = np.argsort(table, axis=None, kind="stable")
+    out = (order // table.shape[1]).reshape(g.num_points, -1)
+    out.setflags(write=False)
+    return out
+
+
+def reduce_mask(
+    g: GeometrySpec,
+    mask,
+    k: Optional[int] = None,
+    rng: Optional[np.random.Generator] = None,
+    *,
+    stacklevel: int = 2,
+) -> np.ndarray:
+    """The mask core of reduce_to_minimal: a new (theta_n,) boolean mask of
+    the minimal k-blocking subset it reaches from the points of mask.
+
+    The removable points are kept in ascending order, and each step removes
+    the first of them or, given rng, the one at rng.integers(len(removable)).
+    stacklevel is passed to the SizeGuaranteeViolated warning.
+    """
+    if k is None:
+        k = g.n - 1
+    _check_k(g, k)
+    current = np.array(mask, dtype=bool)
+    if current.shape != (g.num_points,):
+        raise GeometryMismatch(f"expected a mask of {g.num_points} points, got {current.shape}")
+    table = subspace_point_indices(g, g.n - k)
+    counts = current[table].sum(axis=1)
+    if not counts.all():
+        raise NotBlocking("reduction requires a k-blocking input")
+    size = int(current.sum())
+    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
+    if k != g.n - 1 or size >= bound:
+        warnings.warn(
+            f"uniqueness of the reduction is only guaranteed for k = n-1 "
+            f"and |B| < q^(n-1) + theta_(n-1) = {bound}; got k={k}, |B|={size}",
+            SizeGuaranteeViolated,
+            stacklevel=stacklevel,
+        )
+    tangent = table[counts == 1]
+    essential = np.zeros(g.num_points, dtype=bool)
+    essential[tangent[current[tangent]]] = True
+    removable = np.flatnonzero(current & ~essential).tolist()
+    through = _subspaces_through_points(g, g.n - k)
+    while removable:
+        at = 0 if rng is None else int(rng.integers(len(removable)))
+        pick = removable.pop(at)
+        current[pick] = False
+        rows = through[pick]
+        counts[rows] -= 1
+        tangent = table[rows[counts[rows] == 1]]
+        for point in tangent[current[tangent]].tolist():
+            if not essential[point]:
+                essential[point] = True
+                removable.remove(point)
+    return current
+
+
 def reduce_to_minimal(
     B: PointSet,
     k: Optional[int] = None,
@@ -190,32 +264,10 @@ def reduce_to_minimal(
     performed but a SizeGuaranteeViolated warning is issued.
 
     The default removal order is deterministic (smallest point first);
-    pass a numpy Generator to randomize it.
+    pass a numpy Generator to randomize it.  This wraps reduce_mask.
     """
-    g = B.geometry
-    if k is None:
-        k = g.n - 1
-    _check_k(g, k)
-    if not is_k_blocking(B, k):
-        raise NotBlocking("reduction requires a k-blocking input")
-    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
-    if k != g.n - 1 or len(B) >= bound:
-        warnings.warn(
-            f"uniqueness of the reduction is only guaranteed for k = n-1 "
-            f"and |B| < q^(n-1) + theta_(n-1) = {bound}; got k={k}, |B|={len(B)}",
-            SizeGuaranteeViolated,
-            stacklevel=2,
-        )
-    current = B
-    while True:
-        removable = sorted(set(current.indices) - _essential_indices(current, k))
-        if not removable:
-            return current
-        if rng is None:
-            pick = removable[0]
-        else:
-            pick = removable[int(rng.integers(len(removable)))]
-        current = current.without(pick)
+    reduced = reduce_mask(B.geometry, B.mask(), k, rng, stacklevel=3)
+    return PointSet(B.geometry, np.flatnonzero(reduced).tolist())
 
 
 def symmetric_difference(H1: Hyperplane, H2: Hyperplane) -> PointSet:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,16 +74,6 @@ def _poly_mod(a: list[int], m: Sequence[int], p: int) -> list[int]:
             a[da - dm + i] = (a[da - dm + i] - lead * m[i]) % p
         _poly_trim(a)
     return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
@@ -156,34 +146,36 @@ class FieldSpec:
         self._build_tables()
 
     def _build_tables(self) -> None:
+        """Operation tables from digit arrays: digits[v] holds the h
+        coefficients of element v, and the product a*b is the sum over i
+        of a_i * (x^i * b), where x^i * b comes from i steps of the
+        "times x" map.  Inverses are read off the multiplication table."""
         p, h, q = self.p, self.h, self.q
-        coeffs = [tuple(_digits(v, p, h)) for v in range(q)]
-        add_t = np.zeros((q, q), dtype=np.uint8)
-        mul_t = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            ca = coeffs[a]
-            for b in range(a, q):
-                cb = coeffs[b]
-                s = tuple((x + y) % p for x, y in zip(ca, cb))
-                add_t[a, b] = add_t[b, a] = _index_of(s, p)
-                prod = _poly_mod(_poly_mul(ca, cb, p), self.modulus, p)
-                prod += [0] * (h - len(prod))
-                mul_t[a, b] = mul_t[b, a] = _index_of(prod, p)
-        neg_t = np.zeros(q, dtype=np.uint8)
+        place = p ** np.arange(h)
+        digits = np.arange(q)[:, None] // place % p
+
+        def index(d: np.ndarray) -> np.ndarray:
+            return (d % p * place).sum(axis=-1)
+
+        # x * v: shift the coefficients up and fold x^h = -(m_0 + ... + m_{h-1} x^{h-1})
+        shifted = np.concatenate([np.zeros((q, 1), dtype=digits.dtype), digits[:, :-1]], axis=1)
+        times_x = index(shifted - digits[:, -1:] * np.array(self.modulus[:h]))
+        prod = np.zeros((q, q, h), dtype=digits.dtype)  # digits of a * b, before mod p
+        power = np.arange(q)  # x^i * b for every b
+        for i in range(h):
+            prod += digits[:, i, None, None] * digits[power]
+            power = times_x[power]
+        add_t = index(digits[:, None, :] + digits).astype(np.uint8)
+        mul_t = index(prod).astype(np.uint8)
+        neg_t = index(-digits).astype(np.uint8)
         inv_t = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg_t[a] = _index_of([(-c) % p for c in coeffs[a]], p)
-        for a in range(1, q):
-            # multiplicative group has order q - 1
-            acc = a
-            for _ in range(q - 3):
-                acc = int(mul_t[acc, a])
-            inv_t[a] = acc if q > 2 else 1
+        units, inverses = np.nonzero(mul_t == 1)
+        inv_t[units] = inverses
         self.add_table = add_t
         self.mul_table = mul_t
         self.neg_table = neg_t
         self.inv_table = inv_t
-        self._coeffs = coeffs
+        self._coeffs = [tuple(row) for row in digits.tolist()]
 
     # -- element construction ------------------------------------------------
 
@@ -231,10 +223,6 @@ class FieldSpec:
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "h": self.h, "modulus": list(self.modulus)}
-
-
-def _index_of(coeffs: Iterable[int], p: int) -> int:
-    return sum(int(c) * p**i for i, c in enumerate(coeffs))
 
 
 @lru_cache(maxsize=None)

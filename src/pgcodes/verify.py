@@ -21,21 +21,21 @@ import numpy as np
 from . import kernels
 from .gf import make_field
 from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
-from .code import build_incidence_matrix, build_model, expected_dimension, weight
+from .code import build_incidence_matrix, build_model, expected_dimension, row_blocks, weight
 from .analysis import (
     DEFAULT_BUDGET,
     NotInCode,
     WordKind,
+    _line_columns,
     _sort_words,
     classify_words,
     dual_weight_counts,
     enumerate_spectrum,
-    line_profile,
     low_weight_search,
     tally,
     tangent_collinear_rows,
 )
-from .blocking import PointSet, is_k_blocking, is_minimal, reduce_to_minimal
+from .blocking import reduce_mask
 
 DEFAULT_HULL_BUDGET = 2**28
 DEFAULT_BBW_BUDGET = 2**20
@@ -509,8 +509,8 @@ def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
     randoms = (_random_codewords(model, rng, 64) % g.field.p).astype(np.uint8)
     ones = np.ones((1, g.num_points), dtype=np.uint8)
     words = np.concatenate([ones, model.generator, *extra, randoms])
-    draws = [(int(rng.integers(pool)), int(rng.integers(len(words)))) for _ in range(samples)]
-    si, wi = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    # one call draws the same (subspace, word) stream as alternating scalar calls
+    si, wi = rng.integers([pool, len(words)], size=(samples, 2)).T
     which = np.searchsorted(offsets, si, side="right") - 1
     local = si - offsets[which]
     failed = np.zeros(si.size, dtype=bool)
@@ -562,44 +562,57 @@ def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
     return CheckResult("bbw", "pass" if not bad else "fail", details, bad)
 
 
-def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResult:
+def _small_word_faults(g, words) -> np.ndarray:
+    """Which rows of an (m, theta_n) array of nonzero words break the
+    statement on words of weight below 2q^(n-1): constant entries, and a
+    support that is a minimal blocking set meeting every line in 1 mod p
+    points.  The line meet counts are one product per row block, and the
+    points on tangent lines a second one."""
+    lines = _line_columns(g)
     p = g.field.p
+    faults = np.empty(len(words), dtype=bool)
+    for rows in row_blocks(len(words), lines.shape[1]):
+        block = words[rows]
+        inside = block != 0
+        meets = inside.astype(np.float32) @ lines
+        on_tangent = (meets == 1).astype(np.float32) @ lines.T > 0
+        constant = np.where(inside, block, p).min(axis=1) == block.max(axis=1)
+        blocking = (meets > 0).all(axis=1)
+        minimal = (on_tangent | ~inside).all(axis=1)
+        residues = (meets % p == 1).all(axis=1)
+        faults[rows] = ~(constant & blocking & minimal & residues)
+    return faults
+
+
+def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResult:
     high = 2 * g.q ** (g.n - 1)
-    small_words = []
-    if spectrum is not None:
-        small_words = [r for r in spectrum.low_weight if 0 < weight(r) < high]
-    elif search is not None:
-        small_words = [r for r in search.words if 0 < weight(r) < high]
-    bad = []
-    for row in small_words:
-        entries = set(row[np.nonzero(row)[0]].tolist())
-        constant = len(entries) == 1
-        s = PointSet.from_word(g, row)
-        blocking_ok = is_k_blocking(s, g.n - 1) and is_minimal(s, g.n - 1)
-        residues_ok = set(line_profile(g, row).residues) == {1}
-        if not (constant and blocking_ok and residues_ok):
-            bad.append(_word_witness(row))
+    source = spectrum.low_weight if spectrum is not None else search.words
+    weights = _weights(source)
+    small_words = source[(weights > 0) & (weights < high)]
+    bad = [_word_witness(r) for r in small_words[_small_word_faults(g, small_words)]]
     # order-independent reduction of hyperplane supersets below the bound
     hyp_rows = hyperplane_point_indices(g)
     bound_extras = g.q ** (g.n - 1) - 1
     disagreements = []
     for _ in range(trials):
         h_idx = int(rng.integers(g.num_points))
-        base = set(hyp_rows[h_idx].tolist())
-        off = [i for i in range(g.num_points) if i not in base]
-        n_extra = int(rng.integers(1, min(bound_extras, len(off)) + 1))
-        pick = rng.choice(len(off), size=n_extra, replace=False)
-        superset = PointSet(g, sorted(base | {off[i] for i in pick}))
-        results = {reduce_to_minimal(superset)}
-        for _ in range(orders - 1):
-            results.add(reduce_to_minimal(superset, rng=rng))
-        expected = PointSet(g, sorted(base))
-        if results != {expected}:
+        base = np.zeros(g.num_points, dtype=bool)
+        base[hyp_rows[h_idx]] = True
+        off = np.flatnonzero(~base)
+        n_extra = int(rng.integers(1, min(bound_extras, off.size) + 1))
+        superset = base.copy()
+        superset[off[rng.choice(off.size, size=n_extra, replace=False)]] = True
+        results = [reduce_mask(g, superset)]
+        results += [reduce_mask(g, superset, rng=rng) for _ in range(orders - 1)]
+        if any((r != base).any() for r in results):
+            # (geometry, indices) keys hash as PointSets do, so the distinct
+            # results list in the order a set of PointSets iterates them
+            distinct = {(g, tuple(np.flatnonzero(r).tolist())) for r in results}
             disagreements.append(
                 {
-                    "superset": list(superset.indices),
+                    "superset": np.flatnonzero(superset).tolist(),
                     "hyperplane": h_idx,
-                    "results": [list(r.indices) for r in results],
+                    "results": [list(indices) for _, indices in distinct],
                 }
             )
     details = {

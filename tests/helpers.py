@@ -3,9 +3,11 @@
 Everything here is deliberately naive: plain itertools / python-int
 arithmetic with no shared code paths into the package, so agreement between
 package output and these oracles is meaningful evidence.  The subspace-table
-oracles are the one exception: they keep the package's earlier loops and
+oracles are an exception: they keep the package's earlier loops and
 share with it only the field tables, the two-dimensional fq_matmul product,
-Subspace validation and the point order of point_array.
+Subspace validation and the point order of point_array.  The reduction
+oracle is another: it reads the package's subspace table, which the table
+oracles pin.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from collections import Counter
 
 import numpy as np
 
-from pgcodes.geometry import Subspace, canonical_vectors, fq_matmul, point_array, theta
+from pgcodes.geometry import (
+    Subspace,
+    canonical_vectors,
+    fq_matmul,
+    point_array,
+    subspace_point_indices,
+    theta,
+)
 
 
 def brute_force_spectrum(generator_rows: np.ndarray, p: int) -> Counter:
@@ -240,3 +249,66 @@ def line_through_pairs_reference(g) -> np.ndarray:
         for a, b in itertools.combinations(pts.tolist(), 2):
             table[a, b] = table[b, a] = li
     return table
+
+
+def field_tables_reference(p: int, h: int, modulus) -> tuple:
+    """(add, mul, neg, inv) uint8 tables of GF(p^h) modulo the monic
+    modulus (little-endian coefficients), one element pair at a time:
+    polynomial product then long division, and each inverse as a^(q-2) by
+    repeated table multiplication."""
+    q = p**h
+
+    def digits(v):
+        return [v // p**i % p for i in range(h)]
+
+    def index(c):
+        return sum(int(x) * p**i for i, x in enumerate(c))
+
+    def times(a, b):
+        out = [0] * (2 * h - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        for d in range(len(out) - 1, h - 1, -1):
+            lead = out[d]
+            for i in range(h + 1):
+                out[d - h + i] = (out[d - h + i] - lead * modulus[i]) % p
+        return out[:h]
+
+    add_t = np.zeros((q, q), dtype=np.uint8)
+    mul_t = np.zeros((q, q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(a, q):
+            ca, cb = digits(a), digits(b)
+            add_t[a, b] = add_t[b, a] = index([(x + y) % p for x, y in zip(ca, cb)])
+            mul_t[a, b] = mul_t[b, a] = index(times(ca, cb))
+    neg_t = np.array([index([-x % p for x in digits(a)]) for a in range(q)], dtype=np.uint8)
+    inv_t = np.zeros(q, dtype=np.uint8)
+    for a in range(1, q):
+        acc = a
+        for _ in range(q - 3):
+            acc = int(mul_t[acc, a])
+        inv_t[a] = acc if q > 2 else 1
+    return add_t, mul_t, neg_t, inv_t
+
+
+def reduce_to_minimal_reference(g, indices, k: int, rng=None) -> tuple:
+    """Minimal k-blocking subset reached from a k-blocking point index set,
+    one point at a time: every step recounts each (n-k)-subspace's meet
+    with the current set, lists the points on no tangent subspace in
+    ascending order, and removes the first or, given rng, the one at
+    rng.integers(len(removable)).  Returns the sorted indices."""
+    rows = [set(r) for r in subspace_point_indices(g, g.n - k).tolist()]
+    current = set(indices)
+    assert all(row & current for row in rows), "the input is not k-blocking"
+    while True:
+        essential = set()
+        for row in rows:
+            meet = row & current
+            if len(meet) == 1:
+                essential |= meet
+        removable = sorted(current - essential)
+        if not removable:
+            return tuple(sorted(current))
+        pick = removable[0] if rng is None else removable[int(rng.integers(len(removable)))]
+        current.remove(pick)

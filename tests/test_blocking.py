@@ -1,7 +1,10 @@
 """Blocking-set predicates, tangents, essential points, reduction."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
@@ -25,13 +28,17 @@ from pgcodes.blocking import (
     essential_points,
     is_k_blocking,
     is_minimal,
+    reduce_mask,
     reduce_to_minimal,
     symmetric_difference,
     tangent_spaces,
+    _subspaces_through_points,
 )
+from helpers import reduce_to_minimal_reference
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
+PG24 = GeometrySpec(make_field(2, 2), 2)
 PG25 = GeometrySpec(make_field(5), 2)
 PG32 = GeometrySpec(make_field(2), 3)
 PG33 = GeometrySpec(make_field(3), 3)
@@ -275,6 +282,72 @@ def test_reduce_warns_for_general_k():
     s = line_set(PG32, 0)  # a line blocks every plane of PG(3,2)
     with pytest.warns(SizeGuaranteeViolated):
         assert reduce_to_minimal(s, k=1) == s
+
+
+def test_size_warning_points_at_the_caller():
+    rows = subspace_point_indices(PG22, 1)
+    s = PointSet(PG22, set(rows[0].tolist()) | set(rows[1].tolist()))
+    with pytest.warns(SizeGuaranteeViolated) as record:
+        reduce_to_minimal(s)
+    assert record[0].filename == __file__
+    with pytest.warns(SizeGuaranteeViolated) as record:
+        reduce_mask(PG22, s.mask())
+    assert record[0].filename == __file__
+
+
+def test_reduce_mask_rejects_before_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotBlocking):
+            reduce_mask(PG23, PointSet(PG23, [0, 1, 2]).mask(), 1)
+    with pytest.raises(GeometryMismatch):
+        reduce_mask(PG23, np.ones(PG22.num_points, dtype=bool))
+    with pytest.raises(DimensionOutOfRange):
+        reduce_mask(PG23, np.ones(PG23.num_points, dtype=bool), 2)
+
+
+@pytest.mark.parametrize("g, dim", [(PG23, 1), (PG32, 1), (PG32, 2), (PG33, 1), (PG33, 2)])
+def test_subspaces_through_points_lists_every_containing_row(g, dim):
+    table = subspace_point_indices(g, dim).tolist()
+    through = _subspaces_through_points(g, dim)
+    for point in range(g.num_points):
+        assert through[point].tolist() == [i for i, row in enumerate(table) if point in row]
+
+
+_REDUCTION_GEOMETRIES = [PG22, PG23, PG24, PG25, PG32, PG33]
+
+
+@st.composite
+def _blocking_sets(draw):
+    """(g, k, indices): a k-subspace, which blocks every (n-k)-subspace,
+    and any extra points, so sizes run past the uniqueness bound."""
+    g = draw(st.sampled_from(_REDUCTION_GEOMETRIES))
+    k = draw(st.integers(1, g.n - 1))
+    table = subspace_point_indices(g, k)
+    row = draw(st.integers(0, table.shape[0] - 1))
+    extra = draw(st.sets(st.integers(0, g.num_points - 1)))
+    return g, k, sorted(set(table[row].tolist()) | extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocking_sets(), st.integers(0, 2**32 - 1))
+def test_mask_reduction_matches_the_one_point_at_a_time_oracle(case, seed):
+    g, k, indices = case
+    mask = np.zeros(g.num_points, dtype=bool)
+    mask[indices] = True
+    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
+    warned = [SizeGuaranteeViolated] if k != g.n - 1 or len(indices) >= bound else []
+    for ours, theirs in [(None, None), (np.random.default_rng(seed), np.random.default_rng(seed))]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = reduce_mask(g, mask, k, ours)
+        assert [w.category for w in caught] == warned
+        assert tuple(np.flatnonzero(got).tolist()) == reduce_to_minimal_reference(
+            g, indices, k, theirs
+        )
+        if ours is not None:
+            assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.flatnonzero(mask).tolist() == indices  # the input stays as it was
 
 
 # -- small codewords give minimal blocking sets ------------------------------

@@ -12,8 +12,10 @@ from pgcodes.gf import (
     NotPrime,
     ReducibleModulus,
     ZeroInverse,
+    is_prime,
     make_field,
 )
+from helpers import field_tables_reference
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (2, 4)]
 
@@ -180,3 +182,23 @@ def test_fields_beyond_the_uint8_tables_are_a_named_error():
     with pytest.raises(FieldTooLarge):
         make_field(2, 9, modulus=[1, 0, 0, 0, 1, 0, 0, 0, 0, 1])
     assert issubclass(FieldTooLarge, ValueError)
+
+
+_TABLE_FIELDS = [
+    (p, h, None)
+    for p in range(2, 33)
+    if is_prime(p)
+    for h in range(1, 6)
+    if p**h <= 32
+] + [(3, 5, None), (2, 8, None), (3, 2, (2, 1, 1)), (2, 4, (1, 0, 0, 1, 1))]
+
+
+@pytest.mark.parametrize("p, h, modulus", _TABLE_FIELDS)
+def test_tables_match_the_pairwise_reference(p, h, modulus):
+    # every q <= 32, then 243 and 256, the largest orders the tables index,
+    # and two moduli other than the default ones
+    fld = make_field(p, h, modulus)
+    tables = (fld.add_table, fld.mul_table, fld.neg_table, fld.inv_table)
+    for got, want in zip(tables, field_tables_reference(p, h, fld.modulus)):
+        assert got.dtype == want.dtype == np.uint8
+        assert got.tobytes() == want.tobytes()

@@ -1,16 +1,24 @@
 """Suite orchestration, report schema, rendering, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pgcodes import code, kernels, verify
-from pgcodes.analysis import NotInCode, enumerate_spectrum
+from pgcodes import blocking, code, kernels, verify
+from pgcodes.analysis import NotInCode, enumerate_spectrum, line_profile
+from pgcodes.blocking import PointSet, is_k_blocking, is_minimal
 from pgcodes.code import CodeModel, build_incidence_matrix, build_model, expected_dimension
-from pgcodes.geometry import GeometrySpec, enumerate_subspaces, global_point_indices
+from pgcodes.geometry import (
+    GeometrySpec,
+    enumerate_subspaces,
+    global_point_indices,
+    hyperplane_point_indices,
+)
 from pgcodes.gf import make_field
 from pgcodes.verify import (
     DEFAULT_GRID,
@@ -22,6 +30,7 @@ from pgcodes.verify import (
     emit_report,
     run_suite,
 )
+from helpers import reduce_to_minimal_reference
 
 
 def test_suite_names_and_grid_are_frozen():
@@ -232,6 +241,119 @@ def test_restriction_witnesses_follow_the_draw_sequence(monkeypatch, params):
     }
     assert check.witnesses == expected
     assert {w["subspace"]["dimension"] for w in expected} == set(range(2, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 2**24),
+    st.integers(1, 2**24),
+    st.integers(0, 200),
+)
+def test_restriction_draws_replay_the_scalar_loop(seed, pool, words, samples):
+    # the suite draws its (subspace, word) pairs in one call; with both
+    # bounds below 2^32 that is the stream of alternating scalar calls, and
+    # the generator ends in the same state
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ours.integers([pool, words], size=(samples, 2))
+    want = [[int(theirs.integers(pool)), int(theirs.integers(words))] for _ in range(samples)]
+    assert got.tolist() == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _scalar_small_word_fault(g, row) -> bool:
+    """The blocking suite's small-word statement, one PointSet at a time."""
+    constant = len(set(row[np.nonzero(row)[0]].tolist())) == 1
+    s = PointSet.from_word(g, row)
+    blocking_ok = is_k_blocking(s, g.n - 1) and is_minimal(s, g.n - 1)
+    residues_ok = set(line_profile(g, row).residues) == {1}
+    return not (constant and blocking_ok and residues_ok)
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2), (3, 1, 3)])
+def test_blocking_witnesses_list_bad_small_words_in_word_order(monkeypatch, params):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    hyperplane = hyperplane_point_indices(g)[2]
+    extra = next(i for i in range(g.num_points) if i not in hyperplane)
+    non_minimal = np.zeros(g.num_points, dtype=np.uint8)
+    non_minimal[hyperplane] = 1
+    non_minimal[extra] = 1  # constant, but extra is on no tangent line
+    single = np.zeros(g.num_points, dtype=np.uint8)
+    single[extra] = 1  # blocks no line through another point
+    spectrum = enumerate_spectrum
+
+    def tampered(model, **kwargs):
+        report = spectrum(model, **kwargs)
+        words = list(report.low_weight)
+        non_constant = words[3].copy()
+        at = np.nonzero(non_constant)[0][1]
+        non_constant[at] = p - non_constant[at]
+        words[5:5] = [non_constant]
+        return dataclasses.replace(
+            report, low_weight=np.array([non_minimal, *words, single], dtype=np.uint8)
+        )
+
+    monkeypatch.setattr(verify, "enumerate_spectrum", tampered)
+    check = run_suite(params, ["blocking"]).check("blocking")
+    low = tampered(build_model(g)).low_weight
+    weights = np.count_nonzero(low, axis=1)
+    small = low[(weights > 0) & (weights < 2 * g.q ** (n - 1))]
+    bad = [r for r in small if _scalar_small_word_fault(g, r)]
+    assert [r.tolist() for r in bad] == [non_minimal.tolist(), low[6].tolist(), single.tolist()]
+    assert check.status == "fail"
+    assert check.details["small_words_checked"] == (p - 1) * g.num_points + 3
+    assert check.witnesses == [
+        {"weight": int(np.count_nonzero(r)), "digits": r.tolist()} for r in bad
+    ]
+
+
+@pytest.mark.parametrize("params", [(3, 1, 2), (2, 1, 3)])
+def test_blocking_lists_a_forced_reduction_disagreement(monkeypatch, params):
+    # the fifth reduction, trial 1's first random order, returns its input
+    # unreduced; the draws are replayed with the one-point-at-a-time oracle
+    seed, trials, orders, wrong = 4, 4, 3, 4
+    reduce_mask = blocking.reduce_mask
+    calls = []
+
+    def one_wrong(g, mask, k=None, rng=None):
+        calls.append(None)
+        out = reduce_mask(g, mask, k, rng)
+        return mask.copy() if len(calls) == wrong + 1 else out
+
+    monkeypatch.setattr(verify, "reduce_mask", one_wrong)
+    check = run_suite(
+        params, ["blocking"], seed=seed, blocking_trials=trials, blocking_orders=orders
+    ).check("blocking")
+    assert len(calls) == trials * orders
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    rng = verify._suite_rng(seed, "blocking")
+    hyp_rows = hyperplane_point_indices(g)
+    expected = []
+    for trial in range(trials):
+        h_idx = int(rng.integers(g.num_points))
+        base = set(hyp_rows[h_idx].tolist())
+        off = [i for i in range(g.num_points) if i not in base]
+        n_extra = int(rng.integers(1, min(g.q ** (n - 1) - 1, len(off)) + 1))
+        pick = rng.choice(len(off), size=n_extra, replace=False)
+        superset = sorted(base | {off[i] for i in pick})
+        results = {PointSet(g, reduce_to_minimal_reference(g, superset, n - 1))}
+        for order in range(1, orders):
+            reduced = reduce_to_minimal_reference(g, superset, n - 1, rng)
+            wrong_call = trial * orders + order == wrong
+            results.add(PointSet(g, superset if wrong_call else reduced))
+        if results != {PointSet(g, base)}:
+            expected.append(
+                {
+                    "superset": superset,
+                    "hyperplane": h_idx,
+                    "results": [list(r.indices) for r in results],
+                }
+            )
+    assert len(expected) == 1 and len(expected[0]["results"]) == 2
+    assert check.status == "fail"
+    assert check.witnesses == expected
 
 
 def test_dimension_suite_eliminates_the_incidence_matrix_once(monkeypatch):
