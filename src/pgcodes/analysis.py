@@ -60,7 +60,8 @@ class NoInformationSetFound(RuntimeError):
 
 
 class InconsistentSpectrum(RuntimeError):
-    """A weight histogram violates the MacWilliams identities."""
+    """A sweep's result cannot be right: its weight histogram violates the
+    MacWilliams identities, or it dropped words it was sized to keep."""
 
 
 class NotInCode(ValueError):
@@ -450,7 +451,6 @@ def enumerate_spectrum(
         if not overflow:
             break
         capacity *= 4
-    assert int(hist.sum()) == messages
     dual_weight_counts(hist, p, model.dimension)
     words = _sort_words(words)
     if callback is not None:
@@ -495,7 +495,7 @@ def low_weight_search(
         return SearchResult(empty, empty, iterations, seed, max_weight)
     if not model.generator[: model.dimension].any(axis=1).all():
         raise NoInformationSetFound("generator has a zero row")
-    inverse = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
+    inverse = kernels._inverse_table(p)
     rng = np.random.default_rng(seed)
     batch = kernels.isd_batch_size(model.dimension, npts)
     orbits = empty

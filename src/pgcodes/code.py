@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
-from pgcodes.kernels import _systematize
+from pgcodes.kernels import _inverse_table, _systematize
 
 
 # whole-array word tests run in row blocks whose float32 copy stays near this
@@ -57,11 +57,6 @@ def build_incidence_matrix(g: GeometrySpec) -> np.ndarray:
     mat = incidence_bool(g).astype(np.uint8)
     mat.setflags(write=False)
     return mat
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    return np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.int64)
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

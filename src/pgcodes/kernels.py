@@ -4,11 +4,17 @@ The two hot loops are full-spectrum enumeration (all p^k messages of a k-row
 generator) and the randomized information-set rounds of the low-weight
 search.  Both are plain numpy whose inner work is float32 matrix products.
 
-spectrum is a meet-in-the-middle sweep, one code path for every p: tables of
-all combinations of a suffix and a middle group of rows are built once, the
-remaining top rows are walked in mixed-radix Gray order, and at each step one
-matrix product gives the weight of every (suffix, middle) sum.  Over F_2 the
-tables hold +-1 entries; over odd p they hold one-hot value indicators.
+spectrum is a meet-in-the-middle sweep, one code path for every p.  It
+reduces the rows once: a word's entries on the pivot columns are its message
+digits, so only the other columns enter the products and the digit counts are
+added as constant columns.  Tables of all combinations of a suffix and a
+middle group of rows are built and encoded once, the remaining top rows are
+walked in mixed-radix Gray order, and a step's matrix product gives the
+weight of every (suffix, middle) sum.  Over F_2 the tables hold +-1 entries;
+over odd p they hold one-hot value indicators, and a step is computed only
+for one top combination per scalar orbit {c x : c != 0}.  While n is small
+beside the tables, two steps share one product and one bincount, their
+weights packed as two base-(n+1) digits.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -20,12 +26,14 @@ _systematize reduces a stack of column-permuted generators, and matrix
 products score every row pair, so only the pairs within the weight cap are
 ever built.  isd_round is its one-round case.
 
-Every float32 product here is a sum of small integers whose partial sums
-stay far below 2^24, so it is exact whatever order BLAS sums in, and results
-do not depend on threading.
+Every float32 product here is a sum of small integers, or of halves, whose
+partial sums stay below 2^23, so it is exact whatever order BLAS sums in, and
+results do not depend on threading.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +46,23 @@ _SPECTRUM_BYTES = 1 << 19
 _MIDDLE_ROWS = 256
 
 
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p in place, for unsigned x; x - (x // p) * p is several times
+    faster than x % p."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """a^-1 mod p for every a (0 for a = 0); shared, so read-only."""
+    table = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
 def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
     """All p^m combinations sum_i c_i rows[i] mod p of m rows, as uint8 rows."""
     n = rows.shape[1]
@@ -45,22 +70,73 @@ def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
     coeffs = np.arange(p, dtype=np.uint16)[:, None, None]
     for row in rows:
         # c * row + entry stays below 251 * 251 < 2^16
-        table = ((table + coeffs * row) % p).reshape(p * len(table), n)
+        table = _mod_p(table + coeffs * row, p).reshape(p * len(table), n)
     return table.astype(np.uint8)
 
 
-def _encode(values: np.ndarray, p: int, negated: bool = False) -> np.ndarray:
-    """float32 rows whose products count the zeros of sums of two words.
+def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
+    """float32 rows whose products count the nonzeros of sums of two words.
 
-    Over F_2, entry x becomes 1 - 2x, and the product of the encodings of u
-    and v is n - 2 wt(u + v).  Over odd p, entry x becomes the p indicators
-    [x = t] (negated: [-x = t]), and the product of u's encoding and v's
-    negated encoding is the number of zeros of u + v.
+    Over F_2, entry x becomes x - 1/2 (middle: 1 - 2x), so a column adds 1/2
+    to the product of u's and v's encodings where u + v is 1 and -1/2 where
+    it is 0: the product is wt(u + v) - n/2.  Over odd p, entry x becomes the
+    p indicators -[x = t] (middle: [-x = t]), so a column adds -1 where
+    u + v is 0: the product is wt(u + v) - n.
     """
     if p == 2:
-        return 1 - 2 * values.astype(np.float32)
-    targets = ((-np.arange(p)) % p if negated else np.arange(p)).astype(np.uint8)
-    return (values[:, :, None] == targets).reshape(len(values), -1).astype(np.float32)
+        x = values.astype(np.float32)
+        return 1 - 2 * x if middle else x - 0.5
+    targets = ((-np.arange(p)) % p if middle else np.arange(p)).astype(np.uint8)
+    onehot = (values[:, :, None] == targets).reshape(len(values), -1).astype(np.float32)
+    return onehot if middle else -onehot
+
+
+def _reduced(rows: np.ndarray, p: int):
+    """The nonzero rows of the RREF of a uint8 matrix, and their pivot columns.
+
+    Rows already in that form, as every basis of a code model is, come back
+    as they are; others go through _systematize.
+    """
+    if rows.shape[1]:
+        lead = (rows != 0).argmax(axis=1)
+        at_lead = rows[:, lead]
+        # entries are below p, so ones on the diagonal and a total of r
+        # leave no other nonzero entry in the pivot columns
+        if (
+            (lead[1:] > lead[:-1]).all()
+            and (at_lead.diagonal() == 1).all()
+            and int(at_lead.sum()) == len(rows)
+        ):
+            return rows, lead
+    reduced, pivots = _systematize(rows[None], p, _inverse_table(p))
+    r = int(np.count_nonzero(pivots[0] < rows.shape[1]))
+    return reduced[0, :r].astype(np.uint8), pivots[0, :r]
+
+
+def _orbit_steps(rows: np.ndarray, p: int):
+    """The top combinations a sweep computes, with their digit counts.
+
+    The combinations of the rows are walked in mixed-radix Gray order, and
+    the zero combination and every one whose leading nonzero digit is 1
+    are yielded: one per scalar orbit {c x : c != 0}.  Over F_2 that is
+    every combination.
+    """
+    # uint16: two entries below 251 add up to more than a byte holds
+    cur = np.zeros(rows.shape[1], dtype=np.uint16)
+    digits = [0] * len(rows)
+    for t in range(p ** len(rows)):
+        if t:
+            # step t adds row j, where j counts the trailing (p - 1) digits
+            # of t - 1 in base p
+            x, j = t - 1, 0
+            while x % p == p - 1:
+                x //= p
+                j += 1
+            cur = (cur + rows[j]) % p
+            digits[j] = (digits[j] + 1) % p
+        nonzero = [d for d in digits if d]
+        if not nonzero or nonzero[-1] == 1:
+            yield cur, len(nonzero)
 
 
 def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
@@ -68,57 +144,128 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
 
     Returns (hist, words, overflow): hist[w] counts the messages whose word
     has weight w; words holds the words of weight in [1, collect_limit],
-    at most capacity of them, and overflow says whether any were dropped.
-    The word order is implementation-defined; callers that need determinism
-    must sort.
+    one per message, at most capacity of them, and overflow says whether
+    any were dropped.  The word order is implementation-defined; callers
+    that need determinism must sort.
+
+    The rows are reduced once to an r-row RREF, whose pivot entries in a
+    word are its message digits, so a word's weight is its number of
+    nonzero digits plus its weight on the n - r other columns, and only
+    those columns enter the products.  A rank-deficient generator's p^(k-r)
+    messages per word are counted and collected as copies.  The reduced
+    rows are then split into a suffix and a middle group, whose tables of
+    all combinations are built and encoded once, and top rows, walked by
+    _orbit_steps.  A step's matrix product gives the weight of every
+    (suffix, middle) sum plus the step's top combination.  For odd p only
+    one step per scalar orbit is computed: c times its block is the block
+    of its c-th multiple, with the same weights, so it is counted p - 1
+    times and its collected words are expanded by c = 1..p-1.  Two steps
+    share one product while the block has at least (n+1)^2 entries: their
+    step codes combine as (n+1) C_a + C_b, so an entry is (n+1) w_a + w_b,
+    and one bincount over (n+1)^2 bins counts both.
     """
     k, n = rows.shape
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    scale = 2 if p == 2 else 1
-    width = n * (1 if p == 2 else p) + 1
-    middle = min(k, 1)
-    while middle < k and p ** (middle + 1) <= _MIDDLE_ROWS:
+    rows, pivots = _reduced(np.ascontiguousarray(rows, dtype=np.uint8), p)
+    r = len(rows)
+    copies = p ** (k - r)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    n_free = int(free.sum())
+    width = n_free * (1 if p == 2 else p)
+    middle = min(r, 1)
+    while middle < r and p ** (middle + 1) <= _MIDDLE_ROWS:
         middle += 1
     suffix = 0
-    while suffix < k - middle and p ** (suffix + 1) * 4 * max(width, p**middle) <= _SPECTRUM_BYTES:
+    while suffix < r - middle and p ** (suffix + 1) * 4 * max(width + 2, p**middle) <= _SPECTRUM_BYTES:
         suffix += 1
-    top = k - middle - suffix
+    top = r - middle - suffix
     suffix_values = _combinations(rows[top + middle :], p)
-    middle_values = _combinations(rows[top : top + middle], p).astype(np.uint16)
-    # suffix rows [-code(u), n] times middle rows [negated code(v), 1] give
-    # n - (n - 2 wt(u + v)) over F_2 and n - zeros(u + v) over odd p
+    middle_values = _combinations(rows[top : top + middle], p)
+    # suffix rows [code(u), n_free (or n_free / 2) + digits(u), 1] times
+    # middle columns [middle code(v + cur), 1, digits(v) + digits(cur)]
+    # give the weight of u + v + cur
+    offset = n_free / 2 if p == 2 else n_free
     suffix_code = np.hstack(
-        [-_encode(suffix_values, p), np.full((len(suffix_values), 1), n, dtype=np.float32)]
-    )
-    ones = np.ones((len(middle_values), 1), dtype=np.float32)
+        [
+            _encode(suffix_values[:, free], p),
+            (offset + (suffix_values[:, ~free] != 0).sum(axis=1))[:, None],
+            np.ones((len(suffix_values), 1)),
+        ]
+    ).astype(np.float32)
+    middle_code = np.ascontiguousarray(_encode(middle_values[:, free], p, middle=True).T)
+    middle_digits = (middle_values[:, ~free] != 0).sum(axis=1)
+    # over odd p, row (col, t) of the middle code is [-v = t], and
+    # [-(v + c) = t] = [-v = t + c]: a shift is a gather of rows
+    gather_base = np.arange(n_free)[:, None] * p
+    values = np.arange(p)
+
+    def encode_step(cur, ndigits, out):
+        cur_free = cur[free]
+        if p == 2:
+            np.multiply(middle_code, (1 - 2 * cur_free.astype(np.float32))[:, None], out=out[:width])
+        else:
+            shift = (gather_base + (values + cur_free[:, None]) % p).ravel()
+            np.take(middle_code, shift, axis=0, out=out[:width], mode="clip")
+        out[width] = 1
+        out[width + 1] = middle_digits + ndigits
+
+    step_code = np.empty((width + 2, len(middle_values)), dtype=np.float32)
+    spare = np.empty_like(step_code)
+    block = np.empty((len(suffix_values), len(middle_values)), dtype=np.float32)
+    # two steps share a product while its (n + 1)^2 bins are no more than
+    # the block's entries, of which there are at most _SPECTRUM_BYTES / 4
+    # = 2^17.  Then n < 362, and the partial sums of a shared product, at
+    # most (n + 2) 2n in absolute value (2n for one step's), are exact in
+    # float32, which holds multiples of 1/2 exactly below 2^23
+    base = n + 1
+    per_product = 2 if base * base <= block.size else 1
     hist = np.zeros(n + 1, dtype=np.int64)
     chunks = []
     stored = 0
     overflow = False
-    cur = np.zeros(n, dtype=np.uint16)
-    for t in range(p**top):
-        if t:
-            # mixed-radix Gray order: step t adds top row r, where r counts
-            # the trailing (p - 1) digits of t - 1 in base p
-            x, r = t - 1, 0
-            while x % p == p - 1:
-                x //= p
-                r += 1
-            cur = (cur + rows[r]) % p
-        shifted = ((middle_values + cur) % p).astype(np.uint8)
-        middle_code = np.hstack([_encode(shifted, p, negated=True), ones])
-        # scale * weight of suffix row i plus shifted middle row j
-        weights = (suffix_code @ middle_code.T).astype(np.int32)
-        hist += np.bincount(weights.ravel(), minlength=scale * n + 1)[::scale]
+    # each weight of a step stands for these multiples of its word (c = 1
+    # alone at the zero top combination), each repeated copies times
+    multiples = [np.repeat(np.arange(1, m, dtype=np.uint16), copies) for m in (2, p)]
+    steps = list(_orbit_steps(rows[:top], p))
+    for first in range(0, len(steps), per_product):
+        group = steps[first : first + per_product]
+        encode_step(*group[-1], step_code)
+        if len(group) == 2:
+            # the first step's weight is the high digit in base n + 1
+            encode_step(*group[0], spare)
+            spare *= base
+            step_code += spare
+        np.matmul(suffix_code, step_code, out=block)
+        counts = np.bincount(block.ravel().astype(np.intp), minlength=base ** len(group))
+        counts = counts.reshape(-1, base)
+        lane_counts = [counts.sum(axis=1), counts.sum(axis=0)][-len(group) :]
+        for (cur, ndigits), lane in zip(group, lane_counts):
+            hist += lane * multiples[ndigits > 0].size
         if collect_limit < 1:
             continue
-        i, j = np.nonzero((weights > 0) & (weights <= scale * collect_limit))
-        if i.size > capacity - stored:
-            overflow = True
-            i, j = i[: capacity - stored], j[: capacity - stored]
-        if i.size:
-            chunks.append(((suffix_values[i] + shifted[j].astype(np.uint16)) % p).astype(np.uint8))
-            stored += i.size
+        # the block holds whole numbers, so float32 arithmetic on it is exact
+        lane_weights = [block]
+        if len(group) == 2:
+            high = block // base
+            block -= base * high
+            lane_weights.insert(0, high)
+        for (cur, ndigits), lane in zip(group, lane_weights):
+            scales = multiples[ndigits > 0]
+            i, j = np.nonzero((lane > 0) & (lane <= collect_limit))
+            room = capacity - stored
+            if i.size * scales.size > room:
+                overflow = True
+                i, j = i[: -(-room // scales.size)], j[: -(-room // scales.size)]
+            if i.size:
+                # entries stay below 3p and p^2, within uint16
+                hits = middle_values[j].astype(np.uint16)
+                hits += suffix_values[i]
+                hits += cur
+                found = _mod_p(hits, p)[None]
+                if scales.size > 1:
+                    found = _mod_p(scales[:, None, None] * found, p)
+                chunks.append(found.reshape(-1, n)[:room].astype(np.uint8))
+                stored += len(chunks[-1])
     words = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
     return hist, words, overflow
 
@@ -172,13 +319,12 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
             prow *= has[:, None]
             u[:, touched, c:] ^= col & prow[:, None, :]
         else:
-            # items without a pivot here get a zero pivot row: a no-op update;
-            # x - (x // p) * p is several times faster than x % p
+            # items without a pivot here get a zero pivot row: a no-op update
             prow *= (inv[prow[:, 0]] * has)[:, None]
-            prow -= (prow // p) * p
+            _mod_p(prow, p)
             update = (p - col) * prow[:, None, :]
             update += u[:, touched, c:]
-            update -= (update // p) * p
+            _mod_p(update, p)
             u[:, touched, c:] = update
         hit = np.nonzero(has)[0]
         u[hit, row[hit], c:] = prow[hit]
@@ -220,7 +366,7 @@ def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):
     item, pair, coeff = np.nonzero(pair_weights <= max_weight)
     i, j = i_idx[pair], j_idx[pair]
     combos = u[item, i] + (coeff + 1).astype(u.dtype)[:, None] * u[item, j]
-    combos -= (combos // p) * p
+    _mod_p(combos, p)
     single_item, single_row = np.nonzero(weights <= max_weight)
     words = np.concatenate([u[single_item, single_row], combos]).astype(np.uint8)
     return words, np.concatenate([single_item, item])

@@ -24,6 +24,7 @@ from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_ind
 from .code import build_incidence_matrix, build_model, expected_dimension, row_blocks, weight
 from .analysis import (
     DEFAULT_BUDGET,
+    InconsistentSpectrum,
     NotInCode,
     WordKind,
     _line_columns,
@@ -451,7 +452,6 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
         }
         return CheckResult("hull", "skipped", details)
     hist, _, _ = kernels.spectrum(model.hull, g.field.p, 0, 1)
-    assert int(hist.sum()) == messages
     dual_weight_counts(hist, g.field.p, hull_dim)
     nonzero = np.nonzero(hist[1:])[0]
     minw = int(nonzero[0]) + 1 if nonzero.size else None
@@ -547,7 +547,8 @@ def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
     hist, words, overflow = kernels.spectrum(
         model.generator, p, g.num_points, messages
     )
-    assert not overflow
+    if overflow:
+        raise InconsistentSpectrum(f"the bbw sweep dropped words with room for all {messages}")
     words = _sort_words(words)
     words = words[words.max(axis=1) <= 1]
     if not model.contains_rows(words).all():

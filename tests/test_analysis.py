@@ -175,6 +175,22 @@ def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
         run_suite((3, 1, 2), suites=["hull"])
 
 
+def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch):
+    # the histogram then sums to p^k - 1; this must raise under python -O too
+    sweep = kernels.spectrum
+
+    def dropping(rows, p, collect_limit, capacity):
+        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
+        hist[int(np.flatnonzero(hist[1:])[0]) + 1] -= 1
+        return hist, words, overflow
+
+    monkeypatch.setattr(kernels, "spectrum", dropping)
+    with pytest.raises(InconsistentSpectrum):
+        enumerate_spectrum(build_model(PG23))
+    with pytest.raises(InconsistentSpectrum):
+        run_suite((3, 1, 2), suites=["hull"])
+
+
 def test_spectrum_budget_gate():
     with pytest.raises(BudgetExceeded):
         enumerate_spectrum(build_model(PG23), budget=100)

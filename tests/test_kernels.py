@@ -94,6 +94,106 @@ def test_overflow_truncates_words_but_not_histogram():
     assert full_words.shape[0] == (1 << 6) - 1
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_odd_p_overflow_truncates_words_but_not_histogram(monkeypatch, p):
+    # one middle row and no suffix: every top step with a leading digit of 1
+    # holds words for all p - 1 of its multiples, and capacity 3 cuts into
+    # such an expanded block
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
+    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
+    rng = np.random.default_rng(p)
+    rows = random_rank_rows(rng, 4, 9, p)
+    full_hist, full_words, full_overflow = spectrum(rows, p, 9, p**4)
+    hist, words, overflow = spectrum(rows, p, 9, 3)
+    assert overflow and not full_overflow
+    assert words.shape == (3, 9)
+    assert np.array_equal(hist, full_hist)
+    assert full_words.shape[0] == p**4 - 1
+    full = {tuple(int(x) for x in w) for w in full_words}
+    assert {tuple(int(x) for x in w) for w in words} <= full
+
+
+def _rank_deficient_rows(p):
+    # four rows of rank three: the last is 2 * row 0 + row 1
+    rows = np.array(
+        [[1, 2, 0, 1, 0, 3 % p, 1], [0, 1, 1, 4 % p, 2, 0, 1], [2, 0, 1, 1, 0, 1, 1]],
+        dtype=np.int64,
+    )
+    return (np.vstack([rows, 2 * rows[0] + rows[1]]) % p).astype(np.uint8)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("kind", ["random", "deficient"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind, reduced):
+    # one middle row and no suffix, so the top rows number rank - 1 >= 2 and
+    # the walk computes one step per scalar orbit of top combinations
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
+    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
+    k = {3: 5, 5: 4, 7: 3}[p]
+    if kind == "random":
+        rows = random_rank_rows(np.random.default_rng(7 * p), k, 10, p)
+    else:
+        rows = _rank_deficient_rows(p)
+    if reduced:
+        # already in RREF, as a code model's bases are
+        basis, pivots = rref_mod_p_reference(rows, p)
+        rows = basis[: len(pivots)]
+    rank = rref_mod_p_reference(rows, p)[0].any(axis=1).sum()
+    k, n = rows.shape
+    limit = n - 2
+    hist, words, overflow = spectrum(rows, p, limit, p**k)
+    assert not overflow
+    assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
+    # one word per message: each codeword p^(k - rank) times
+    copies = p ** (k - int(rank))
+    expected = Counter({w: copies for w in _words_up_to(rows, p, limit)})
+    assert Counter(tuple(int(x) for x in w) for w in words) == expected
+
+
+# table sizes that leave two top rows and a block of 128 (p = 2) or 81
+# (p = 3) entries: two steps share a product while (n + 1)^2 fits in it
+@pytest.mark.parametrize(
+    "p,k,n,shared", [(2, 9, 10, True), (2, 9, 11, False), (3, 6, 8, True), (3, 6, 9, False)]
+)
+def test_spectrum_on_both_sides_of_the_shared_product_bound(monkeypatch, p, k, n, shared):
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 768)
+    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 32)
+    rows = random_rank_rows(np.random.default_rng(n + p), k, n, p)
+    bins = []
+    bincount = np.bincount
+
+    def counting(x, minlength):
+        bins.append(minlength)
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    hist, words, overflow = spectrum(rows, p, n, p**k)
+    assert ((n + 1) ** 2 in bins) == shared
+    assert not overflow
+    assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
+    assert Counter(tuple(int(x) for x in w) for w in words) == Counter(_words_up_to(rows, p, n))
+
+
+def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
+    # one middle row and no suffix leave two top rows, so the walk adds a
+    # top row to a combination that already holds it: 130 + 130 must reduce
+    # to 129 mod 131, not wrap past a byte
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
+    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
+    p, limit = 131, 3
+    rows = np.array([[1, 0, 0, 130, 7], [0, 1, 0, 130, 130], [0, 0, 1, 5, 1]], dtype=np.uint8)
+    hist, words, overflow = spectrum(rows, p, limit, p**3)
+    # every message at once: 131^3 words of 5 entries
+    messages = np.indices((p,) * 3, dtype=np.int32).reshape(3, -1).T
+    expected = (messages @ rows.astype(np.int32)) % p
+    weights = np.count_nonzero(expected, axis=1)
+    assert not overflow
+    assert np.array_equal(hist, np.bincount(weights, minlength=6))
+    low = expected[(weights > 0) & (weights <= limit)]
+    assert Counter(map(tuple, words.tolist())) == Counter(map(tuple, low.tolist()))
+
+
 # largest k per p that the brute-force oracles enumerate quickly
 _ORACLE_ROWS = {2: 9, 3: 6, 5: 4, 7: 3, 131: 2}
 

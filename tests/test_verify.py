@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgcodes import blocking, code, kernels, verify
-from pgcodes.analysis import NotInCode, enumerate_spectrum, line_profile
+from pgcodes.analysis import InconsistentSpectrum, NotInCode, enumerate_spectrum, line_profile
 from pgcodes.blocking import PointSet, is_k_blocking, is_minimal
 from pgcodes.code import CodeModel, build_incidence_matrix, build_model, expected_dimension
 from pgcodes.geometry import (
@@ -148,6 +148,21 @@ def test_skip_gates_for_hull_and_bbw_budgets():
     assert r.check("hull").status == "skipped"
     r = run_suite((2, 2, 2), suites=["bbw"], bbw_budget=16)
     assert r.check("bbw").status == "skipped"
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
+def test_bbw_refuses_a_sweep_that_reports_dropped_words(monkeypatch, params):
+    # only the bbw sweep collects every word; the shared spectrum phase
+    # keeps its honest sweep, which would otherwise retry with more room
+    sweep = kernels.spectrum
+
+    def overflowing(rows, p, collect_limit, capacity):
+        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
+        return hist, words, overflow or collect_limit == rows.shape[1]
+
+    monkeypatch.setattr(kernels, "spectrum", overflowing)
+    with pytest.raises(InconsistentSpectrum):
+        run_suite(params, suites=["bbw"])
 
 
 @pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
