@@ -4,6 +4,12 @@ Everything operates on plain uint8 words over the global point order.  The
 spectrum enumerator and the information-set search delegate their inner
 loops to the kernels module; this module owns the mathematics around them
 (classification of what was found, deduplication, deterministic ordering).
+
+Word classification and subspace traces ask one question of a point set:
+is it a hyperplane, or the symmetric difference of two hyperplanes?
+_hyperplane_shapes answers it for a whole stack of sets with meet-count
+products, for the supports of words in PG(n, q) and for the traces on the
+h-subspaces in PG(h, q) alike.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from pgcodes.code import (
     LengthMismatch,
     as_word,
     as_words,
-    build_incidence_matrix,
     build_model,
     row_blocks,
 )
@@ -35,12 +40,10 @@ from pgcodes.geometry import (
     enumerate_points,
     enumerate_subspaces,
     global_point_indices,
-    hyperplane_point_indices,
     incidence_bool,
     line_through_pairs,
     point_array,
     subspace_point_indices,
-    theta,
     _subspace_from_rows,
 )
 
@@ -272,32 +275,57 @@ def _hyperplane_by_index(g: GeometrySpec, i: int) -> Hyperplane:
     return Hyperplane(g, tuple(int(x) for x in point_array(g)[i]))
 
 
-@lru_cache(maxsize=None)
-def _incidence_columns(g: GeometrySpec) -> np.ndarray:
-    """Transposed incidence matrix as float32, for exact meet-count products."""
-    return build_incidence_matrix(g).T.astype(np.float32)
+def _hyperplane_shapes(inc: np.ndarray, sets: np.ndarray):
+    """The hyperplane shapes of boolean point sets of a projective space.
 
+    inc holds the space's hyperplanes as boolean rows over its points, and
+    sets one point set per row.  Returns (equal, pairs): the hyperplane each
+    set equals, and the pair h1 < h2 of hyperplanes whose symmetric
+    difference it is, with -1 where there is none.
 
-def _meet_counts(g: GeometrySpec, sets: np.ndarray) -> np.ndarray:
-    """(r, theta_n) sizes |set & H| of each boolean row set with each hyperplane."""
-    return sets.astype(np.float32) @ _incidence_columns(g)
+    Both tests are products with inc, which give |S & H| for a set S and
+    every hyperplane H at once.  With theta_{d-1} points on a hyperplane of
+    a d-space, S is H when |S| = |S & H| = theta_{d-1}.  Two hyperplanes
+    share theta_{d-2} points and so differ in half = q^{d-1}: S = H1 ^ H2
+    needs |S| = 2 half and |S & H1| = half.  When S is H1 ^ H2, every H
+    with |S & H| = half pairs with the hyperplane S ^ H: for q > 2 only H1
+    and H2 meet S in half points, and for q = 2 S is the complement of the
+    third hyperplane H3 through H1 & H2, which every other H meets in half
+    points, and S ^ H is the third hyperplane through H & H3.  So the first
+    such H decides: S ^ H has theta_{d-1} points, a second product tells
+    whether it is a hyperplane, and H and its partner are the smallest pair.
+    """
+    cols = inc.T.astype(np.float32)
+    plane = int(inc[0].sum())
+    half = plane - int((inc[0] & inc[1]).sum())
+    sizes = sets.sum(axis=1)
+    equal = np.full(sets.shape[0], -1, dtype=np.int64)
+    pairs = np.full((sets.shape[0], 2), -1, dtype=np.int64)
+
+    cand = np.nonzero(sizes == plane)[0]
+    full = sets[cand].astype(np.float32) @ cols == plane
+    hit = full.any(axis=1)
+    equal[cand[hit]] = full[hit].argmax(axis=1)
+
+    cand = np.nonzero(sizes == 2 * half)[0]
+    meets = sets[cand].astype(np.float32) @ cols == half
+    first = meets.argmax(axis=1)
+    partner = (sets[cand] ^ inc[first]).astype(np.float32) @ cols == plane
+    found = meets.any(axis=1) & partner.any(axis=1)
+    pairs[cand[found]] = np.stack([first[found], partner[found].argmax(axis=1)], axis=1)
+    return equal, pairs
 
 
 def classify_words(model: CodeModel, words) -> WordClassifications:
     """classify_word for every row of an (m, theta_n) word array.
 
-    All hyperplane tests are products with the incidence matrix, which give
-    |S & H| for a point set S and every hyperplane H at once:
-
-    - a multiple is constant on a support of weight theta_{n-1} that meets
-      some H in all its points;
-    - for p = 2 a word w of weight 2q^{n-1} is v^H1 + v^H2 iff w + v^H1 is a
-      hyperplane vector, which needs |supp(w) & H1| = q^{n-1}; each such H1
-      is tested with a second product and the smallest one that works is
-      the witness;
-    - for odd p the value a at the first support index splits the support
-      into its a- and -a-classes, each of q^{n-1} points; each class must
-      lie in exactly one hyperplane, and a(v^H1 - v^H2) must rebuild w.
+    _hyperplane_shapes tells which supports are a hyperplane H or a
+    symmetric difference H1 ^ H2 of two (h1 < h2).  A multiple is a constant
+    word on a support H.  A difference is a word on a support H1 ^ H2 that
+    a(v^H1 - v^H2) or a(v^H2 - v^H1) rebuilds, with a its entry at the first
+    support index.  The witness is (h1, h2) when that order rebuilds it,
+    which it always does for p = 2, and (h2, h1) otherwise; for odd p this
+    puts first the hyperplane that holds the first support point.
     """
     g = model.geometry
     arr = as_words(g, words)
@@ -306,62 +334,36 @@ def classify_words(model: CodeModel, words) -> WordClassifications:
 
 
 def _classify_block(g: GeometrySpec, arr: np.ndarray):
-    p, q, n = g.field.p, g.q, g.n
-    plane, half = theta(n - 1, q), q ** (n - 1)
+    p = g.field.p
+    inc = incidence_bool(g)
     m = arr.shape[0]
     kinds = np.full(m, _OTHER, dtype=np.int64)
     scalars = np.zeros(m, dtype=np.int64)
     h1 = np.full(m, -1, dtype=np.int64)
     h2 = np.full(m, -1, dtype=np.int64)
     nonzero = arr != 0
-    weights = nonzero.sum(axis=1)
     lead = arr[np.arange(m), nonzero.argmax(axis=1)]
-    kinds[weights == 0] = _ZERO
+    equal, pairs = _hyperplane_shapes(inc, nonzero)
+    kinds[~nonzero.any(axis=1)] = _ZERO
 
     constant = ((arr == lead[:, None]) | ~nonzero).all(axis=1)
-    cand = np.nonzero(constant & (weights == plane))[0]
-    full = _meet_counts(g, nonzero[cand]) == plane
-    hit = full.any(axis=1)
-    rows = cand[hit]
+    rows = np.nonzero(constant & (equal >= 0))[0]
     kinds[rows] = _MULTIPLE
     scalars[rows] = lead[rows]
-    h1[rows] = full[hit].argmax(axis=1)
+    h1[rows] = equal[rows]
 
-    cand = np.nonzero(weights == 2 * half)[0]
-    if p == 2:
-        pos, hyp = np.nonzero(_meet_counts(g, nonzero[cand]) == half)
-        rest = nonzero[cand[pos]] ^ incidence_bool(g)[hyp]
-        partner = _meet_counts(g, rest) == plane
-        found = partner.any(axis=1)
-        pos, hyp, partner = pos[found], hyp[found], partner[found].argmax(axis=1)
-        first = np.unique(pos, return_index=True)[1]
-        rows = cand[pos[first]]
-        scalars[rows] = 1
-        h1[rows] = hyp[first]
-        h2[rows] = partner[first]
-    else:
-        a = lead[cand]
-        words = arr[cand]
-        class_a = words == a[:, None]
-        class_b = words == (p - a)[:, None]
-        balanced = (class_a.sum(axis=1) == half) & (class_b.sum(axis=1) == half)
-        cand, a, words = cand[balanced], a[balanced], words[balanced]
-        through_a = _meet_counts(g, class_a[balanced]) == half
-        through_b = _meet_counts(g, class_b[balanced]) == half
-        ha, hb = through_a.argmax(axis=1), through_b.argmax(axis=1)
-        inc = build_incidence_matrix(g)
-        rebuilt = (a[:, None].astype(np.int64) * (inc[ha].astype(np.int64) - inc[hb])) % p
-        # the rebuild also rules out ha == hb, which would give the zero word
-        ok = (
-            (through_a.sum(axis=1) == 1)
-            & (through_b.sum(axis=1) == 1)
-            & (rebuilt == words).all(axis=1)
-        )
-        rows = cand[ok]
-        scalars[rows] = a[ok]
-        h1[rows] = ha[ok]
-        h2[rows] = hb[ok]
+    # on its support H1 ^ H2, a(v^H1 - v^H2) is a on H1 and -a on H2
+    cand = np.nonzero(pairs[:, 0] >= 0)[0]
+    lo, hi = pairs[cand].T
+    a, off = lead[cand], ~nonzero[cand]
+    plus, minus = arr[cand] == a[:, None], arr[cand] == (p - a)[:, None]
+    forward = ((plus & inc[lo]) | (minus & inc[hi]) | off).all(axis=1)
+    ok = forward | ((plus & inc[hi]) | (minus & inc[lo]) | off).all(axis=1)
+    rows = cand[ok]
     kinds[rows] = _DIFFERENCE
+    scalars[rows] = a[ok]
+    h1[rows] = np.where(forward, lo, hi)[ok]
+    h2[rows] = np.where(forward, hi, lo)[ok]
     return kinds, scalars, h1, h2
 
 
@@ -537,66 +539,36 @@ def classify_subspace_traces(
     Kinds: Empty, SymmetricDifferenceOfTwoHyperplanesOfS, AffineComplement
     (S minus one of its hyperplanes), HyperplaneOfS, Other — checked in that
     priority order (for q = 2 a symmetric difference and an affine
-    complement describe the same traces).
+    complement describe the same traces).  One _hyperplane_shapes call
+    takes every trace and one every trace's complement in S, over the
+    hyperplanes of PG(h, q) in S's internal point order; a line's
+    hyperplanes are its points.  Witnesses are those hyperplanes as ambient
+    subspaces, the smaller internal index first.
     """
     if not 1 <= h <= g.n - 1:
         raise DimensionOutOfRange(f"h must be in [1, {g.n - 1}], got {h}")
-    xset = set(_as_index_set(g, points).tolist())
-    spaces = enumerate_subspaces(g, h)
+    mask = np.zeros(g.num_points, dtype=bool)
+    mask[_as_index_set(g, points)] = True
     space_pts = subspace_point_indices(g, h)
+    traces = mask[space_pts]
+    inc = incidence_bool(GeometrySpec(g.field, h)) if h > 1 else np.eye(g.q + 1, dtype=bool)
+    equal, pairs = _hyperplane_shapes(inc, traces)
+    missing = _hyperplane_shapes(inc, ~traces)[0]
+    shapes = zip(enumerate_subspaces(g, h), space_pts, traces.any(axis=1), equal, pairs, missing)
     out: dict[Subspace, TraceClass] = {}
-    if h >= 2:
-        internal = GeometrySpec(g.field, h)
-        int_hyps = [set(row.tolist()) for row in hyperplane_point_indices(internal)]
-    q = g.q
-    for s, pts in zip(spaces, space_pts):
-        pts_list = pts.tolist()
-        trace = [i for i, gp in enumerate(pts_list) if gp in xset]
-        tset = set(trace)
-        if not tset:
-            out[s] = TraceClass(TraceKind.EMPTY)
-            continue
-        if h == 1:
-            if len(tset) == 2:
-                wit = tuple(_ambient_subspace_from_indices(g, [pts_list[i]]) for i in trace)
-                out[s] = TraceClass(TraceKind.SYMMETRIC_DIFFERENCE, wit)
-            elif len(tset) == q:
-                missing = [pts_list[i] for i in range(q + 1) if i not in tset]
-                wit = (_ambient_subspace_from_indices(g, missing),)
-                out[s] = TraceClass(TraceKind.AFFINE_COMPLEMENT, wit)
-            elif len(tset) == 1:
-                wit = (_ambient_subspace_from_indices(g, [pts_list[trace[0]]]),)
-                out[s] = TraceClass(TraceKind.HYPERPLANE, wit)
-            else:
-                out[s] = TraceClass(TraceKind.OTHER)
-            continue
-        classified = False
-        if len(tset) == 2 * q ** (h - 1):
-            for i1 in range(len(int_hyps)):
-                for i2 in range(i1 + 1, len(int_hyps)):
-                    if int_hyps[i1] ^ int_hyps[i2] == tset:
-                        wit = tuple(
-                            _ambient_subspace_from_indices(g, (pts[sorted(int_hyps[j])]))
-                            for j in (i1, i2)
-                        )
-                        out[s] = TraceClass(TraceKind.SYMMETRIC_DIFFERENCE, wit)
-                        classified = True
-                        break
-                if classified:
-                    break
-        if classified:
-            continue
-        full = set(range(len(pts_list)))
-        complement = full - tset
-        if complement in int_hyps:
-            wit = (_ambient_subspace_from_indices(g, pts[sorted(complement)]),)
-            out[s] = TraceClass(TraceKind.AFFINE_COMPLEMENT, wit)
-            continue
-        if tset in int_hyps:
-            wit = (_ambient_subspace_from_indices(g, pts[sorted(tset)]),)
-            out[s] = TraceClass(TraceKind.HYPERPLANE, wit)
-            continue
-        out[s] = TraceClass(TraceKind.OTHER)
+    for s, pts, occupied, e, pair, m in shapes:
+        if not occupied:
+            kind, hyps = TraceKind.EMPTY, ()
+        elif pair[0] >= 0:
+            kind, hyps = TraceKind.SYMMETRIC_DIFFERENCE, pair
+        elif m >= 0:
+            kind, hyps = TraceKind.AFFINE_COMPLEMENT, (m,)
+        elif e >= 0:
+            kind, hyps = TraceKind.HYPERPLANE, (e,)
+        else:
+            kind, hyps = TraceKind.OTHER, ()
+        witnesses = (_ambient_subspace_from_indices(g, pts[inc[j]]) for j in hyps)
+        out[s] = TraceClass(kind, tuple(witnesses))
     return out
 
 

@@ -33,10 +33,11 @@ from .geometry import (
     Subspace,
     as_point_index,
     enumerate_points,
-    enumerate_subspaces,
     hyperplane_point_indices,
     subspace_point_indices,
     theta,
+    _as_subspaces,
+    _subspace_bases,
 )
 
 
@@ -153,8 +154,7 @@ def tangent_spaces(B: PointSet, k: int, P: ProjPoint) -> list[Subspace]:
     hit = B.mask()[spi]
     tangent_rows = np.nonzero(hit.sum(axis=1) == 1)[0]
     touched = spi[tangent_rows][hit[tangent_rows]]
-    subs = enumerate_subspaces(g, g.n - k)
-    return [subs[i] for i in tangent_rows[touched == P.index]]
+    return _as_subspaces(g, _subspace_bases(g, g.n - k)[tangent_rows[touched == P.index]])
 
 
 def _essential_indices(B: PointSet, k: int) -> set[int]:

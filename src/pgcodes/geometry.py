@@ -360,7 +360,8 @@ def hyperplane_point_indices(g: GeometrySpec) -> np.ndarray:
     inc = incidence_bool(g)
     per_row = theta(g.n - 1, g.q)
     rows, cols = np.nonzero(inc)
-    assert rows.size == g.num_points * per_row
+    if rows.size != g.num_points * per_row:
+        raise RuntimeError(f"incidence has {rows.size} entries, not {g.num_points} x {per_row}")
     out = cols.reshape(g.num_points, per_row).astype(np.int32)
     out.setflags(write=False)
     return out
@@ -412,7 +413,7 @@ def _subspace_bases(g: GeometrySpec, k: int) -> np.ndarray:
 
     Generated pivot pattern by pivot pattern, with the free entries of each
     pattern in itertools.product order, so no de-duplication pass is
-    needed; the count is asserted against the Gaussian binomial.
+    needed; the count is checked against the Gaussian binomial.
     """
     if not 0 <= k <= g.n - 1:
         raise DimensionOutOfRange(f"k must be in [0, {g.n - 1}], got {k}")
@@ -426,7 +427,8 @@ def _subspace_bases(g: GeometrySpec, k: int) -> np.ndarray:
         block[:, rows, cols] = _digits(g.q, len(free))
         blocks.append(block)
     out = np.concatenate(blocks)
-    assert len(out) == gaussian_binomial(n1, k + 1, g.q)
+    if len(out) != gaussian_binomial(n1, k + 1, g.q):
+        raise RuntimeError(f"{len(out)} bases of {k}-subspaces, not the Gaussian binomial")
     out.setflags(write=False)
     return out
 

@@ -24,7 +24,8 @@ model, is its one-item case.
 isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy:
 _systematize reduces a stack of column-permuted generators, and matrix
 products score every row pair, so only the pairs within the weight cap are
-ever built.  isd_round is its one-round case.
+ever built.  A batch of one round, with the identity permutation, scores one
+already permuted generator.
 
 Every float32 product here is a sum of small integers, or of halves, whose
 partial sums stay below 2^23, so it is exact whatever order BLAS sums in, and
@@ -393,10 +394,3 @@ def isd_rounds(
     found = [_low_weight_combinations(restored[s : s + step], p, max_weight) for s in starts]
     words = np.concatenate([w for w, _ in found])
     return words, np.concatenate([items + s for s, (_, items) in zip(starts, found)])
-
-
-def isd_round(gen_permuted: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray):
-    """One Lee-Brickell round on an already column-permuted generator: the
-    one-round case of isd_rounds."""
-    identity = np.arange(gen_permuted.shape[1])[None]
-    return isd_rounds(gen_permuted, identity, p, max_weight, inv_mod)[0]

@@ -19,5 +19,5 @@ def warm_kernels():
     rows3 = np.array([[1, 0, 2, 0], [0, 1, 1, 2]], dtype=np.uint8)
     kernels.spectrum(rows3, 3, 4, 16)
     inv3 = np.array([0, 1, 2], dtype=np.uint8)
-    kernels.isd_round(rows3, 3, 4, inv3)
+    kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, inv3)
     yield

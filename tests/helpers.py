@@ -7,7 +7,8 @@ oracles are an exception: they keep the package's earlier loops and
 share with it only the field tables, the two-dimensional fq_matmul product,
 Subspace validation and the point order of point_array.  The reduction
 oracle is another: it reads the package's subspace table, which the table
-oracles pin.
+oracles pin.  So is the trace oracle: it keeps the package's earlier
+per-subspace loop over the pinned subspace and hyperplane tables.
 """
 
 from __future__ import annotations
@@ -17,10 +18,15 @@ from collections import Counter
 
 import numpy as np
 
+from pgcodes.analysis import TraceClass, TraceKind
 from pgcodes.geometry import (
+    GeometrySpec,
     Subspace,
+    _subspace_from_rows,
     canonical_vectors,
+    enumerate_subspaces,
     fq_matmul,
+    hyperplane_point_indices,
     point_array,
     subspace_point_indices,
     theta,
@@ -151,7 +157,8 @@ def gaussian_binomial_product(a: int, b: int, q: int) -> int:
     for i in range(b):
         num *= q ** (a - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"[{a} {b}]_{q}: {num} is not a multiple of {den}")
     return num // den
 
 
@@ -300,7 +307,8 @@ def reduce_to_minimal_reference(g, indices, k: int, rng=None) -> tuple:
     rng.integers(len(removable)).  Returns the sorted indices."""
     rows = [set(r) for r in subspace_point_indices(g, g.n - k).tolist()]
     current = set(indices)
-    assert all(row & current for row in rows), "the input is not k-blocking"
+    if not all(row & current for row in rows):
+        raise ValueError("the input is not k-blocking")
     while True:
         essential = set()
         for row in rows:
@@ -312,3 +320,72 @@ def reduce_to_minimal_reference(g, indices, k: int, rng=None) -> tuple:
             return tuple(sorted(current))
         pick = removable[0] if rng is None else removable[int(rng.integers(len(removable)))]
         current.remove(pick)
+
+
+def classify_subspace_traces_reference(g, indices, h: int) -> dict:
+    """Trace classes of a point index set on every h-subspace, one subspace
+    at a time: the trace is compared as a Python set with every pair of the
+    subspace's hyperplanes, then its complement and itself with every
+    hyperplane; a line's hyperplanes are its points.  Witnesses are built
+    from the ambient points of the matching hyperplanes."""
+
+    def _ambient_subspace_from_indices(g, idx):
+        return _subspace_from_rows(g, point_array(g)[np.asarray(list(idx), dtype=np.int64)])
+
+    xset = set(indices)
+    spaces = enumerate_subspaces(g, h)
+    space_pts = subspace_point_indices(g, h)
+    out = {}
+    if h >= 2:
+        internal = GeometrySpec(g.field, h)
+        int_hyps = [set(row.tolist()) for row in hyperplane_point_indices(internal)]
+    q = g.q
+    for s, pts in zip(spaces, space_pts):
+        pts_list = pts.tolist()
+        trace = [i for i, gp in enumerate(pts_list) if gp in xset]
+        tset = set(trace)
+        if not tset:
+            out[s] = TraceClass(TraceKind.EMPTY)
+            continue
+        if h == 1:
+            if len(tset) == 2:
+                wit = tuple(_ambient_subspace_from_indices(g, [pts_list[i]]) for i in trace)
+                out[s] = TraceClass(TraceKind.SYMMETRIC_DIFFERENCE, wit)
+            elif len(tset) == q:
+                missing = [pts_list[i] for i in range(q + 1) if i not in tset]
+                wit = (_ambient_subspace_from_indices(g, missing),)
+                out[s] = TraceClass(TraceKind.AFFINE_COMPLEMENT, wit)
+            elif len(tset) == 1:
+                wit = (_ambient_subspace_from_indices(g, [pts_list[trace[0]]]),)
+                out[s] = TraceClass(TraceKind.HYPERPLANE, wit)
+            else:
+                out[s] = TraceClass(TraceKind.OTHER)
+            continue
+        classified = False
+        if len(tset) == 2 * q ** (h - 1):
+            for i1 in range(len(int_hyps)):
+                for i2 in range(i1 + 1, len(int_hyps)):
+                    if int_hyps[i1] ^ int_hyps[i2] == tset:
+                        wit = tuple(
+                            _ambient_subspace_from_indices(g, (pts[sorted(int_hyps[j])]))
+                            for j in (i1, i2)
+                        )
+                        out[s] = TraceClass(TraceKind.SYMMETRIC_DIFFERENCE, wit)
+                        classified = True
+                        break
+                if classified:
+                    break
+        if classified:
+            continue
+        full = set(range(len(pts_list)))
+        complement = full - tset
+        if complement in int_hyps:
+            wit = (_ambient_subspace_from_indices(g, pts[sorted(complement)]),)
+            out[s] = TraceClass(TraceKind.AFFINE_COMPLEMENT, wit)
+            continue
+        if tset in int_hyps:
+            wit = (_ambient_subspace_from_indices(g, pts[sorted(tset)]),)
+            out[s] = TraceClass(TraceKind.HYPERPLANE, wit)
+            continue
+        out[s] = TraceClass(TraceKind.OTHER)
+    return out

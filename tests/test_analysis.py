@@ -59,6 +59,7 @@ from helpers import (
     brute_force_hyperplane_words,
     brute_force_spectrum,
     brute_force_words_of_weight,
+    classify_subspace_traces_reference,
     tangent_collinearity_reference,
 )
 
@@ -435,6 +436,27 @@ def test_planar_trace_classification_by_secant_size():
     assert TraceKind.SYMMETRIC_DIFFERENCE not in by_kind
 
 
+TRACE_GEOMETRIES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4)]
+
+
+@pytest.mark.parametrize("params", TRACE_GEOMETRIES)
+def test_traces_match_the_per_subspace_reference(params):
+    # the empty set, a hyperplane, its complement, a symmetric difference,
+    # one subspace of each dimension and seeded random sets, on every h;
+    # dict order and every TraceClass, witnesses included, must agree
+    g = _geometry(params)
+    npts = g.num_points
+    hyps = [set(row) for row in hyperplane_point_indices(g).tolist()]
+    rng = np.random.default_rng(npts)
+    sets = [set(), hyps[0], set(range(npts)) - hyps[1], hyps[2] ^ hyps[npts - 1]]
+    sets += [set(subspace_point_indices(g, k)[k].tolist()) for k in range(g.n)]
+    sets += [set(np.nonzero(rng.random(npts) < f)[0].tolist()) for f in (0.2, 0.5, 0.8)]
+    for h in range(1, g.n):
+        for x in sets:
+            got = classify_subspace_traces(g, sorted(x), h)
+            assert list(got.items()) == list(classify_subspace_traces_reference(g, x, h).items())
+
+
 # -- low-weight search -------------------------------------------------------
 
 
@@ -473,7 +495,8 @@ def test_search_result_serializes_digit_strings():
 
 
 def _one_round_at_a_time(model, max_weight, iterations, seed):
-    """The search's found set, one kernels.isd_round per permutation."""
+    """The search's found set, one single-round kernels.isd_rounds batch per
+    permutation of the generator's columns."""
     g = model.geometry
     p, npts = g.field.p, g.num_points
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
@@ -481,7 +504,8 @@ def _one_round_at_a_time(model, max_weight, iterations, seed):
     found = set()
     for _ in range(iterations):
         perm = rng.permutation(npts)
-        rows = kernels.isd_round(np.ascontiguousarray(model.generator[:, perm]), p, max_weight, inv)
+        permuted = np.ascontiguousarray(model.generator[:, perm])
+        rows = kernels.isd_rounds(permuted, np.arange(npts)[None], p, max_weight, inv)[0]
         back = np.empty_like(rows)
         back[:, perm] = rows
         for row in back.astype(np.int64):
@@ -583,6 +607,52 @@ def test_classify_words_matches_oracle_on_search_words(params, seed):
     words = low_weight_search(model, 2 * g.q ** (g.n - 1), 100, seed).words
     assert words.shape[0] > 0
     _check_classify_words(model, words)
+
+
+def _oracle_columns(oracle, words):
+    """The oracle's (kind value, scalar, h1, h2) of each row as arrays, with
+    0 and -1 where a kind carries no such witness."""
+    rows = [oracle.get(w, ("Other", 0, -1, -1)) for w in map(tuple, words.tolist())]
+    kinds, scalars, h1, h2 = zip(*rows)
+    h2 = [-1 if h is None else h for h in h2]
+    return np.array(kinds), np.array(scalars), np.array(h1), np.array(h2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_p_difference_witnesses_are_anchored_at_the_first_support_point(p):
+    # every difference a(v^H1 - v^H2) has the value a at its first support
+    # point, which lies in H1; flipping that value's sign leaves no
+    # difference, and swapping H1 and H2 at the same scalar negates the
+    # word, which keeps the order (H1, H2) with the scalar p - a
+    g = GeometrySpec(make_field(p), 2)
+    model = build_model(g)
+    inc = build_incidence_matrix(g).astype(np.int64)
+    oracle = brute_force_hyperplane_words(inc, p)
+    diffs = [(w, *rest) for w, (kind, *rest) in oracle.items() if kind == "HyperplaneDifference"]
+    words = np.array([d[0] for d in diffs], dtype=np.uint8)
+    a, h1, h2 = (np.array(col) for col in zip(*(d[1:] for d in diffs)))
+    assert (h1 < h2).any() and (h1 > h2).any()
+    rows = np.arange(words.shape[0])
+    first = (words != 0).argmax(axis=1)
+    flipped = words.copy()
+    flipped[rows, first] = p - words[rows, first]
+    swapped = ((a[:, None] * (inc[h2] - inc[h1])) % p).astype(np.uint8)
+    for batch, expected in [
+        (words, ("HyperplaneDifference", a, h1, h2)),
+        (flipped, ("Other", 0, -1, -1)),
+        (swapped, ("HyperplaneDifference", p - a, h1, h2)),
+    ]:
+        classes = classify_words(model, batch)
+        got = np.empty(batch.shape[0], dtype=object)
+        for kind in WordKind:
+            got[classes.of_kind(kind)] = kind.value
+        kinds, scalars, o1, o2 = _oracle_columns(oracle, batch)
+        assert (got == kinds).all() and (kinds == expected[0]).all()
+        for column, want, pinned in zip(
+            (classes.scalars, classes.h1, classes.h2), (scalars, o1, o2), expected[1:]
+        ):
+            assert np.array_equal(column, want)
+            assert np.array_equal(column, np.broadcast_to(pinned, column.shape))
 
 
 def test_classify_words_counts_and_validation():

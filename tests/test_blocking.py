@@ -12,6 +12,7 @@ from pgcodes.geometry import (
     GeometryMismatch,
     GeometrySpec,
     enumerate_points,
+    enumerate_subspaces,
     global_point_indices,
     hyperplane_point_indices,
     subspace_point_indices,
@@ -42,6 +43,7 @@ PG24 = GeometrySpec(make_field(2, 2), 2)
 PG25 = GeometrySpec(make_field(5), 2)
 PG32 = GeometrySpec(make_field(2), 3)
 PG33 = GeometrySpec(make_field(3), 3)
+PG43 = GeometrySpec(make_field(3), 4)
 
 
 def line_set(g, i):
@@ -157,6 +159,21 @@ def test_tangents_at_point_of_a_line():
         assert got == {
             frozenset(subspace_point_indices(PG23, 1)[r].tolist()) for r in oracle
         }
+
+
+@pytest.mark.parametrize("g,k", [(PG23, 1), (PG33, 1), (PG33, 2), (PG43, 2)])
+def test_tangent_spaces_are_the_oracle_rows_in_table_order(g, k):
+    # a line has tangent (n-k)-subspaces at each of its points; a
+    # hyperplane has none once n - k >= 2, since every (n-k)-subspace then
+    # meets it in at least a line
+    spaces = enumerate_subspaces(g, g.n - k)
+    pts = enumerate_points(g)
+    line, hyperplane = line_set(g, 1).indices, hyperplane_point_indices(g)[3].tolist()
+    for indices, tangents in ((line, True), (hyperplane, g.n - k == 1)):
+        for i in list(indices)[:3]:
+            expected = [spaces[r] for r in tangent_oracle(g, indices, k, i)]
+            assert tangent_spaces(PointSet(g, indices), k, pts[i]) == expected
+            assert bool(expected) == tangents
 
 
 def test_no_tangents_at_attached_extra_point():

@@ -17,7 +17,7 @@ from pgcodes import kernels
 from pgcodes.code import build_model
 from pgcodes.geometry import GeometrySpec
 from pgcodes.gf import make_field
-from pgcodes.kernels import isd_batch_size, isd_round, isd_rounds, spectrum
+from pgcodes.kernels import isd_batch_size, isd_rounds, spectrum
 
 from helpers import (
     brute_force_isd_candidates,
@@ -265,7 +265,7 @@ def test_isd_round_finds_only_codewords(p, k, n):
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     perm = rng.permutation(n)
     permuted = rows[:, perm]
-    found = isd_round(permuted, p, n, inv)
+    found = isd_rounds(permuted, np.arange(n)[None], p, n, inv)[0]
     _check_isd_output(permuted, p, n, found)
     # with max_weight = n every single-row word appears
     assert found.shape[0] >= k
@@ -276,7 +276,7 @@ def test_isd_round_respects_max_weight(p):
     rng = np.random.default_rng(31 * p)
     rows = random_rank_rows(rng, 5, 12, p)
     inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
-    found = isd_round(rows, p, 3, inv)
+    found = isd_rounds(rows, np.arange(12)[None], p, 3, inv)[0]
     _check_isd_output(rows, p, 3, found)
 
 
@@ -308,17 +308,6 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
             expected = [tuple(w[t] for t in np.argsort(perm)) for w in candidates]
             got = [tuple(int(x) for x in w) for w in words[items == b]]
             assert sorted(got) == sorted(expected)
-
-
-def test_isd_round_is_the_single_item_batch():
-    p = 5
-    rng = np.random.default_rng(9)
-    rows = random_rank_rows(rng, 4, 11, p)
-    perm = rng.permutation(11)
-    got = isd_round(rows[:, perm], p, 6, _inverse_table(p))
-    words, items = isd_rounds(rows, perm[None], p, 6, _inverse_table(p))
-    assert np.array_equal(got[:, np.argsort(perm)], words)
-    assert (items == 0).all()
 
 
 def test_isd_batch_size_bounds_the_batch():
