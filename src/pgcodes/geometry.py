@@ -215,13 +215,38 @@ class Subspace:
 # -- F_q linear algebra on index-coded arrays --------------------------------
 
 
+# fq_matmul fills its output this many entries at a time, so that the uint16
+# index buffer and the intp indices np.take makes of it stay in cache
+_GATHER_ENTRIES = 1 << 16
+
+
 def fq_matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Matrix product over GF(q) on element-index arrays, broadcast over
-    leading axes like a @ b."""
-    add_t, mul_t = field.add_table, field.mul_table
+    leading axes like a @ b.
+
+    Each table lookup is one gather from the flattened q x q table at
+    x * q + y: a is scaled by q once, and the running sum is scaled into
+    the index buffer at every step.  The index reaches 255 * 256 + 255 =
+    65535 at q = 256, so uint16 holds it exactly.  The output is filled in
+    blocks of rows of a of about _GATHER_ENTRIES entries.
+    """
+    q = field.q
+    add_flat, mul_flat = field.add_table.ravel(), field.mul_table.ravel()
+    scaled = a.astype(np.uint16) * q
     out = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape), dtype=np.uint8)
-    for t in range(a.shape[-1]):
-        out = add_t[out, mul_t[a[..., :, t, None], b[..., t, None, :]]]
+    rows = out.shape[-2]
+    step = max(1, _GATHER_ENTRIES * rows // max(out.size, 1))
+    for start in range(0, rows, step):
+        block = out[..., start : start + step, :]
+        left = scaled[..., start : start + step, :]
+        index = np.empty(block.shape, dtype=np.uint16)
+        prod = np.empty(block.shape, dtype=np.uint8)
+        for t in range(a.shape[-1]):
+            np.add(left[..., :, t, None], b[..., t, None, :], out=index)
+            np.take(mul_flat, index, out=prod)
+            np.multiply(block, np.uint16(q), out=index)
+            index += prod
+            np.take(add_flat, index, out=block)
     return out
 
 

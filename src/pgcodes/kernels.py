@@ -19,7 +19,10 @@ weights packed as two base-(n+1) digits.
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
 code.rref_mod_p, and through it every rank, basis and nullspace of the code
-model, is its one-item case.
+model, is its one-item case.  A model's matrices have rank far below their
+width (65 of 585 columns on PG(3,8)), so most columns can hold no pivot; the
+pass finds the next column that can with one look-ahead over a window of
+columns, in place of a numpy step per column.
 
 isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy:
 _systematize reduces a stack of column-permuted generators, and matrix
@@ -276,6 +279,9 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
 # a batch's stacked generators, and each scoring chunk's float32 copies (the
 # support and one indicator per nonzero value), stay near this many bytes
 _BATCH_BYTES = 1 << 18
+# a column where no free row of any item is nonzero looks this many columns
+# ahead for the next one where some item can pivot
+_LOOKAHEAD = 64
 
 
 def isd_batch_size(k: int, n: int) -> int:
@@ -292,10 +298,15 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     pivots every item that has a free row nonzero in that column and leaves
     the others unchanged, and the pass stops once every item has k pivots.
     A step rewrites only the columns from the pivot on, in the rows that are
-    nonzero in that column for some item.  Entries stay reduced, so the row
-    updates fit uint8 while p^2 <= 256 and uint16 up to p = 251.  Returns
-    (reduced, pivots): rows come back in pivot-column order, and pivots[b, i]
-    is the pivot column of row i of item b, or n for a zero row.
+    nonzero in that column for some item.  At a column where no item has
+    such a row, one look-ahead over the free rows of every item finds the
+    next column of the following _LOOKAHEAD where one has, or passes the
+    whole window: the skipped columns hold no eligible entry and nothing
+    changes while skipping, so pivots and rows are those of a pass that
+    visits every column.  Entries stay reduced, so the row updates fit uint8
+    while p^2 <= 256 and uint16 up to p = 251.  Returns (reduced, pivots):
+    rows come back in pivot-column order, and pivots[b, i] is the pivot
+    column of row i of item b, or n for a zero row.
     """
     b, k, n = gens.shape
     dtype = np.uint8 if p * p <= 256 else np.uint16
@@ -304,13 +315,14 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     free = np.ones((b, k), dtype=bool)
     pivot_col = np.full((b, k), n)
     items = np.arange(b)
-    for c in range(n):
-        if not free.any():
-            break
+    c = 0
+    while c < n and free.any():
         col = u[:, :, c].copy()
         eligible = (col != 0) & free
         has = eligible.any(axis=1)
         if not has.any():
+            ahead = np.flatnonzero(u[:, :, c + 1 : c + 1 + _LOOKAHEAD][free].any(axis=0))
+            c += 1 + (ahead[0] if ahead.size else _LOOKAHEAD)
             continue
         row = eligible.argmax(axis=1)
         prow = u[items, row, c:]
@@ -331,9 +343,9 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
         u[hit, row[hit], c:] = prow[hit]
         free[hit, row[hit]] = False
         pivot_col[hit, row[hit]] = c
+        c += 1
     order = np.argsort(pivot_col, axis=1, kind="stable")
-    pivots = np.take_along_axis(pivot_col, order, axis=1)
-    return np.take_along_axis(u, order[:, :, None], axis=1), pivots
+    return u[items[:, None], order], pivot_col[items[:, None], order]
 
 
 def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):

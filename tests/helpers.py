@@ -4,8 +4,9 @@ Everything here is deliberately naive: plain itertools / python-int
 arithmetic with no shared code paths into the package, so agreement between
 package output and these oracles is meaningful evidence.  The subspace-table
 oracles are an exception: they keep the package's earlier loops and
-share with it only the field tables, the two-dimensional fq_matmul product,
-Subspace validation and the point order of point_array.  The reduction
+share with it only the field tables, Subspace validation and the point
+order of point_array; their GF(q) products are fq_matmul_reference, one
+entry at a time on python ints read from the field tables.  The reduction
 oracle is another: it reads the package's subspace table, which the table
 oracles pin.  So is the trace oracle: it keeps the package's earlier
 per-subspace loop over the pinned subspace and hyperplane tables.
@@ -25,7 +26,6 @@ from pgcodes.geometry import (
     _subspace_from_rows,
     canonical_vectors,
     enumerate_subspaces,
-    fq_matmul,
     hyperplane_point_indices,
     point_array,
     subspace_point_indices,
@@ -224,12 +224,31 @@ def brute_force_hyperplane_words(incidence: np.ndarray, p: int) -> dict:
     return out
 
 
+def fq_matmul_reference(a, b, field) -> np.ndarray:
+    """Matrix product over GF(q) of element-index arrays, broadcast over
+    leading axes like a @ b, one entry at a time: each entry is a python-int
+    sum of products looked up in the field's add and mul tables."""
+    a, b = np.asarray(a), np.asarray(b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:])
+    add, mul = field.add_table.tolist(), field.mul_table.tolist()
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]), dtype=np.uint8)
+    for idx in np.ndindex(*out.shape):
+        *pre, i, j = idx
+        acc = 0
+        for t in range(a.shape[-1]):
+            acc = add[acc][mul[int(a[(*pre, i, t)])][int(b[(*pre, t, j)])]]
+        out[idx] = acc
+    return out
+
+
 def subspace_point_indices_reference(g, k: int) -> np.ndarray:
     """(N_k, theta_k) sorted global point indices of every k-subspace, one
     subspace at a time: each RREF basis is built pivot pattern by pivot
     pattern with its free entries in itertools.product order, validated as
-    a Subspace, multiplied out with fq_matmul, and its points looked up in a
-    dict of coordinate bytes."""
+    a Subspace, multiplied out with fq_matmul_reference, and its points
+    looked up in a dict of coordinate bytes."""
     n1, q = g.n + 1, g.q
     index = {row.tobytes(): i for i, row in enumerate(point_array(g))}
     lam = canonical_vectors(g.field, k + 1)
@@ -243,7 +262,7 @@ def subspace_point_indices_reference(g, k: int) -> np.ndarray:
             for (i, c), v in zip(free, assignment):
                 mat[i, c] = v
             s = Subspace(g, tuple(tuple(int(x) for x in row) for row in mat))
-            rows = fq_matmul(lam, np.array(s.basis, dtype=np.uint8), g.field)
+            rows = fq_matmul_reference(lam, np.array(s.basis, dtype=np.uint8), g.field)
             out.append([index[row.tobytes()] for row in rows])
     return np.array(out, dtype=np.int32).reshape(-1, theta(k, q))
 

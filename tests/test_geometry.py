@@ -25,6 +25,7 @@ from pgcodes.geometry import (
     enumerate_hyperplanes,
     enumerate_points,
     enumerate_subspaces,
+    fq_matmul,
     gaussian_binomial,
     hyperplane_point_indices,
     incidence_bool,
@@ -46,6 +47,7 @@ from pgcodes.verify import DEFAULT_GRID
 
 from helpers import (
     count_projective_classes,
+    fq_matmul_reference,
     gaussian_binomial_product,
     line_through_pairs_reference,
     subspace_point_indices_reference,
@@ -350,6 +352,39 @@ def test_subspace_tables_match_the_loop_reference(p, h, n):
         assert table.dtype == ref.dtype and np.array_equal(table, ref)
     table, ref = line_through_pairs(g), line_through_pairs_reference(g)
     assert table.dtype == ref.dtype and np.array_equal(table, ref)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize(
+    "p,h", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 7), (3, 5), (2, 8)]
+)
+def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
+    if block is not None:
+        # many row blocks, the last one short, written through strided views
+        monkeypatch.setattr(geometry, "_GATHER_ENTRIES", block)
+    fld = make_field(p, h)
+    q = fld.q
+    rng = np.random.default_rng(q)
+
+    def elements(*shape):
+        return rng.integers(0, q, size=shape, dtype=np.uint8)
+
+    bases = elements(6, 2, 5)
+    top = np.full((2, 2), q - 1, dtype=np.uint8)
+    top[0] = 1
+    cases = [
+        (elements(9, 4), elements(4, 11)),
+        # as _spanned_vectors passes them: canonical vectors against a stack of bases
+        (canonical_vectors(fld, 2), bases),
+        (elements(3, 1, 5, 2), bases),
+        # products and running sums at the top element: at q = 256 both flat
+        # indices reach 255 * 256 + 255 = 65535
+        (top, top[1:].T),
+    ]
+    for a, b in cases:
+        got, want = fq_matmul(a, b, fld), fq_matmul_reference(a, b, fld)
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # every PG(n, q) with q <= 256 and at most 10^5 points

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgcodes.gf import (
     DegreeMismatch,
@@ -73,6 +74,40 @@ def test_field_axioms_exhaustively(p, h):
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+# every field the uint8 tables index: q <= 256
+_ALL_FIELDS = [(p, h) for p in range(2, 257) if is_prime(p) for h in range(1, 9) if p**h <= 256]
+
+
+@st.composite
+def _element_triples(draw):
+    p, h = draw(st.sampled_from(_ALL_FIELDS))
+    fld = make_field(p, h)
+    return fld, [fld.from_index(draw(st.integers(0, fld.q - 1))) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_element_triples())
+def test_field_axioms_on_random_elements(case):
+    fld, (a, b, c) = case
+    zero, one = fld.zero, fld.one
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a
+    assert a * one == a
+    assert a * zero == zero
+    assert a + (-a) == zero
+    if a:
+        assert a * a.inverse() == one
+    # the characteristic: p copies of a sum to zero
+    acc = zero
+    for _ in range(fld.p):
+        acc = acc + a
+    assert acc == zero
 
 
 @pytest.mark.parametrize("p,h", SMALL_FIELDS)

@@ -1,9 +1,9 @@
-"""Kernel tests: the spectrum sweep and the batched search rounds against
-naive oracles.
+"""Kernel tests: the spectrum sweep, the batched search rounds and the
+eliminator against naive oracles.
 
 The sweep enumerates in an implementation-defined order, so histograms are
-compared exactly and collected words as sets.  The batched search rounds are
-checked item by item against each item's RREF.
+compared exactly and collected words as sets.  The batched search rounds and
+the batched eliminator are checked item by item against each item's RREF.
 """
 
 import hashlib
@@ -308,6 +308,55 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
             expected = [tuple(w[t] for t in np.argsort(perm)) for w in candidates]
             got = [tuple(int(x) for x in w) for w in words[items == b]]
             assert sorted(got) == sorted(expected)
+
+
+def _gapped_matrices(p):
+    """Named k x n matrices whose empty column runs the eliminator skips:
+    runs longer than its look-ahead window, a run to the last column,
+    repeated columns and an all-zero matrix."""
+    rng = np.random.default_rng(p)
+    w = kernels._LOOKAHEAD
+
+    def low_rank(k, r, m):
+        return rng.integers(0, p, (k, r)) @ rng.integers(0, p, (r, m)) % p
+
+    def with_runs(mat, runs):
+        # the column groups of mat, each followed by a zero run
+        pieces = []
+        for group, run in zip(np.array_split(mat, len(runs), axis=1), runs):
+            pieces += [group, np.zeros((mat.shape[0], run), dtype=mat.dtype)]
+        return np.hstack(pieces)
+
+    dense = low_rank(9, 5, 12)
+    return [
+        ("runs longer than the window", with_runs(dense, [w + 1, 2 * w + 5, 1, 3 * w])),
+        ("a run to the last column", with_runs(dense, [0, 0, 0, w - 1])),
+        ("repeated columns", with_runs(np.repeat(low_rank(7, 3, 6), 3, axis=1), [w, 0, 2])),
+        ("all zero", np.zeros((6, 2 * w + 3), dtype=np.int64)),
+    ]
+
+
+def _check_against_reference(mats, reduced, pivots, p, name):
+    for b, mat in enumerate(mats):
+        expected, expected_pivots = rref_mod_p_reference(mat, p)
+        r = len(expected_pivots)
+        assert np.array_equal(reduced[b], expected), (name, b)
+        assert pivots[b, :r].tolist() == expected_pivots, (name, b)
+        assert (pivots[b, r:] == mat.shape[1]).all(), (name, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+def test_systematize_skips_empty_columns_as_the_reference_does(p):
+    inv = kernels._inverse_table(p)
+    cases = _gapped_matrices(p)
+    for name, mat in cases:
+        reduced, pivots = kernels._systematize(mat[None].astype(np.uint8), p, inv)
+        _check_against_reference([mat], reduced, pivots, p, name)
+    # one stack: each item pivots in columns that the others must skip
+    mat = cases[0][1]
+    stack = [mat, mat[:, ::-1], np.roll(mat, kernels._LOOKAHEAD // 2, axis=1), 0 * mat]
+    reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), p, inv)
+    _check_against_reference(stack, reduced, pivots, p, "stack")
 
 
 def test_isd_batch_size_bounds_the_batch():
