@@ -5,13 +5,19 @@ the global point order.  The incidence matrix has hyperplane rows in the
 same order, so it is symmetric.  All linear algebra here is mod p (the
 prime subfield), not mod q.
 
-A model build eliminates the incidence matrix once and its k-row generator
-once more, right to left; nothing of size (theta_n - k) x theta_n is ever
-eliminated.  The check basis needs no more, by matroid duality: the RREF of
-the dual code has its pivots on the lexicographically first basis J of the
-dual matroid, the complement of the lexicographically last column basis K
-of the generator, and K is the set of pivots of the generator reduced right
-to left (see check_basis).
+A model build runs three eliminations: the incidence matrix, its k-row
+generator right to left, and the k x k Gram matrix right to left; nothing
+of size (theta_n - k) x theta_n is ever eliminated.  The check basis needs
+no more, by matroid duality: the RREF of the dual code has its pivots on the
+lexicographically first basis J of the dual matroid, the complement of the
+lexicographically last column basis K of the generator, and K is the set of
+pivots of the generator reduced right to left (see check_basis).  The hull
+needs no elimination of its own: the RREF R of the Gram matrix's kernel
+times the generator G is already reduced, because G has unit columns at its
+pivots (see hull_basis).
+
+Every mod-p matrix product here and in verify is _product_mod_p: an exact
+float product on BLAS, reduced as integers.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from math import comb
 import numpy as np
 
 from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
-from pgcodes.kernels import _inverse_table, _systematize
+from pgcodes.kernels import _inverse_table, _mod_p, _systematize
 
 
 # whole-array word tests run in row blocks whose float32 copy stays near this
@@ -80,17 +86,6 @@ def p_rank(mat: np.ndarray, p: int) -> int:
     return len(rref_mod_p(mat, p)[1])
 
 
-def nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning {x : mat @ x = 0 mod p}: one row per free column f,
-    with 1 at f and minus column f of the RREF at the pivot columns."""
-    reduced, pivots = rref_mod_p(mat, p)
-    free = np.delete(np.arange(mat.shape[1]), pivots)
-    basis = np.zeros((free.size, mat.shape[1]), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (p - reduced[: len(pivots), free].T) % p
-    return basis
-
-
 def check_basis(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """RREF of {x : mat @ x = 0 mod p} and its pivot columns, from one
     elimination of mat with its columns reversed.
@@ -120,10 +115,33 @@ def _exact_float(inner: int, p: int) -> type:
 
 
 def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p as uint8 for matrices with entries in [0, p), by one
-    exact float product."""
+    """(a @ b) mod p as uint8 for matrices with entries in [0, p).
+
+    The product is one exact float product on BLAS (operands already in the
+    exact float type are not copied).  Its entries are whole numbers, so
+    they are reduced as integers: cast to uint32 (float32) or uint64
+    (float64), then kernels._mod_p, which is much faster than a float
+    remainder.
+    """
     exact = _exact_float(a.shape[1], p)
-    return (a.astype(exact) @ b.astype(exact) % p).astype(np.uint8)
+    whole = np.uint32 if exact is np.float32 else np.uint64
+    sums = (a.astype(exact, copy=False) @ b.astype(exact, copy=False)).astype(whole)
+    return _mod_p(sums, p).astype(np.uint8)
+
+
+def hull_basis(generator: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of the hull (C intersected with C^perp) and its pivot columns,
+    for the code C with RREF generator G and pivots P; one k x k elimination.
+
+    A word xG lies in C^perp iff G (xG)^T = 0, that is iff x lies in the
+    kernel of the symmetric Gram matrix G G^T.  check_basis gives that
+    kernel's RREF R with pivots J.  Then R G is already in RREF with pivots
+    P[J]: G is the identity on the columns P, so (R G)[:, P] = R, which is
+    reduced; and row i of R G is zero left of P[J[i]], because row i of R is
+    zero left of J[i] and row j of G is zero left of P[j].
+    """
+    combo, kernel_pivots = check_basis(_product_mod_p(generator, generator.T, p), p)
+    return _product_mod_p(combo, generator, p), [pivots[j] for j in kernel_pivots]
 
 
 def zero_word(g: GeometrySpec) -> np.ndarray:
@@ -181,8 +199,11 @@ class CodeModel:
     the RREF of its kernel, read off the generator reduced right to left:
     its pivots J are the complement of that reduction's pivots K (the dual
     matroid's first basis is the complement of the matroid's last one), so
-    no (theta_n - k)-row matrix is eliminated.  The hull comes from the
-    kernel of the Gram matrix; both products are exact float products.
+    no (theta_n - k)-row matrix is eliminated.  The hull is the RREF of the
+    Gram matrix's kernel times the generator, which is already reduced
+    because the generator is the identity on its pivot columns, so a build
+    runs three eliminations in all: the incidence matrix, the reversed
+    generator and the reversed k x k Gram matrix (see hull_basis).
 
     The construction asserts the closed-form dimension; a mismatch would
     mean the incidence matrix or the elimination is wrong, so it fails
@@ -205,10 +226,7 @@ class CodeModel:
             )
         self.check, check_pivots = check_basis(self.generator, p)
         self.check_pivots = tuple(check_pivots)
-        gram = _product_mod_p(self.generator, self.generator.T, p)
-        combo = nullspace_mod_p(gram, p)
-        hull, hull_pivots = rref_mod_p(_product_mod_p(combo, self.generator, p), p)
-        self.hull = hull[: len(hull_pivots)]
+        self.hull, hull_pivots = hull_basis(self.generator, self.generator_pivots, p)
         self.hull_pivots = tuple(hull_pivots)
         for arr in (self.generator, self.check, self.hull):
             arr.setflags(write=False)
@@ -223,12 +241,10 @@ class CodeModel:
         g = self.geometry
         p = g.field.p
         arr = as_words(g, words)
-        exact = _exact_float(g.num_points, p)
-        columns = tests.T.astype(exact)
+        columns = tests.T.astype(_exact_float(g.num_points, p))
         inside = np.empty(arr.shape[0], dtype=bool)
         for rows in row_blocks(arr.shape[0], g.num_points):
-            sums = (arr[rows].astype(exact) @ columns).astype(np.int64)
-            inside[rows] = ~(sums % p).any(axis=1)
+            inside[rows] = ~_product_mod_p(arr[rows], columns, p).any(axis=1)
         return inside
 
     def contains_rows(self, words) -> np.ndarray:

@@ -21,7 +21,14 @@ import numpy as np
 from . import kernels
 from .gf import make_field
 from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
-from .code import build_incidence_matrix, build_model, expected_dimension, row_blocks, weight
+from .code import (
+    _product_mod_p,
+    build_incidence_matrix,
+    build_model,
+    expected_dimension,
+    row_blocks,
+    weight,
+)
 from .analysis import (
     DEFAULT_BUDGET,
     InconsistentSpectrum,
@@ -223,8 +230,10 @@ def _search_seed(seed: int) -> int:
 
 
 def _random_codewords(model, rng: np.random.Generator, count: int) -> np.ndarray:
-    msgs = rng.integers(0, model.geometry.field.p, size=(count, model.dimension))
-    return (msgs @ model.generator.astype(np.int64)) % model.geometry.field.p
+    """count uniformly random codewords as uint8 rows."""
+    p = model.geometry.field.p
+    msgs = rng.integers(0, p, size=(count, model.dimension))
+    return _product_mod_p(msgs, model.generator, p)
 
 
 def _subspace_words(g: GeometrySpec) -> np.ndarray:
@@ -232,7 +241,7 @@ def _subspace_words(g: GeometrySpec) -> np.ndarray:
     rows = []
     for k in range(1, g.n):
         spi = subspace_point_indices(g, k)
-        block = np.zeros((spi.shape[0], g.num_points), dtype=np.int64)
+        block = np.zeros((spi.shape[0], g.num_points), dtype=np.uint8)
         np.put_along_axis(block, spi.astype(np.int64), 1, axis=1)
         rows.append(block)
     return np.concatenate(rows, axis=0)
@@ -467,21 +476,21 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
 def _run_properties(g, model, rng) -> CheckResult:
     p = g.field.p
     subs = _subspace_words(g)
-    a = build_incidence_matrix(g).astype(np.int64)
+    a = build_incidence_matrix(g)
     # difference of any two subspace vectors orthogonal to every row of A
-    against_code = (a @ subs.T) % p
+    against_code = _product_mod_p(a, subs.T, p)
     item1 = bool((against_code == against_code[:, :1]).all())
     sample = np.concatenate(
         [
-            model.generator.astype(np.int64),
+            model.generator,
             a,
-            np.ones((1, g.num_points), dtype=np.int64),
+            np.ones((1, g.num_points), dtype=np.uint8),
             _random_codewords(model, rng, 32),
         ]
     )
-    pairing = (sample @ subs.T) % p
+    pairing = _product_mod_p(sample, subs.T, p)
     item2 = bool((pairing == pairing[:, :1]).all())
-    in_hull = model.hull_contains_rows((sample % p).astype(np.uint8))
+    in_hull = model.hull_contains_rows(sample)
     item3 = bool((in_hull == (pairing[:, 0] == 0)).all())
     details = {
         "subspaces": int(subs.shape[0]),
@@ -506,7 +515,7 @@ def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
         }
         return CheckResult("restriction", "pass", details)
     extra = [spectrum.low_weight] if spectrum is not None else []
-    randoms = (_random_codewords(model, rng, 64) % g.field.p).astype(np.uint8)
+    randoms = _random_codewords(model, rng, 64)
     ones = np.ones((1, g.num_points), dtype=np.uint8)
     words = np.concatenate([ones, model.generator, *extra, randoms])
     # one call draws the same (subspace, word) stream as alternating scalar calls
@@ -580,7 +589,7 @@ def _small_word_faults(g, words) -> np.ndarray:
         constant = np.where(inside, block, p).min(axis=1) == block.max(axis=1)
         blocking = (meets > 0).all(axis=1)
         minimal = (on_tangent | ~inside).all(axis=1)
-        residues = (meets % p == 1).all(axis=1)
+        residues = (kernels._mod_p(meets.astype(np.uint16), p) == 1).all(axis=1)
         faults[rows] = ~(constant & blocking & minimal & residues)
     return faults
 

@@ -129,6 +129,17 @@ def check_basis_reference(gen, p: int) -> tuple[np.ndarray, list[int]]:
             basis[i, c] = -int(reduced[r, f]) % p
     return rref_mod_p_reference(basis, p)
 
+
+def hull_basis_reference(gen, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of the hull of the code with RREF generator gen, by eliminating
+    its rows: the Gram matrix's kernel from check_basis_reference, times gen,
+    then rref_mod_p_reference.  Returns (uint8 rows, pivots)."""
+    gen = np.asarray(gen).astype(np.int64)
+    combo = check_basis_reference((gen @ gen.T) % p, p)[0].astype(np.int64)
+    reduced, pivots = rref_mod_p_reference((combo @ gen) % p, p)
+    return reduced[: len(pivots)], pivots
+
+
 def tangent_collinearity_reference(lines, points, q_idx: int) -> bool:
     """Are the tangent points of a planar point set seen from q_idx collinear?
 

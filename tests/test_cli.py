@@ -6,10 +6,11 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from pgcodes.cli import main, parse_pointset_text
+from pgcodes.cli import CliUsageError, main, parse_pointset_text
 from pgcodes.gf import make_field
-from pgcodes.geometry import GeometrySpec, subspace_point_indices
+from pgcodes.geometry import GeometrySpec, point_array, subspace_point_indices
 from pgcodes.verify import REPORT_SCHEMA
 
 
@@ -246,6 +247,76 @@ def test_blocking_reduce_malformed_file_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["blocking", "reduce", "--p", "3", "--n", "2", "--input", str(src)])
     assert exc.value.code == 2
+
+
+# a prime field, a field with q not prime, and a solid
+PARSER_GEOMETRIES = [PG23, GeometrySpec(make_field(2, 2), 2), GeometrySpec(make_field(2), 3)]
+
+
+@st.composite
+def _scaled_points(draw):
+    """(geometry, [(point index, its coordinates times a nonzero element)])."""
+    g = draw(st.sampled_from(PARSER_GEOMETRIES))
+    canonical = point_array(g)
+    point = st.integers(0, g.num_points - 1)
+    picks = draw(st.lists(st.tuples(point, st.integers(1, g.q - 1)), max_size=6))
+    return g, [(i, g.field.mul_table[c][canonical[i]].tolist()) for i, c in picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled_points(), st.data())
+def test_parse_pointset_text_reads_any_scaling_between_comments(case, data):
+    g, points = case
+    noise = st.lists(st.sampled_from(["", "   ", "# a comment", "  # 1,2,x"]), max_size=2)
+    lines = []
+    for i, coords in points:
+        lines += data.draw(noise)
+        comment = data.draw(st.sampled_from(["", "  # scaled", "#"]))
+        lines.append(" , ".join(str(c) for c in coords) + comment)
+    s = parse_pointset_text("\n".join(lines), g)
+    assert s.indices == tuple(sorted({i for i, _ in points}))
+    for i, coords in points:
+        assert parse_pointset_text(",".join(map(str, coords)), g).indices == (i,)
+
+
+@st.composite
+def _bad_files(draw):
+    """(geometry, file text): up to two valid points, then one line the
+    parser must refuse: a non-integer, the wrong arity, an entry outside
+    [0, q), or the zero vector."""
+    g = draw(st.sampled_from(PARSER_GEOMETRIES))
+    arity = g.n + 1
+    entries = [str(c) for c in draw(st.lists(st.integers(0, g.q - 1), min_size=arity, max_size=arity))]
+    at = draw(st.integers(0, arity - 1))
+    kind = draw(st.sampled_from(["not an integer", "arity", "range", "zero"]))
+    if kind == "not an integer":
+        entries[at] = draw(st.sampled_from(["x", "1.5", "", "0x1", "one"]))
+    elif kind == "arity":
+        size = draw(st.integers(1, 2 * arity).filter(lambda m: m != arity))
+        entries = (entries * 2)[:size]
+    elif kind == "range":
+        entries[at] = str(draw(st.one_of(st.integers(g.q, 3 * g.q), st.integers(-g.q, -1))))
+    else:
+        entries = ["0"] * arity
+    good = [",".join(map(str, row)) for row in point_array(g)[: draw(st.integers(0, 2))].tolist()]
+    return g, "\n".join(good + ["# then a bad line", ",".join(entries)]) + "\n"
+
+
+# tmp_path and capsys are shared by the examples; each one rewrites the file
+# and reads the captured stderr
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_bad_files())
+def test_malformed_point_files_raise_usage_errors_and_exit_2(case, tmp_path, capsys):
+    g, text = case
+    with pytest.raises(CliUsageError):
+        parse_pointset_text(text, g)
+    src = tmp_path / "points.txt"
+    src.write_text(text)
+    argv = ["blocking", "reduce", "--p", str(g.field.p), "--h", str(g.field.h), "--n", str(g.n)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(src)])
+    assert exc.value.code == 2
+    assert "line" in capsys.readouterr().err
 
 
 def test_console_script_runs():

@@ -29,16 +29,21 @@ from pgcodes.code import (
     build_model,
     check_basis,
     expected_dimension,
+    hull_basis,
     incidence_vector,
     inner_product,
-    nullspace_mod_p,
     p_rank,
     rref_mod_p,
     weight,
     zero_word,
 )
 
-from helpers import check_basis_reference, python_rank_mod_p, rref_mod_p_reference
+from helpers import (
+    check_basis_reference,
+    hull_basis_reference,
+    python_rank_mod_p,
+    rref_mod_p_reference,
+)
 
 PG22 = GeometrySpec(make_field(2), 2)
 PG23 = GeometrySpec(make_field(3), 2)
@@ -117,23 +122,6 @@ def test_rref_mod_p_matches_reference_loop(p):
         assert len(pivots) == python_rank_mod_p(mat.tolist(), p), name
 
 
-def test_nullspace_is_orthogonal_complement():
-    rng = np.random.default_rng(3)
-    for p in (2, 3, 5, 131):
-        mat = rng.integers(0, p, size=(6, 10))
-        null = nullspace_mod_p(mat, p)
-        prod = (mat.astype(np.int64) @ null.T.astype(np.int64)) % p
-        assert not prod.any()
-        assert p_rank(mat, p) + null.shape[0] == 10
-        # a null vector is fixed by its free coordinates, so the identity
-        # there pins the basis exactly
-        pivots = rref_mod_p(mat, p)[1]
-        free = [c for c in range(10) if c not in pivots]
-        assert np.array_equal(null[:, free], np.eye(len(free), dtype=np.uint8))
-    assert nullspace_mod_p(np.zeros((3, 4), dtype=np.int64), 3).tolist() == np.eye(4).tolist()
-    assert nullspace_mod_p(np.eye(4, dtype=np.int64), 3).shape == (0, 4)
-
-
 @st.composite
 def _generators(draw):
     """(p, RREF'd generator, the matrix it came from) with zero and repeated
@@ -187,6 +175,64 @@ def test_check_basis_edge_cases(p):
     assert check_basis(np.ones((1, 7), dtype=np.uint8), p)[1] == list(range(6))
 
 
+def _assert_hull_basis(gen, p):
+    pivots = rref_mod_p_reference(gen, p)[1]
+    expected, expected_pivots = hull_basis_reference(gen, p)
+    hull, hull_pivots = hull_basis(gen, tuple(pivots), p)
+    assert hull.dtype == np.uint8
+    assert np.array_equal(hull, expected)
+    assert hull_pivots == expected_pivots
+    assert all(isinstance(c, int) for c in hull_pivots)
+    # the rows lie in the code and in its dual
+    wide = gen.astype(np.int64)
+    assert not ((wide @ hull.T.astype(np.int64)) % p).any()
+    assert python_rank_mod_p(np.vstack([gen, hull]).tolist(), p) == gen.shape[0]
+    return hull, hull_pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generators())
+def test_hull_basis_matches_the_eliminating_reference(case):
+    p, gen, _ = case
+    _assert_hull_basis(gen, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 131])
+def test_hull_basis_edge_cases(p):
+    # self-orthogonal: the Gram matrix is 0, so the hull is the code itself
+    # (two rows of weight p on disjoint supports)
+    gen = np.kron(np.eye(2, dtype=np.uint8), np.ones((1, p), dtype=np.uint8))
+    hull, pivots = _assert_hull_basis(gen, p)
+    assert np.array_equal(hull, gen) and pivots == [0, p]
+    # an invertible Gram matrix: the hull is 0
+    hull, pivots = _assert_hull_basis(np.eye(3, 5, dtype=np.uint8), p)
+    assert hull.shape == (0, 5) and pivots == []
+    # k = 0
+    hull, pivots = _assert_hull_basis(np.zeros((0, 4), dtype=np.uint8), p)
+    assert hull.shape == (0, 4) and pivots == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("limit", [2**24 - 1, 2**24])
+def test_product_mod_p_is_exact_at_the_float32_limit(p, limit):
+    # all-(p-1) operands with inner * (p-1)^2 at 2^24 - 1 (the last float32
+    # product, reduced from uint32) or 2^24 (the first float64 one, from
+    # uint64); the inner size is rounded so that the sums stay on the side
+    # of the switch that the limit names
+    square = (p - 1) ** 2
+    inner = limit // square if limit < 2**24 else -(-limit // square)
+    assert (inner * square < 2**24) == (limit < 2**24)
+    # one row and one column keep the p = 2 operands near 300 MB at float64
+    a = np.full((1, inner), p - 1, dtype=np.uint8)
+    b = np.full((inner, 1), p - 1, dtype=np.uint8)
+    got = code._product_mod_p(a, b, p)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [[inner * square % p]]
+    # one entry lower by one: the sum moves by p - 1
+    a[0, 0] = p - 2
+    assert code._product_mod_p(a, b, p).tolist() == [[(inner * square - (p - 1)) % p]]
+
+
 def _model_digest(model):
     h = hashlib.sha256()
     for arr in (model.generator, model.check, model.hull):
@@ -237,12 +283,13 @@ def test_model_build_eliminates_the_incidence_matrix_and_small_matrices(params, 
 
     monkeypatch.setattr(code, "rref_mod_p", counting_rref)
     model = CodeModel(g)
-    # incidence, reversed generator, Gram matrix, hull rows
-    assert len(calls) == 4
+    # incidence, reversed generator, reversed Gram matrix; the hull rows are
+    # already reduced
+    assert len(calls) == 3
     assert np.array_equal(calls[0], incidence)
     assert np.array_equal(calls[1], model.generator[:, ::-1])
-    assert calls[2].shape == (model.dimension, model.dimension)
-    assert all(mat.shape[0] <= model.dimension for mat in calls[1:])
+    gram = (model.generator.astype(np.int64) @ model.generator.T.astype(np.int64)) % p
+    assert np.array_equal(calls[2], gram[:, ::-1])
 
 
 def test_rref_of_the_incidence_matrix_makes_no_wide_copy():
