@@ -505,10 +505,11 @@ def low_weight_search(
         perms = np.array([rng.permutation(npts) for _ in range(min(batch, iterations - start))])
         rows = kernels.isd_rounds(model.generator, perms, p, max_weight, inverse)[0]
         lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
-        canon = (rows * inverse[lead][:, None].astype(np.uint16)) % p
+        canon = kernels._mod_p(rows * inverse[lead][:, None].astype(np.uint16), p)
         orbits = np.concatenate([orbits, canon.astype(np.uint8)])
         orbits = orbits[np.unique(_row_keys(orbits), return_index=True)[1]]
-    words = np.concatenate([(a * orbits.astype(np.uint16)) % p for a in range(1, p)])
+    wide = orbits.astype(np.uint16)
+    words = np.concatenate([kernels._mod_p(a * wide, p) for a in range(1, p)])
     return SearchResult(
         _sort_words(words.astype(np.uint8)), _sort_words(orbits), iterations, seed, max_weight
     )

@@ -7,13 +7,16 @@ non-essential points.  Reduction is order-independent below a size
 bound; the deterministic mode always removes the smallest removable
 point, and the randomized mode exists to probe that order independence.
 
-Reduction runs on a boolean mask and counts each (n-k)-subspace's meet
-with the set once.  A point is essential when some subspace meets the set
-in that point alone, and essential points stay essential: removing a
-non-essential point P lowers only the counts of the subspaces through P,
-and a subspace meeting the set in one other point does not pass through
-P.  So each removal looks only at the subspaces through P, and a count
-that falls to 1 makes that subspace's one remaining point essential.
+Reduction runs on a boolean mask.  Its start counts each (n-k)-subspace's
+meet with the set once, and sums the point indices in that meet.  A point
+is essential when some subspace meets the set in that point alone, and
+essential points stay essential: removing a non-essential point P lowers
+only the counts of the subspaces through P, and a subspace meeting the set
+in one other point does not pass through P.  So each removal looks only at
+the subspaces through P, and a count that falls to 1 makes that subspace's
+one remaining point, which is its sum, essential.  The removals run on
+plain Python ints, and the removal orders of one set (reduce_mask_orders)
+share one start.
 """
 
 from __future__ import annotations
@@ -197,6 +200,62 @@ def _subspaces_through_points(g: GeometrySpec, dim: int) -> np.ndarray:
     return out
 
 
+def _reduction_start(g: GeometrySpec, mask, k: Optional[int], stacklevel: int) -> tuple:
+    """What every removal order of one blocking mask starts from: the mask,
+    each (n-k)-subspace's meet count and the sum of the point indices in
+    its meet (as lists), the essential points (a set), the removable points
+    in ascending order and the subspaces through each point.  Raises and
+    warns as reduce_mask does; stacklevel is the warning's, counted from
+    this function."""
+    if k is None:
+        k = g.n - 1
+    _check_k(g, k)
+    current = np.array(mask, dtype=bool)
+    if current.shape != (g.num_points,):
+        raise GeometryMismatch(f"expected a mask of {g.num_points} points, got {current.shape}")
+    table = subspace_point_indices(g, g.n - k)
+    hit = current[table]
+    counts = hit.sum(axis=1)
+    if not counts.all():
+        raise NotBlocking("reduction requires a k-blocking input")
+    size = int(current.sum())
+    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
+    if k != g.n - 1 or size >= bound:
+        warnings.warn(
+            f"uniqueness of the reduction is only guaranteed for k = n-1 "
+            f"and |B| < q^(n-1) + theta_(n-1) = {bound}; got k={k}, |B|={size}",
+            SizeGuaranteeViolated,
+            stacklevel=stacklevel,
+        )
+    sums = np.where(hit, table, 0).sum(axis=1)
+    essential = set(sums[counts == 1].tolist())
+    removable = [i for i in np.flatnonzero(current).tolist() if i not in essential]
+    through = _subspaces_through_points(g, g.n - k)
+    return current, counts.tolist(), sums.tolist(), essential, removable, through
+
+
+def _reduce_from(start: tuple, rng: Optional[np.random.Generator]) -> np.ndarray:
+    """One removal order run from a _reduction_start, which it leaves as it
+    was: each step removes the first removable point or, given rng, the one
+    at rng.integers(len(removable))."""
+    current, counts, sums, essential, removable, through = start
+    counts, sums, removable = counts.copy(), sums.copy(), removable.copy()
+    essential = set(essential)
+    removed = []
+    while removable:
+        pick = removable.pop(0 if rng is None else int(rng.integers(len(removable))))
+        removed.append(pick)
+        for row in through[pick].tolist():
+            counts[row] -= 1
+            sums[row] -= pick
+            if counts[row] == 1 and sums[row] not in essential:
+                essential.add(sums[row])
+                removable.remove(sums[row])
+    out = current.copy()
+    out[removed] = False
+    return out
+
+
 def reduce_mask(
     g: GeometrySpec,
     mask,
@@ -212,42 +271,26 @@ def reduce_mask(
     the first of them or, given rng, the one at rng.integers(len(removable)).
     stacklevel is passed to the SizeGuaranteeViolated warning.
     """
-    if k is None:
-        k = g.n - 1
-    _check_k(g, k)
-    current = np.array(mask, dtype=bool)
-    if current.shape != (g.num_points,):
-        raise GeometryMismatch(f"expected a mask of {g.num_points} points, got {current.shape}")
-    table = subspace_point_indices(g, g.n - k)
-    counts = current[table].sum(axis=1)
-    if not counts.all():
-        raise NotBlocking("reduction requires a k-blocking input")
-    size = int(current.sum())
-    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
-    if k != g.n - 1 or size >= bound:
-        warnings.warn(
-            f"uniqueness of the reduction is only guaranteed for k = n-1 "
-            f"and |B| < q^(n-1) + theta_(n-1) = {bound}; got k={k}, |B|={size}",
-            SizeGuaranteeViolated,
-            stacklevel=stacklevel,
-        )
-    tangent = table[counts == 1]
-    essential = np.zeros(g.num_points, dtype=bool)
-    essential[tangent[current[tangent]]] = True
-    removable = np.flatnonzero(current & ~essential).tolist()
-    through = _subspaces_through_points(g, g.n - k)
-    while removable:
-        at = 0 if rng is None else int(rng.integers(len(removable)))
-        pick = removable.pop(at)
-        current[pick] = False
-        rows = through[pick]
-        counts[rows] -= 1
-        tangent = table[rows[counts[rows] == 1]]
-        for point in tangent[current[tangent]].tolist():
-            if not essential[point]:
-                essential[point] = True
-                removable.remove(point)
-    return current
+    return _reduce_from(_reduction_start(g, mask, k, stacklevel + 1), rng)
+
+
+def reduce_mask_orders(
+    g: GeometrySpec,
+    mask,
+    orders: int,
+    rng: Optional[np.random.Generator],
+    k: Optional[int] = None,
+) -> list[np.ndarray]:
+    """reduce_mask(g, mask, k) followed by orders - 1 results of
+    reduce_mask(g, mask, k, rng), from one start.
+
+    rng is drawn from exactly as by those successive calls, so the results
+    and the generator state after them are the same.  The input is checked
+    once: NotBlocking is raised, and SizeGuaranteeViolated warned, once per
+    call, not once per order.
+    """
+    start = _reduction_start(g, mask, k, 3)
+    return [_reduce_from(start, None)] + [_reduce_from(start, rng) for _ in range(orders - 1)]
 
 
 def reduce_to_minimal(

@@ -43,7 +43,7 @@ from .analysis import (
     tally,
     tangent_collinear_rows,
 )
-from .blocking import reduce_mask
+from .blocking import reduce_mask_orders
 
 DEFAULT_HULL_BUDGET = 2**28
 DEFAULT_BBW_BUDGET = 2**20
@@ -312,12 +312,16 @@ def run_suite(
             search_iterations,
             seed=_search_seed(seed),
         )
+    # minweight and second read one classification of the same low words
+    classes = None
+    if set(chosen) & {"minweight", "second"}:
+        classes = classify_words(model, _low_words(spectrum, search))
 
     runners = {
         "dimension": lambda: _run_dimension(g, model),
-        "minweight": lambda: _run_minweight(g, model, spectrum, search),
+        "minweight": lambda: _run_minweight(g, spectrum, search, classes),
         "gap": lambda: _run_gap(g, model, spectrum, search),
-        "second": lambda: _run_second(g, model, spectrum, search),
+        "second": lambda: _run_second(g, model, spectrum, search, classes),
         "hull": lambda: _run_hull(g, model, hull_budget),
         "properties": lambda: _run_properties(g, model, _suite_rng(seed, "properties")),
         "restriction": lambda: _run_restriction(
@@ -358,33 +362,37 @@ def _weights(words: np.ndarray) -> np.ndarray:
     return np.count_nonzero(words, axis=1)
 
 
-def _classification_tally(model, words) -> tuple[dict, dict, np.ndarray]:
+def _low_words(spectrum, search) -> np.ndarray:
+    """The low-weight words the weight suites read: every word up to the
+    collect limit when exhaustive, the found words otherwise."""
+    return spectrum.low_weight if spectrum is not None else search.words
+
+
+def _classification_tally(g, words, classes) -> tuple[dict, dict, np.ndarray]:
     """Kind counts, weight counts, and the words whose weight names a kind
     (theta_{n-1}: multiple, 2q^{n-1}: difference) that they do not have."""
-    g = model.geometry
-    classes = classify_words(model, words)
     weights = _weights(words)
     bad = (weights == theta(g.n - 1, g.q)) & ~classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)
     bad |= (weights == 2 * g.q ** (g.n - 1)) & ~classes.of_kind(
         WordKind.HYPERPLANE_DIFFERENCE
     )
-    return classes.counts(), tally(_weights(words)), words[bad]
+    return classes.counts(), tally(weights), words[bad]
 
 
-def _run_minweight(g, model, spectrum, search) -> CheckResult:
+def _run_minweight(g, spectrum, search, classes) -> CheckResult:
     expected = theta(g.n - 1, g.q)
     expected_count = (g.field.p - 1) * g.num_points
     if spectrum is not None:
         minw = min(w for w in spectrum.weight_counts if w)
         count = spectrum.weight_counts[minw]
-        min_words = spectrum.low_weight[_weights(spectrum.low_weight) == minw]
-        bad = min_words[~classify_words(model, min_words).of_kind(WordKind.HYPERPLANE_MULTIPLE)]
+        is_min = _weights(spectrum.low_weight) == minw
+        bad = spectrum.low_weight[is_min & ~classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)]
         details = {
             "minimum_weight": minw,
             "expected": expected,
             "count": count,
             "expected_count": expected_count,
-            "classified": len(min_words),
+            "classified": int(is_min.sum()),
         }
         ok = minw == expected and count == expected_count and len(bad) == 0
         return CheckResult(
@@ -392,7 +400,7 @@ def _run_minweight(g, model, spectrum, search) -> CheckResult:
         )
     # search evidence: hyperplane words guarantee found weight <= expected,
     # so any deviation below expected or any misclassified word is a failure
-    kinds, by_weight, bad = _classification_tally(model, search.words)
+    kinds, by_weight, bad = _classification_tally(g, search.words, classes)
     found_min = min(by_weight) if by_weight else None
     details = {
         "found_minimum_weight": found_min,
@@ -428,11 +436,12 @@ def _run_gap(g, model, spectrum, search) -> CheckResult:
     return CheckResult("gap", "evidence-only", details)
 
 
-def _run_second(g, model, spectrum, search) -> CheckResult:
+def _run_second(g, model, spectrum, search, classes) -> CheckResult:
     target = 2 * g.q ** (g.n - 1)
-    source = spectrum.low_weight if spectrum is not None else search.words
-    words = source[_weights(source) == target]
-    bad_kind = words[~classify_words(model, words).of_kind(WordKind.HYPERPLANE_DIFFERENCE)]
+    source = _low_words(spectrum, search)
+    at_target = _weights(source) == target
+    words = source[at_target]
+    bad_kind = words[~classes.of_kind(WordKind.HYPERPLANE_DIFFERENCE)[at_target]]
     bad_hull = words[~model.hull_contains_rows(words)]
     details = {
         "weight": target,
@@ -596,7 +605,7 @@ def _small_word_faults(g, words) -> np.ndarray:
 
 def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResult:
     high = 2 * g.q ** (g.n - 1)
-    source = spectrum.low_weight if spectrum is not None else search.words
+    source = _low_words(spectrum, search)
     weights = _weights(source)
     small_words = source[(weights > 0) & (weights < high)]
     bad = [_word_witness(r) for r in small_words[_small_word_faults(g, small_words)]]
@@ -612,8 +621,7 @@ def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResul
         n_extra = int(rng.integers(1, min(bound_extras, off.size) + 1))
         superset = base.copy()
         superset[off[rng.choice(off.size, size=n_extra, replace=False)]] = True
-        results = [reduce_mask(g, superset)]
-        results += [reduce_mask(g, superset, rng=rng) for _ in range(orders - 1)]
+        results = reduce_mask_orders(g, superset, orders, rng)
         if any((r != base).any() for r in results):
             # (geometry, indices) keys hash as PointSets do, so the distinct
             # results list in the order a set of PointSets iterates them

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
@@ -30,6 +30,7 @@ from pgcodes.blocking import (
     is_k_blocking,
     is_minimal,
     reduce_mask,
+    reduce_mask_orders,
     reduce_to_minimal,
     symmetric_difference,
     tangent_spaces,
@@ -310,6 +311,9 @@ def test_size_warning_points_at_the_caller():
     with pytest.warns(SizeGuaranteeViolated) as record:
         reduce_mask(PG22, s.mask())
     assert record[0].filename == __file__
+    with pytest.warns(SizeGuaranteeViolated) as record:
+        reduce_mask_orders(PG22, s.mask(), 3, np.random.default_rng(0))
+    assert record[0].filename == __file__
 
 
 def test_reduce_mask_rejects_before_warning():
@@ -317,6 +321,8 @@ def test_reduce_mask_rejects_before_warning():
         warnings.simplefilter("error")
         with pytest.raises(NotBlocking):
             reduce_mask(PG23, PointSet(PG23, [0, 1, 2]).mask(), 1)
+        with pytest.raises(NotBlocking):
+            reduce_mask_orders(PG23, PointSet(PG23, [0, 1, 2]).mask(), 3, None, 1)
     with pytest.raises(GeometryMismatch):
         reduce_mask(PG23, np.ones(PG22.num_points, dtype=bool))
     with pytest.raises(DimensionOutOfRange):
@@ -365,6 +371,29 @@ def test_mask_reduction_matches_the_one_point_at_a_time_oracle(case, seed):
         if ours is not None:
             assert ours.bit_generator.state == theirs.bit_generator.state
     assert np.flatnonzero(mask).tolist() == indices  # the input stays as it was
+
+
+# two lines of PG(2,2): 5 points, at the size bound q + theta_1
+@example((PG22, 1, [1, 2, 3, 5, 6]), 3, 0)
+@settings(max_examples=150, deadline=None)
+@given(_blocking_sets(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_reduction_orders_match_one_oracle_run_per_order(case, orders, seed):
+    g, k, indices = case
+    mask = np.zeros(g.num_points, dtype=bool)
+    mask[indices] = True
+    bound = g.q ** (g.n - 1) + theta(g.n - 1, g.q)
+    # the shared start warns once per call, however many orders it runs
+    warned = [SizeGuaranteeViolated] if k != g.n - 1 or len(indices) >= bound else []
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = reduce_mask_orders(g, mask, orders, ours, k)
+    assert [w.category for w in caught] == warned
+    expected = [reduce_to_minimal_reference(g, indices, k)]
+    expected += [reduce_to_minimal_reference(g, indices, k, theirs) for _ in range(orders - 1)]
+    assert [tuple(np.flatnonzero(r).tolist()) for r in got] == expected
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert np.flatnonzero(mask).tolist() == indices
 
 
 # -- small codewords give minimal blocking sets ------------------------------

@@ -328,19 +328,21 @@ def test_blocking_lists_a_forced_reduction_disagreement(monkeypatch, params):
     # the fifth reduction, trial 1's first random order, returns its input
     # unreduced; the draws are replayed with the one-point-at-a-time oracle
     seed, trials, orders, wrong = 4, 4, 3, 4
-    reduce_mask = blocking.reduce_mask
+    reduce_mask_orders = blocking.reduce_mask_orders
     calls = []
 
-    def one_wrong(g, mask, k=None, rng=None):
-        calls.append(None)
-        out = reduce_mask(g, mask, k, rng)
-        return mask.copy() if len(calls) == wrong + 1 else out
+    def one_wrong(g, mask, orders, rng):
+        out = reduce_mask_orders(g, mask, orders, rng)
+        if len(calls) == wrong // orders:
+            out[wrong % orders] = mask.copy()
+        calls.append(len(out))
+        return out
 
-    monkeypatch.setattr(verify, "reduce_mask", one_wrong)
+    monkeypatch.setattr(verify, "reduce_mask_orders", one_wrong)
     check = run_suite(
         params, ["blocking"], seed=seed, blocking_trials=trials, blocking_orders=orders
     ).check("blocking")
-    assert len(calls) == trials * orders
+    assert len(calls) == trials and sum(calls) == trials * orders
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
     rng = verify._suite_rng(seed, "blocking")
@@ -369,6 +371,52 @@ def test_blocking_lists_a_forced_reduction_disagreement(monkeypatch, params):
     assert len(expected) == 1 and len(expected[0]["results"]) == 2
     assert check.status == "fail"
     assert check.witnesses == expected
+
+
+def _one_reduce_mask_per_order(g, mask, orders, rng):
+    """The reductions of one superset as separate reduce_mask calls, each
+    starting from scratch: the deterministic order, then orders - 1 random
+    ones drawing from rng."""
+    results = [blocking.reduce_mask(g, mask)]
+    return results + [blocking.reduce_mask(g, mask, rng=rng) for _ in range(orders - 1)]
+
+
+_EXHAUSTIVE_GRID = [params for params in DEFAULT_GRID if params != (2, 3, 2)]
+
+
+@pytest.mark.parametrize("params", _EXHAUSTIVE_GRID)
+@pytest.mark.parametrize("seed, orders", [(0, 3), (7, 3), (11, 2)])
+def test_blocking_suite_matches_one_reduction_per_order(monkeypatch, params, seed, orders):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    model = build_model(g)
+    spectrum = enumerate_spectrum(model)
+    shared_rng = verify._suite_rng(seed, "blocking")
+    shared = verify._run_blocking(g, model, spectrum, None, shared_rng, 20, orders)
+    monkeypatch.setattr(verify, "reduce_mask_orders", _one_reduce_mask_per_order)
+    replay_rng = verify._suite_rng(seed, "blocking")
+    replay = verify._run_blocking(g, model, spectrum, None, replay_rng, 20, orders)
+    assert shared == replay
+    assert shared_rng.bit_generator.state == replay_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "params, mode", [((5, 1, 2), "search"), ((2, 3, 2), "search"), ((3, 1, 2), "auto")]
+)
+def test_minweight_and_second_classify_the_low_words_once(monkeypatch, params, mode):
+    classify_words = verify.classify_words
+    calls = []
+
+    def counting(model, words):
+        calls.append(len(words))
+        return classify_words(model, words)
+
+    monkeypatch.setattr(verify, "classify_words", counting)
+    report = run_suite(params, ["minweight", "second"], mode=mode, search_iterations=100, seed=2)
+    assert report.mode == ("search" if mode == "search" else "exhaustive")
+    assert len(calls) == 1 and calls[0] > 0
+    run_suite(params, ["gap"], mode=mode, search_iterations=100)
+    assert len(calls) == 1  # no classification without minweight or second
 
 
 def test_dimension_suite_eliminates_the_incidence_matrix_once(monkeypatch):
