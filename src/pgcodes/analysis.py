@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from pgcodes.geometry import (
     subspace_point_indices,
     _subspace_from_rows,
 )
+from pgcodes.gf import make_field
 
 DEFAULT_BUDGET = 2**22
 
@@ -428,7 +429,6 @@ def enumerate_spectrum(
     model: CodeModel,
     budget: int = DEFAULT_BUDGET,
     collect_limit: int | None = None,
-    callback: Callable[[np.ndarray], None] | None = None,
 ) -> SpectrumReport:
     """Full weight distribution by Gray-coded enumeration of all messages.
 
@@ -455,9 +455,6 @@ def enumerate_spectrum(
         capacity *= 4
     dual_weight_counts(hist, p, model.dimension)
     words = _sort_words(words)
-    if callback is not None:
-        for w in words:
-            callback(w)
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
     return SpectrumReport(
         weight_counts=counts,
@@ -497,7 +494,7 @@ def low_weight_search(
         return SearchResult(empty, empty, iterations, seed, max_weight)
     if not model.generator[: model.dimension].any(axis=1).all():
         raise NoInformationSetFound("generator has a zero row")
-    inverse = kernels._inverse_table(p)
+    inverse = make_field(p).inv_table
     rng = np.random.default_rng(seed)
     batch = kernels.isd_batch_size(model.dimension, npts)
     orbits = empty

@@ -135,16 +135,19 @@ def _check_k(g: GeometrySpec, k: int) -> None:
         raise DimensionOutOfRange(f"k must lie in [1, {g.n - 1}], got {k}")
 
 
-def _secant_counts(B: PointSet, k: int) -> np.ndarray:
-    # row i: |S_i ∩ B| over all (n-k)-subspaces S_i in enumeration order
-    spi = subspace_point_indices(B.geometry, B.geometry.n - k)
-    return B.mask()[spi].sum(axis=1)
+def _meets(g: GeometrySpec, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each (n-k)-subspace's meet with a (theta_n,) boolean mask, in table
+    order: its number of points in the set and the sum of their indices,
+    which is the one point where the number is 1."""
+    table = subspace_point_indices(g, g.n - k)
+    hit = mask[table]
+    return hit.sum(axis=1), np.where(hit, table, 0).sum(axis=1)
 
 
 def is_k_blocking(B: PointSet, k: int) -> bool:
     """True iff every (n-k)-subspace contains a point of B."""
     _check_k(B.geometry, k)
-    return bool((_secant_counts(B, k) > 0).all())
+    return bool(_meets(B.geometry, B.mask(), k)[0].all())
 
 
 def tangent_spaces(B: PointSet, k: int, P: ProjPoint) -> list[Subspace]:
@@ -153,26 +156,16 @@ def tangent_spaces(B: PointSet, k: int, P: ProjPoint) -> list[Subspace]:
     if P not in B:
         raise PointNotInSet("tangent spaces are defined at points of the set")
     g = B.geometry
-    spi = subspace_point_indices(g, g.n - k)
-    hit = B.mask()[spi]
-    tangent_rows = np.nonzero(hit.sum(axis=1) == 1)[0]
-    touched = spi[tangent_rows][hit[tangent_rows]]
-    return _as_subspaces(g, _subspace_bases(g, g.n - k)[tangent_rows[touched == P.index]])
+    counts, sums = _meets(g, B.mask(), k)
+    return _as_subspaces(g, _subspace_bases(g, g.n - k)[(counts == 1) & (sums == P.index)])
 
 
 def _essential_indices(B: PointSet, k: int) -> set[int]:
-    g = B.geometry
-    spi = subspace_point_indices(g, g.n - k)
-    hit = B.mask()[spi]
-    tangent_rows = hit.sum(axis=1) == 1
-    return set(spi[tangent_rows][hit[tangent_rows]].tolist())
-
-
-def _blocking_essential_indices(B: PointSet, k: int) -> set[int]:
     _check_k(B.geometry, k)
-    if not is_k_blocking(B, k):
+    counts, sums = _meets(B.geometry, B.mask(), k)
+    if not counts.all():
         raise NotBlocking("essential points are defined for blocking sets only")
-    return _essential_indices(B, k)
+    return set(sums[counts == 1].tolist())
 
 
 def essential_points(B: PointSet, k: int) -> set[ProjPoint]:
@@ -181,11 +174,11 @@ def essential_points(B: PointSet, k: int) -> set[ProjPoint]:
     B is minimal exactly when every point is essential.
     """
     pts = enumerate_points(B.geometry)
-    return {pts[i] for i in _blocking_essential_indices(B, k)}
+    return {pts[i] for i in _essential_indices(B, k)}
 
 
 def is_minimal(B: PointSet, k: int) -> bool:
-    return len(_blocking_essential_indices(B, k)) == len(B)
+    return len(_essential_indices(B, k)) == len(B)
 
 
 @lru_cache(maxsize=None)
@@ -213,9 +206,7 @@ def _reduction_start(g: GeometrySpec, mask, k: Optional[int], stacklevel: int) -
     current = np.array(mask, dtype=bool)
     if current.shape != (g.num_points,):
         raise GeometryMismatch(f"expected a mask of {g.num_points} points, got {current.shape}")
-    table = subspace_point_indices(g, g.n - k)
-    hit = current[table]
-    counts = hit.sum(axis=1)
+    counts, sums = _meets(g, current, k)
     if not counts.all():
         raise NotBlocking("reduction requires a k-blocking input")
     size = int(current.sum())
@@ -227,7 +218,6 @@ def _reduction_start(g: GeometrySpec, mask, k: Optional[int], stacklevel: int) -
             SizeGuaranteeViolated,
             stacklevel=stacklevel,
         )
-    sums = np.where(hit, table, 0).sum(axis=1)
     essential = set(sums[counts == 1].tolist())
     removable = [i for i in np.flatnonzero(current).tolist() if i not in essential]
     through = _subspaces_through_points(g, g.n - k)

@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from pgcodes.gf import FieldElement, FieldSpec
+from pgcodes.kernels import _rref_pivots
 
 
 class GeometryMismatch(ValueError):
@@ -199,9 +200,11 @@ class Subspace:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        mat = np.array(self.basis, dtype=np.uint8).reshape(len(self.basis), self.geometry.n + 1)
-        reduced, pivots = rref_fq(mat, self.geometry.field)
-        if len(pivots) != len(self.basis) or not np.array_equal(reduced, mat):
+        q = self.geometry.q
+        mat = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), self.geometry.n + 1)
+        if ((mat < 0) | (mat >= q)).any():
+            raise ValueError(f"basis entry outside [0, {q})")
+        if _rref_pivots(mat) is None:
             raise ValueError("basis is not in reduced row-echelon form")
 
     @property

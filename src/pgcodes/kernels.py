@@ -4,17 +4,18 @@ The two hot loops are full-spectrum enumeration (all p^k messages of a k-row
 generator) and the randomized information-set rounds of the low-weight
 search.  Both are plain numpy whose inner work is float32 matrix products.
 
-spectrum is a meet-in-the-middle sweep, one code path for every p.  It
-reduces the rows once: a word's entries on the pivot columns are its message
-digits, so only the other columns enter the products and the digit counts are
-added as constant columns.  Tables of all combinations of a suffix and a
-middle group of rows are built and encoded once, the remaining top rows are
-walked in mixed-radix Gray order, and a step's matrix product gives the
-weight of every (suffix, middle) sum.  Over F_2 the tables hold +-1 entries;
-over odd p they hold one-hot value indicators, and a step is computed only
-for one top combination per scalar orbit {c x : c != 0}.  While n is small
-beside the tables, two steps share one product and one bincount, their
-weights packed as two base-(n+1) digits.
+spectrum is a meet-in-the-middle sweep, one code path for every p.  It takes
+a reduced basis, as every basis of a code model is, and refuses any other
+input after one look at its shape (_rref_pivots): a word's entries on the
+pivot columns are its message digits, so only the other columns enter the
+products and the digit counts are added as constant columns.  Tables of all
+combinations of a suffix and a middle group of rows are built and encoded
+once, the remaining top rows are walked in mixed-radix Gray order, and a
+step's matrix product gives the weight of every (suffix, middle) sum.  Over
+F_2 the tables hold +-1 entries; over odd p they hold one-hot value
+indicators, and a step is computed only for one top combination per scalar
+orbit {c x : c != 0}.  While n is small beside the tables, two steps share
+one product and one bincount, their weights packed as two base-(n+1) digits.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -37,8 +38,6 @@ results do not depend on threading.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 # -- spectrum sweep ----------------------------------------------------------
@@ -57,14 +56,6 @@ def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
     q *= p
     x -= q
     return x
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    """a^-1 mod p for every a (0 for a = 0); shared, so read-only."""
-    table = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
 
 
 def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
@@ -95,26 +86,27 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
     return onehot if middle else -onehot
 
 
-def _reduced(rows: np.ndarray, p: int):
-    """The nonzero rows of the RREF of a uint8 matrix, and their pivot columns.
+def _rref_pivots(rows: np.ndarray):
+    """The pivot columns of a matrix in reduced row-echelon form with no zero
+    row, or None for any other matrix.
 
-    Rows already in that form, as every basis of a code model is, come back
-    as they are; others go through _systematize.
+    Entries are field element indices, and every field's order puts 0 and 1
+    first, so the test holds over any GF(q): each row leads with a 1, the
+    leads move right, and since entries are not negative, a total of r over
+    the r x r pivot submatrix leaves no other nonzero entry in the pivot
+    columns.  A matrix with no rows is reduced, with no pivots.
     """
-    if rows.shape[1]:
-        lead = (rows != 0).argmax(axis=1)
-        at_lead = rows[:, lead]
-        # entries are below p, so ones on the diagonal and a total of r
-        # leave no other nonzero entry in the pivot columns
-        if (
-            (lead[1:] > lead[:-1]).all()
-            and (at_lead.diagonal() == 1).all()
-            and int(at_lead.sum()) == len(rows)
-        ):
-            return rows, lead
-    reduced, pivots = _systematize(rows[None], p, _inverse_table(p))
-    r = int(np.count_nonzero(pivots[0] < rows.shape[1]))
-    return reduced[0, :r].astype(np.uint8), pivots[0, :r]
+    if not rows.size:
+        return None if len(rows) else np.zeros(0, dtype=np.intp)
+    lead = (rows != 0).argmax(axis=1)
+    at_lead = rows[:, lead]
+    if (
+        (lead[1:] > lead[:-1]).all()
+        and (at_lead.diagonal() == 1).all()
+        and int(at_lead.sum()) == len(rows)
+    ):
+        return lead
+    return None
 
 
 def _orbit_steps(rows: np.ndarray, p: int):
@@ -144,21 +136,21 @@ def _orbit_steps(rows: np.ndarray, p: int):
 
 
 def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
-    """Weight histogram of all p^k messages of a k x n generator over F_p.
+    """Weight histogram of all p^k messages of a k x n basis over F_p.
 
-    Returns (hist, words, overflow): hist[w] counts the messages whose word
-    has weight w; words holds the words of weight in [1, collect_limit],
-    one per message, at most capacity of them, and overflow says whether
-    any were dropped.  The word order is implementation-defined; callers
-    that need determinism must sort.
+    The rows must be a reduced basis: in reduced row-echelon form, with no
+    zero row and entries below p, as every basis of a code model is; any
+    other input raises ValueError.  Returns (hist, words, overflow): hist[w]
+    counts the messages whose word has weight w; words holds the words of
+    weight in [1, collect_limit], one per message, at most capacity of them,
+    and overflow says whether any were dropped.  The word order is
+    implementation-defined; callers that need determinism must sort.
 
-    The rows are reduced once to an r-row RREF, whose pivot entries in a
-    word are its message digits, so a word's weight is its number of
-    nonzero digits plus its weight on the n - r other columns, and only
-    those columns enter the products.  A rank-deficient generator's p^(k-r)
-    messages per word are counted and collected as copies.  The reduced
-    rows are then split into a suffix and a middle group, whose tables of
-    all combinations are built and encoded once, and top rows, walked by
+    A word's entries on the pivot columns are its message digits, so its
+    weight is its number of nonzero digits plus its weight on the n - k
+    other columns, and only those columns enter the products.  The rows
+    are split into a suffix and a middle group, whose tables of all
+    combinations are built and encoded once, and top rows, walked by
     _orbit_steps.  A step's matrix product gives the weight of every
     (suffix, middle) sum plus the step's top combination.  For odd p only
     one step per scalar orbit is computed: c times its block is the block
@@ -168,21 +160,23 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
     step codes combine as (n+1) C_a + C_b, so an entry is (n+1) w_a + w_b,
     and one bincount over (n+1)^2 bins counts both.
     """
+    rows = np.asarray(rows)
+    pivots = _rref_pivots(rows)
+    if pivots is None or (rows.size and (rows.min() < 0 or rows.max() >= p)):
+        raise ValueError(f"the sweep takes a reduced basis over F_{p}")
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
     k, n = rows.shape
-    rows, pivots = _reduced(np.ascontiguousarray(rows, dtype=np.uint8), p)
-    r = len(rows)
-    copies = p ** (k - r)
     free = np.ones(n, dtype=bool)
     free[pivots] = False
     n_free = int(free.sum())
     width = n_free * (1 if p == 2 else p)
-    middle = min(r, 1)
-    while middle < r and p ** (middle + 1) <= _MIDDLE_ROWS:
+    middle = min(k, 1)
+    while middle < k and p ** (middle + 1) <= _MIDDLE_ROWS:
         middle += 1
     suffix = 0
-    while suffix < r - middle and p ** (suffix + 1) * 4 * max(width + 2, p**middle) <= _SPECTRUM_BYTES:
+    while suffix < k - middle and p ** (suffix + 1) * 4 * max(width + 2, p**middle) <= _SPECTRUM_BYTES:
         suffix += 1
-    top = r - middle - suffix
+    top = k - middle - suffix
     suffix_values = _combinations(rows[top + middle :], p)
     middle_values = _combinations(rows[top : top + middle], p)
     # suffix rows [code(u), n_free (or n_free / 2) + digits(u), 1] times
@@ -228,8 +222,8 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
     stored = 0
     overflow = False
     # each weight of a step stands for these multiples of its word (c = 1
-    # alone at the zero top combination), each repeated copies times
-    multiples = [np.repeat(np.arange(1, m, dtype=np.uint16), copies) for m in (2, p)]
+    # alone at the zero top combination)
+    multiples = [np.arange(1, m, dtype=np.uint16) for m in (2, p)]
     steps = list(_orbit_steps(rows[:top], p))
     for first in range(0, len(steps), per_product):
         group = steps[first : first + per_product]

@@ -197,13 +197,6 @@ def test_spectrum_budget_gate():
         enumerate_spectrum(build_model(PG23), budget=100)
 
 
-def test_spectrum_callback_streams_collected_words():
-    model = build_model(PG22)
-    seen = []
-    report = enumerate_spectrum(model, callback=lambda w: seen.append(w.copy()))
-    assert len(seen) == report.low_weight.shape[0] == 14
-
-
 def test_spectrum_report_serialization():
     report = enumerate_spectrum(build_model(PG22))
     d = report.to_json_dict()

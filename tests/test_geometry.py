@@ -311,6 +311,18 @@ def test_points_of_empty_subspace_rejected():
 def test_subspace_rejects_non_rref_basis():
     with pytest.raises(ValueError):
         Subspace(PG22, ((1, 1, 0), (1, 0, 0)))  # not reduced
+    with pytest.raises(ValueError):
+        Subspace(PG23, ((1, 0, 2), (0, 0, 0)))  # a zero row
+    with pytest.raises(ValueError):
+        Subspace(PG24, ((2, 1, 0),))  # a lead other than 1
+    assert Subspace(PG24, ((1, 2, 3),)).dim == 0
+
+
+def test_subspace_rejects_entries_outside_the_field():
+    # a ValueError of its own, not an IndexError from a field table
+    for g, basis in [(PG23, ((1, 0, 5),)), (PG23, ((1, 0, -1),)), (PG24, ((1, 0, 4),))]:
+        with pytest.raises(ValueError, match="outside"):
+            Subspace(g, basis)
 
 
 def test_hyperplane_as_subspace_matches_incidence_row():

@@ -37,6 +37,11 @@ def random_rank_rows(rng, k, n, p):
             return rows
 
 
+def random_basis(rng, k, n, p):
+    """The RREF of random_rank_rows: a random reduced basis, as the sweep takes."""
+    return rref_mod_p_reference(random_rank_rows(rng, k, n, p), p)[0]
+
+
 def _hist_as_counter(hist):
     return Counter({w: int(c) for w, c in enumerate(hist) if c})
 
@@ -51,7 +56,7 @@ def _words_up_to(rows, p, limit):
 @pytest.mark.parametrize("k,n", [(3, 7), (6, 15), (9, 21), (10, 73)])
 def test_spectrum_gf2_numpy_matches_bruteforce(k, n):
     rng = np.random.default_rng(k * 100 + n)
-    rows = random_rank_rows(rng, k, n, 2)
+    rows = random_basis(rng, k, n, 2)
     limit = n // 2
     hist, words, overflow = spectrum(rows, 2, limit, 1 << k)
     assert not overflow
@@ -63,7 +68,7 @@ def test_spectrum_gf2_numpy_matches_bruteforce(k, n):
 @pytest.mark.parametrize("p,k,n", [(3, 4, 13), (3, 7, 13), (5, 4, 11), (7, 3, 8)])
 def test_spectrum_modp_numpy_matches_bruteforce(p, k, n):
     rng = np.random.default_rng(p * 1000 + k)
-    rows = random_rank_rows(rng, k, n, p)
+    rows = random_basis(rng, k, n, p)
     limit = n // 2
     hist, words, overflow = spectrum(rows, p, limit, p**k)
     assert not overflow
@@ -85,7 +90,7 @@ def test_spectrum_modp_numpy_does_not_wrap_for_large_p():
 
 def test_overflow_truncates_words_but_not_histogram():
     rng = np.random.default_rng(5)
-    rows = random_rank_rows(rng, 6, 15, 2)
+    rows = random_basis(rng, 6, 15, 2)
     full_hist, full_words, _ = spectrum(rows, 2, 15, 1 << 6)
     hist, words, overflow = spectrum(rows, 2, 15, 3)
     assert overflow
@@ -102,7 +107,7 @@ def test_odd_p_overflow_truncates_words_but_not_histogram(monkeypatch, p):
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
     monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
     rng = np.random.default_rng(p)
-    rows = random_rank_rows(rng, 4, 9, p)
+    rows = random_basis(rng, 4, 9, p)
     full_hist, full_words, full_overflow = spectrum(rows, p, 9, p**4)
     hist, words, overflow = spectrum(rows, p, 9, 3)
     assert overflow and not full_overflow
@@ -122,32 +127,24 @@ def _rank_deficient_rows(p):
     return (np.vstack([rows, 2 * rows[0] + rows[1]]) % p).astype(np.uint8)
 
 
-@pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("kind", ["random", "deficient"])
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind, reduced):
-    # one middle row and no suffix, so the top rows number rank - 1 >= 2 and
+def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
+    # one middle row and no suffix, so the top rows number k - 1 >= 2 and
     # the walk computes one step per scalar orbit of top combinations
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
     monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
-    k = {3: 5, 5: 4, 7: 3}[p]
     if kind == "random":
-        rows = random_rank_rows(np.random.default_rng(7 * p), k, 10, p)
+        rows = random_basis(np.random.default_rng(7 * p), {3: 5, 5: 4, 7: 3}[p], 10, p)
     else:
-        rows = _rank_deficient_rows(p)
-    if reduced:
-        # already in RREF, as a code model's bases are
-        basis, pivots = rref_mod_p_reference(rows, p)
+        basis, pivots = rref_mod_p_reference(_rank_deficient_rows(p), p)
         rows = basis[: len(pivots)]
-    rank = rref_mod_p_reference(rows, p)[0].any(axis=1).sum()
     k, n = rows.shape
     limit = n - 2
     hist, words, overflow = spectrum(rows, p, limit, p**k)
     assert not overflow
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
-    # one word per message: each codeword p^(k - rank) times
-    copies = p ** (k - int(rank))
-    expected = Counter({w: copies for w in _words_up_to(rows, p, limit)})
+    expected = Counter(_words_up_to(rows, p, limit))
     assert Counter(tuple(int(x) for x in w) for w in words) == expected
 
 
@@ -159,7 +156,7 @@ def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind, reduced):
 def test_spectrum_on_both_sides_of_the_shared_product_bound(monkeypatch, p, k, n, shared):
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 768)
     monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 32)
-    rows = random_rank_rows(np.random.default_rng(n + p), k, n, p)
+    rows = random_basis(np.random.default_rng(n + p), k, n, p)
     bins = []
     bincount = np.bincount
 
@@ -194,6 +191,49 @@ def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
     assert Counter(map(tuple, words.tolist())) == Counter(map(tuple, low.tolist()))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[1, 1, 0], [0, 1, 2]], dtype=np.uint8),
+        np.array([[1, 0, 2], [0, 0, 0]], dtype=np.uint8),
+        np.array([[1, 0, 2], [0, 2, 1]], dtype=np.uint8),
+        np.array([[1, 0, 3], [0, 1, 1]], dtype=np.uint8),
+        # 257 would pass as 1 after a cast to bytes
+        np.array([[1, 0, 257], [0, 1, 1]], dtype=np.int64),
+    ],
+    ids=["unreduced", "zero-row", "lead-2", "entry-3", "entry-257"],
+)
+def test_spectrum_refuses_anything_but_a_reduced_basis(rows):
+    with pytest.raises(ValueError, match="reduced basis"):
+        spectrum(rows, 3, 3, 9)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_spectrum_takes_a_basis_with_no_rows(n):
+    hist, words, overflow = spectrum(np.zeros((0, n), dtype=np.uint8), 3, n, 1)
+    assert hist.tolist() == [1] + [0] * n
+    assert words.shape == (0, n) and not overflow
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rref_pivots_recognises_exactly_the_reduced_bases(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    k, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 6))
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    rows = np.array(values, dtype=np.uint8).reshape(k, n)
+    if data.draw(st.booleans()):
+        # random rows are seldom reduced: take their RREF's nonzero rows
+        basis, pivots = rref_mod_p_reference(rows, p)
+        rows = basis[: len(pivots)]
+    expected, pivots = rref_mod_p_reference(rows, p)
+    reduced = len(pivots) == len(rows) and np.array_equal(expected, rows)
+    got = kernels._rref_pivots(rows)
+    assert (got is not None) == reduced
+    if reduced:
+        assert got.tolist() == pivots
+
+
 # largest k per p that the brute-force oracles enumerate quickly
 _ORACLE_ROWS = {2: 9, 3: 6, 5: 4, 7: 3, 131: 2}
 
@@ -204,11 +244,13 @@ def _sweeps(draw):
     k = draw(st.integers(0, _ORACLE_ROWS[p]))
     n = draw(st.integers(0, 3 if p == 131 else 9))
     rows = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    # the sweep takes a reduced basis: the RREF without its zero rows
+    basis, pivots = rref_mod_p_reference(np.array(rows, dtype=np.int64).reshape(k, n), p)
     limit = draw(st.integers(-1, n + 1))
     # table sizes down to a single middle row and an empty suffix, so that
     # small k already walks top rows in Gray order
     sizes = draw(st.sampled_from([(0, 1), (1 << 10, 1), (1 << 12, 8), (1 << 20, 256)]))
-    return p, np.array(rows, dtype=np.uint8).reshape(k, n), limit, sizes
+    return p, basis[: len(pivots)], limit, sizes
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,7 +266,7 @@ def test_spectrum_matches_oracles_on_random_generators(sweep):
     assert _hist_as_counter(hist) == expected
     assert not overflow
     assert words.dtype == np.uint8 and words.shape[1] == rows.shape[1]
-    # one word per message, so a rank-deficient generator repeats words
+    # one word per message
     assert words.shape[0] == sum(c for w, c in expected.items() if 0 < w <= limit)
     got = {tuple(int(x) for x in w) for w in words}
     assert got == _words_up_to(rows, p, limit)
@@ -347,7 +389,7 @@ def _check_against_reference(mats, reduced, pivots, p, name):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251])
 def test_systematize_skips_empty_columns_as_the_reference_does(p):
-    inv = kernels._inverse_table(p)
+    inv = make_field(p).inv_table
     cases = _gapped_matrices(p)
     for name, mat in cases:
         reduced, pivots = kernels._systematize(mat[None].astype(np.uint8), p, inv)
