@@ -425,6 +425,16 @@ def dual_weight_counts(hist, p: int, k: int) -> list[int]:
     return counts
 
 
+def _sweep(basis: np.ndarray, p: int, collect_limit: int):
+    """The sweep of every message of a reduced basis, checked and ordered:
+    (hist, words), where the histogram has passed the MacWilliams identities
+    (dual_weight_counts raises InconsistentSpectrum otherwise) and words,
+    every word of weight in [1, collect_limit], are sorted by _sort_words."""
+    hist, words = kernels.spectrum(basis, p, collect_limit)
+    dual_weight_counts(hist, p, basis.shape[0])
+    return hist, _sort_words(words)
+
+
 def enumerate_spectrum(
     model: CodeModel,
     budget: int = DEFAULT_BUDGET,
@@ -433,8 +443,7 @@ def enumerate_spectrum(
     """Full weight distribution by Gray-coded enumeration of all messages.
 
     Collects every nonzero word of weight <= collect_limit (default
-    2q^{n-1}); the collection buffer grows and retries on overflow so the
-    returned set is complete even if the expected counts are exceeded.
+    2q^{n-1}), however many there are.
     """
     g = model.geometry
     p = g.field.p
@@ -445,16 +454,7 @@ def enumerate_spectrum(
         )
     if collect_limit is None:
         collect_limit = 2 * g.q ** (g.n - 1)
-    npts = g.num_points
-    capacity = (p - 1) * npts + (p - 1) * npts * (npts - 1) // 2 + 64
-    rows = np.ascontiguousarray(model.generator)
-    while True:
-        hist, words, overflow = kernels.spectrum(rows, p, collect_limit, capacity)
-        if not overflow:
-            break
-        capacity *= 4
-    dual_weight_counts(hist, p, model.dimension)
-    words = _sort_words(words)
+    hist, words = _sweep(model.generator, p, collect_limit)
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
     return SpectrumReport(
         weight_counts=counts,

@@ -16,6 +16,9 @@ F_2 the tables hold +-1 entries; over odd p they hold one-hot value
 indicators, and a step is computed only for one top combination per scalar
 orbit {c x : c != 0}.  While n is small beside the tables, two steps share
 one product and one bincount, their weights packed as two base-(n+1) digits.
+It returns the weight histogram and every word of weight 1..collect_limit,
+with no cap on their number; analysis._sweep checks the one against the
+MacWilliams identities and sorts the other.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -135,16 +138,15 @@ def _orbit_steps(rows: np.ndarray, p: int):
             yield cur, len(nonzero)
 
 
-def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
+def spectrum(rows: np.ndarray, p: int, collect_limit: int):
     """Weight histogram of all p^k messages of a k x n basis over F_p.
 
     The rows must be a reduced basis: in reduced row-echelon form, with no
     zero row and entries below p, as every basis of a code model is; any
-    other input raises ValueError.  Returns (hist, words, overflow): hist[w]
-    counts the messages whose word has weight w; words holds the words of
-    weight in [1, collect_limit], one per message, at most capacity of them,
-    and overflow says whether any were dropped.  The word order is
-    implementation-defined; callers that need determinism must sort.
+    other input raises ValueError.  Returns (hist, words): hist[w] counts
+    the messages whose word has weight w, and words holds every word of
+    weight in [1, collect_limit], one per message.  The word order is
+    implementation-defined; analysis._sweep checks the histogram and sorts.
 
     A word's entries on the pivot columns are its message digits, so its
     weight is its number of nonzero digits plus its weight on the n - k
@@ -219,8 +221,6 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
     per_product = 2 if base * base <= block.size else 1
     hist = np.zeros(n + 1, dtype=np.int64)
     chunks = []
-    stored = 0
-    overflow = False
     # each weight of a step stands for these multiples of its word (c = 1
     # alone at the zero top combination)
     multiples = [np.arange(1, m, dtype=np.uint16) for m in (2, p)]
@@ -250,10 +250,6 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
         for (cur, ndigits), lane in zip(group, lane_weights):
             scales = multiples[ndigits > 0]
             i, j = np.nonzero((lane > 0) & (lane <= collect_limit))
-            room = capacity - stored
-            if i.size * scales.size > room:
-                overflow = True
-                i, j = i[: -(-room // scales.size)], j[: -(-room // scales.size)]
             if i.size:
                 # entries stay below 3p and p^2, within uint16
                 hits = middle_values[j].astype(np.uint16)
@@ -262,10 +258,9 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int, capacity: int):
                 found = _mod_p(hits, p)[None]
                 if scales.size > 1:
                     found = _mod_p(scales[:, None, None] * found, p)
-                chunks.append(found.reshape(-1, n)[:room].astype(np.uint8))
-                stored += len(chunks[-1])
+                chunks.append(found.reshape(-1, n).astype(np.uint8))
     words = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
-    return hist, words, overflow
+    return hist, words
 
 
 # -- batched Lee-Brickell rounds ---------------------------------------------

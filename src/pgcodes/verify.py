@@ -4,9 +4,12 @@ run_suite builds the code for one (p, h, n) triple and runs a selection
 of named check suites, each recording pass/fail with enough detail to
 audit.  Where the full message space fits the budget the checks are
 exhaustive; beyond it the weight-facing suites degrade to randomized
-search evidence and say so in their status.  Suites test whole word arrays:
-bbw asks about every (incidence word, external point) pair in one call, and
-restriction tests its sampled (subspace, word) pairs a dimension at a time.
+search evidence and say so in their status.  The weight suites (minweight,
+gap, second, blocking) read one low-word value, _LowWords: the spectrum's
+low words and histogram, or the search's words and a tally of their
+weights, classified once.  Suites test whole word arrays: bbw asks about
+every (incidence word, external point) pair in one call, and restriction
+tests its sampled (subspace, word) pairs a dimension at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +26,7 @@ from . import kernels
 from .gf import make_field
 from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
 from .code import (
+    CodeModel,
     _product_mod_p,
     build_incidence_matrix,
     build_model,
@@ -31,13 +36,11 @@ from .code import (
 )
 from .analysis import (
     DEFAULT_BUDGET,
-    InconsistentSpectrum,
     NotInCode,
     WordKind,
     _line_columns,
-    _sort_words,
+    _sweep,
     classify_words,
-    dual_weight_counts,
     enumerate_spectrum,
     low_weight_search,
     tally,
@@ -247,6 +250,32 @@ def _subspace_words(g: GeometrySpec) -> np.ndarray:
     return np.concatenate(rows, axis=0)
 
 
+@dataclass(eq=False)
+class _LowWords:
+    """The low words that minweight, gap, second and blocking read, sorted
+    by (weight, entries): the spectrum's words up to its collect limit, with
+    its whole histogram as counts, or the search's found words, with a tally
+    of their weights and the round count as iterations.  The weights and
+    the one classification are computed on first use."""
+
+    model: CodeModel
+    words: np.ndarray
+    counts: dict
+    iterations: Optional[int] = None
+
+    @property
+    def exhaustive(self) -> bool:
+        return self.iterations is None
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.count_nonzero(self.words, axis=1)
+
+    @cached_property
+    def classes(self):
+        return classify_words(self.model, self.words)
+
+
 def run_suite(
     params: Sequence[int],
     suites: Optional[Sequence[str]] = None,
@@ -300,11 +329,11 @@ def run_suite(
         checks=[],
     )
 
-    spectrum = None
-    search = None
+    low = None
     if resolved == "exhaustive" and set(chosen) & {"minweight", "gap", "second", "bbw", "blocking"}:
         spectrum = enumerate_spectrum(model, budget=budget)
         report.spectrum = spectrum.to_json_dict()
+        low = _LowWords(model, spectrum.low_weight, spectrum.weight_counts)
     if resolved == "search" and set(chosen) & {"minweight", "gap", "second", "blocking"}:
         search = low_weight_search(
             model,
@@ -312,30 +341,22 @@ def run_suite(
             search_iterations,
             seed=_search_seed(seed),
         )
-    # minweight and second read one classification of the same low words
-    classes = None
-    if set(chosen) & {"minweight", "second"}:
-        classes = classify_words(model, _low_words(spectrum, search))
+        weights = np.count_nonzero(search.words, axis=1)
+        low = _LowWords(model, search.words, tally(weights), search.iterations)
 
     runners = {
         "dimension": lambda: _run_dimension(g, model),
-        "minweight": lambda: _run_minweight(g, spectrum, search, classes),
-        "gap": lambda: _run_gap(g, model, spectrum, search),
-        "second": lambda: _run_second(g, model, spectrum, search, classes),
+        "minweight": lambda: _run_minweight(g, low),
+        "gap": lambda: _run_gap(g, low),
+        "second": lambda: _run_second(g, model, low),
         "hull": lambda: _run_hull(g, model, hull_budget),
         "properties": lambda: _run_properties(g, model, _suite_rng(seed, "properties")),
         "restriction": lambda: _run_restriction(
-            g, model, spectrum, _suite_rng(seed, "restriction"), restriction_samples
+            g, model, low, _suite_rng(seed, "restriction"), restriction_samples
         ),
-        "bbw": lambda: _run_bbw(g, model, spectrum, bbw_budget),
+        "bbw": lambda: _run_bbw(g, model, resolved, bbw_budget),
         "blocking": lambda: _run_blocking(
-            g,
-            model,
-            spectrum,
-            search,
-            _suite_rng(seed, "blocking"),
-            blocking_trials,
-            blocking_orders,
+            g, low, _suite_rng(seed, "blocking"), blocking_trials, blocking_orders
         ),
     }
     for name in SUITES:
@@ -358,90 +379,68 @@ def _run_dimension(g, model) -> CheckResult:
     return CheckResult("dimension", "pass" if ok else "fail", details)
 
 
-def _weights(words: np.ndarray) -> np.ndarray:
-    return np.count_nonzero(words, axis=1)
-
-
-def _low_words(spectrum, search) -> np.ndarray:
-    """The low-weight words the weight suites read: every word up to the
-    collect limit when exhaustive, the found words otherwise."""
-    return spectrum.low_weight if spectrum is not None else search.words
-
-
-def _classification_tally(g, words, classes) -> tuple[dict, dict, np.ndarray]:
-    """Kind counts, weight counts, and the words whose weight names a kind
-    (theta_{n-1}: multiple, 2q^{n-1}: difference) that they do not have."""
-    weights = _weights(words)
-    bad = (weights == theta(g.n - 1, g.q)) & ~classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)
-    bad |= (weights == 2 * g.q ** (g.n - 1)) & ~classes.of_kind(
-        WordKind.HYPERPLANE_DIFFERENCE
-    )
-    return classes.counts(), tally(weights), words[bad]
-
-
-def _run_minweight(g, spectrum, search, classes) -> CheckResult:
+def _run_minweight(g, low) -> CheckResult:
     expected = theta(g.n - 1, g.q)
     expected_count = (g.field.p - 1) * g.num_points
-    if spectrum is not None:
-        minw = min(w for w in spectrum.weight_counts if w)
-        count = spectrum.weight_counts[minw]
-        is_min = _weights(spectrum.low_weight) == minw
-        bad = spectrum.low_weight[is_min & ~classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)]
+    found_min = min((w for w in low.counts if w), default=None)
+    multiples = low.classes.of_kind(WordKind.HYPERPLANE_MULTIPLE)
+    if low.exhaustive:
+        count = low.counts[found_min]
+        is_min = low.weights == found_min
+        bad = low.words[is_min & ~multiples]
         details = {
-            "minimum_weight": minw,
+            "minimum_weight": found_min,
             "expected": expected,
             "count": count,
             "expected_count": expected_count,
             "classified": int(is_min.sum()),
         }
-        ok = minw == expected and count == expected_count and len(bad) == 0
+        ok = found_min == expected and count == expected_count and len(bad) == 0
         return CheckResult(
             "minweight", "pass" if ok else "fail", details, [_word_witness(r) for r in bad]
         )
     # search evidence: hyperplane words guarantee found weight <= expected,
-    # so any deviation below expected or any misclassified word is a failure
-    kinds, by_weight, bad = _classification_tally(g, search.words, classes)
-    found_min = min(by_weight) if by_weight else None
+    # so any deviation below expected, or any word whose weight names a kind
+    # (theta_{n-1}: multiple, 2q^{n-1}: difference) it does not have, fails
+    bad = (low.weights == expected) & ~multiples
+    bad |= (low.weights == 2 * g.q ** (g.n - 1)) & ~low.classes.of_kind(
+        WordKind.HYPERPLANE_DIFFERENCE
+    )
     details = {
         "found_minimum_weight": found_min,
         "expected": expected,
-        "words_found": int(search.words.shape[0]),
-        "found_weights": sorted(by_weight),
-        "classification_counts": kinds,
-        "iterations": search.iterations,
+        "words_found": len(low.words),
+        "found_weights": sorted(low.counts),
+        "classification_counts": low.classes.counts(),
+        "iterations": low.iterations,
     }
-    if (found_min is not None and found_min < expected) or len(bad):
-        return CheckResult("minweight", "fail", details, [_word_witness(r) for r in bad])
+    if (found_min is not None and found_min < expected) or bad.any():
+        return CheckResult(
+            "minweight", "fail", details, [_word_witness(r) for r in low.words[bad]]
+        )
     return CheckResult("minweight", "evidence-only", details)
 
 
-def _run_gap(g, model, spectrum, search) -> CheckResult:
-    low = theta(g.n - 1, g.q)
-    high = 2 * g.q ** (g.n - 1)
-    if spectrum is not None:
-        inside = {w: c for w, c in spectrum.weight_counts.items() if low < w < high}
-        details = {"interval": [low, high], "weights_inside": inside}
+def _run_gap(g, low) -> CheckResult:
+    bottom = theta(g.n - 1, g.q)
+    top = 2 * g.q ** (g.n - 1)
+    inside = {w: c for w, c in low.counts.items() if bottom < w < top}
+    details = {"interval": [bottom, top], "weights_inside": inside}
+    if low.exhaustive:
         return CheckResult("gap", "pass" if not inside else "fail", details)
-    by_weight = tally(_weights(search.words))
-    inside = {w: c for w, c in by_weight.items() if low < w < high}
-    details = {
-        "interval": [low, high],
-        "weights_inside": inside,
-        "found_weights": sorted(by_weight),
-        "iterations": search.iterations,
-    }
+    details["found_weights"] = sorted(low.counts)
+    details["iterations"] = low.iterations
     if inside:
-        witnesses = [_word_witness(r) for r in search.words if low < weight(r) < high]
-        return CheckResult("gap", "fail", details, witnesses)
+        in_gap = (low.weights > bottom) & (low.weights < top)
+        return CheckResult("gap", "fail", details, [_word_witness(r) for r in low.words[in_gap]])
     return CheckResult("gap", "evidence-only", details)
 
 
-def _run_second(g, model, spectrum, search, classes) -> CheckResult:
+def _run_second(g, model, low) -> CheckResult:
     target = 2 * g.q ** (g.n - 1)
-    source = _low_words(spectrum, search)
-    at_target = _weights(source) == target
-    words = source[at_target]
-    bad_kind = words[~classes.of_kind(WordKind.HYPERPLANE_DIFFERENCE)[at_target]]
+    at_target = low.weights == target
+    words = low.words[at_target]
+    bad_kind = words[~low.classes.of_kind(WordKind.HYPERPLANE_DIFFERENCE)[at_target]]
     bad_hull = words[~model.hull_contains_rows(words)]
     details = {
         "weight": target,
@@ -449,13 +448,12 @@ def _run_second(g, model, spectrum, search, classes) -> CheckResult:
         "all_hyperplane_differences": len(bad_kind) == 0,
         "all_in_hull": len(bad_hull) == 0,
     }
-    if spectrum is None:
-        details["iterations"] = search.iterations
+    if not low.exhaustive:
+        details["iterations"] = low.iterations
     if len(bad_kind) or len(bad_hull):
         witnesses = [_word_witness(r) for r in np.concatenate([bad_kind, bad_hull])]
         return CheckResult("second", "fail", details, witnesses)
-    status = "pass" if spectrum is not None else "evidence-only"
-    return CheckResult("second", status, details)
+    return CheckResult("second", "pass" if low.exhaustive else "evidence-only", details)
 
 
 def _run_hull(g, model, hull_budget) -> CheckResult:
@@ -469,8 +467,7 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
             "hull_budget": hull_budget,
         }
         return CheckResult("hull", "skipped", details)
-    hist, _, _ = kernels.spectrum(model.hull, g.field.p, 0, 1)
-    dual_weight_counts(hist, g.field.p, hull_dim)
+    hist = _sweep(model.hull, g.field.p, 0)[0]
     nonzero = np.nonzero(hist[1:])[0]
     minw = int(nonzero[0]) + 1 if nonzero.size else None
     details = {
@@ -512,7 +509,7 @@ def _run_properties(g, model, rng) -> CheckResult:
     return CheckResult("properties", "pass" if ok else "fail", details)
 
 
-def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
+def _run_restriction(g, model, low, rng, samples) -> CheckResult:
     # the pool is every k-subspace, 2 <= k < n, in enumerate_subspaces order
     tables = [subspace_point_indices(g, k) for k in range(2, g.n)]
     offsets = np.cumsum([0] + [len(t) for t in tables])
@@ -523,7 +520,8 @@ def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
             "note": "no proper subspace has dimension 2 or more; restriction is the identity",
         }
         return CheckResult("restriction", "pass", details)
-    extra = [spectrum.low_weight] if spectrum is not None else []
+    # the spectrum's low words join the pool only in an exhaustive run
+    extra = [low.words] if low is not None and low.exhaustive else []
     randoms = _random_codewords(model, rng, 64)
     ones = np.ones((1, g.num_points), dtype=np.uint8)
     words = np.concatenate([ones, model.generator, *extra, randoms])
@@ -551,10 +549,10 @@ def _run_restriction(g, model, spectrum, rng, samples) -> CheckResult:
     return CheckResult("restriction", "pass" if not bad else "fail", details, bad)
 
 
-def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
+def _run_bbw(g, model, mode, bbw_budget) -> CheckResult:
     if g.n != 2:
         return CheckResult("bbw", "skipped", {"reason": "planar statement only"})
-    if spectrum is None:
+    if mode != "exhaustive":
         return CheckResult("bbw", "skipped", {"reason": "requires exhaustive enumeration"})
     p = g.field.p
     messages = p**model.dimension
@@ -562,12 +560,7 @@ def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
         details = {"messages": messages, "bbw_budget": bbw_budget}
         return CheckResult("bbw", "skipped", details)
     # collect every codeword, keep those with all entries in {0, 1}
-    hist, words, overflow = kernels.spectrum(
-        model.generator, p, g.num_points, messages
-    )
-    if overflow:
-        raise InconsistentSpectrum(f"the bbw sweep dropped words with room for all {messages}")
-    words = _sort_words(words)
+    words = _sweep(model.generator, p, g.num_points)[1]
     words = words[words.max(axis=1) <= 1]
     if not model.contains_rows(words).all():
         raise NotInCode("an incidence word of the sweep is not a codeword")
@@ -603,11 +596,9 @@ def _small_word_faults(g, words) -> np.ndarray:
     return faults
 
 
-def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResult:
+def _run_blocking(g, low, rng, trials, orders) -> CheckResult:
     high = 2 * g.q ** (g.n - 1)
-    source = _low_words(spectrum, search)
-    weights = _weights(source)
-    small_words = source[(weights > 0) & (weights < high)]
+    small_words = low.words[(low.weights > 0) & (low.weights < high)]
     bad = [_word_witness(r) for r in small_words[_small_word_faults(g, small_words)]]
     # order-independent reduction of hyperplane supersets below the bound
     hyp_rows = hyperplane_point_indices(g)
@@ -637,7 +628,7 @@ def _run_blocking(g, model, spectrum, search, rng, trials, orders) -> CheckResul
         "small_words_checked": len(small_words),
         "reduction_trials": trials,
         "orders_per_trial": orders,
-        "exhaustive_words": spectrum is not None,
+        "exhaustive_words": low.exhaustive,
     }
     ok = not bad and not disagreements
     return CheckResult("blocking", "pass" if ok else "fail", details, bad + disagreements)

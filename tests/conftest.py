@@ -15,9 +15,9 @@ from pgcodes import kernels
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
     rows2 = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
-    kernels.spectrum(rows2, 2, 4, 16)
+    kernels.spectrum(rows2, 2, 4)
     rows3 = np.array([[1, 0, 2, 0], [0, 1, 1, 2]], dtype=np.uint8)
-    kernels.spectrum(rows3, 3, 4, 16)
+    kernels.spectrum(rows3, 3, 4)
     inv3 = np.array([0, 1, 2], dtype=np.uint8)
     kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, inv3)
     yield

@@ -155,7 +155,7 @@ def test_criterion_05_hull_minimum_weight_and_membership():
         # makes both statements exact there as well
         g8 = geom(2, 3, 2)
         model8 = build_model(g8)
-        hull_hist, _, _ = kernels.spectrum(model8.hull, 2, 0, 1)
+        hull_hist, _ = kernels.spectrum(model8.hull, 2, 0)
         assert int(hull_hist.sum()) == 2**27
         nonzero = np.nonzero(hull_hist[1:])[0]
         assert int(nonzero[0]) + 1 == 16  # 2q^(n-1) for q = 8

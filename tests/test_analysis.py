@@ -138,17 +138,17 @@ def test_macwilliams_dual_counts_hold_on_the_default_grid(params):
     p, h, n = params
     model = build_model(GeometrySpec(make_field(p, h), n))
     for basis, dual in ((model.generator, model.check), (model.hull, None)):
-        hist, _, _ = kernels.spectrum(basis, p, 0, 1)
+        hist, _ = kernels.spectrum(basis, p, 0)
         counts = dual_weight_counts(hist, p, basis.shape[0])
         if dual is not None and p ** dual.shape[0] <= DEFAULT_BUDGET:
             # the check basis spans the dual code: enumerate it directly
-            assert counts == kernels.spectrum(dual, p, 0, 1)[0].tolist()
+            assert counts == kernels.spectrum(dual, p, 0)[0].tolist()
 
 
 @pytest.mark.parametrize("g", [PG22, PG23, PG32, PG24])
 def test_macwilliams_rejects_a_histogram_with_one_count_moved(g):
     model = build_model(g)
-    hist = kernels.spectrum(model.generator, g.field.p, 0, 1)[0]
+    hist = kernels.spectrum(model.generator, g.field.p, 0)[0]
     low = int(np.flatnonzero(hist[1:])[0]) + 1
     tampered = hist.copy()
     tampered[low] -= 1
@@ -162,12 +162,12 @@ def test_macwilliams_rejects_a_histogram_with_one_count_moved(g):
 def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
     sweep = kernels.spectrum
 
-    def tampered(rows, p, collect_limit, capacity):
-        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
+    def tampered(rows, p, collect_limit):
+        hist, words = sweep(rows, p, collect_limit)
         low = int(np.flatnonzero(hist[1:])[0]) + 1
         hist[low] -= 1
         hist[low + 1] += 1
-        return hist, words, overflow
+        return hist, words
 
     monkeypatch.setattr(kernels, "spectrum", tampered)
     with pytest.raises(InconsistentSpectrum):
@@ -180,10 +180,10 @@ def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch
     # the histogram then sums to p^k - 1; this must raise under python -O too
     sweep = kernels.spectrum
 
-    def dropping(rows, p, collect_limit, capacity):
-        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
+    def dropping(rows, p, collect_limit):
+        hist, words = sweep(rows, p, collect_limit)
         hist[int(np.flatnonzero(hist[1:])[0]) + 1] -= 1
-        return hist, words, overflow
+        return hist, words
 
     monkeypatch.setattr(kernels, "spectrum", dropping)
     with pytest.raises(InconsistentSpectrum):

@@ -58,8 +58,7 @@ def test_spectrum_gf2_numpy_matches_bruteforce(k, n):
     rng = np.random.default_rng(k * 100 + n)
     rows = random_basis(rng, k, n, 2)
     limit = n // 2
-    hist, words, overflow = spectrum(rows, 2, limit, 1 << k)
-    assert not overflow
+    hist, words = spectrum(rows, 2, limit)
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, 2)
     got = {tuple(int(x) for x in w) for w in words}
     assert got == _words_up_to(rows, 2, limit)
@@ -70,8 +69,7 @@ def test_spectrum_modp_numpy_matches_bruteforce(p, k, n):
     rng = np.random.default_rng(p * 1000 + k)
     rows = random_basis(rng, k, n, p)
     limit = n // 2
-    hist, words, overflow = spectrum(rows, p, limit, p**k)
-    assert not overflow
+    hist, words = spectrum(rows, p, limit)
     assert int(hist.sum()) == p**k
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     got = {tuple(int(x) for x in w) for w in words}
@@ -81,41 +79,10 @@ def test_spectrum_modp_numpy_matches_bruteforce(p, k, n):
 def test_spectrum_modp_numpy_does_not_wrap_for_large_p():
     # entry sums reach 2p - 2 > 255 once p >= 128
     rows = np.array([[1, 0, 130], [0, 1, 5]], dtype=np.uint8)
-    hist, words, overflow = spectrum(rows, 131, 3, 131**2)
+    hist, words = spectrum(rows, 131, 3)
     assert hist.tolist() == [1, 0, 390, 16770]
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, 131)
-    assert not overflow
     assert words.shape[0] == 131**2 - 1
-
-
-def test_overflow_truncates_words_but_not_histogram():
-    rng = np.random.default_rng(5)
-    rows = random_basis(rng, 6, 15, 2)
-    full_hist, full_words, _ = spectrum(rows, 2, 15, 1 << 6)
-    hist, words, overflow = spectrum(rows, 2, 15, 3)
-    assert overflow
-    assert words.shape[0] == 3
-    assert np.array_equal(hist, full_hist)
-    assert full_words.shape[0] == (1 << 6) - 1
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_odd_p_overflow_truncates_words_but_not_histogram(monkeypatch, p):
-    # one middle row and no suffix: every top step with a leading digit of 1
-    # holds words for all p - 1 of its multiples, and capacity 3 cuts into
-    # such an expanded block
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
-    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
-    rng = np.random.default_rng(p)
-    rows = random_basis(rng, 4, 9, p)
-    full_hist, full_words, full_overflow = spectrum(rows, p, 9, p**4)
-    hist, words, overflow = spectrum(rows, p, 9, 3)
-    assert overflow and not full_overflow
-    assert words.shape == (3, 9)
-    assert np.array_equal(hist, full_hist)
-    assert full_words.shape[0] == p**4 - 1
-    full = {tuple(int(x) for x in w) for w in full_words}
-    assert {tuple(int(x) for x in w) for w in words} <= full
 
 
 def _rank_deficient_rows(p):
@@ -127,7 +94,7 @@ def _rank_deficient_rows(p):
     return (np.vstack([rows, 2 * rows[0] + rows[1]]) % p).astype(np.uint8)
 
 
-@pytest.mark.parametrize("kind", ["random", "deficient"])
+@pytest.mark.parametrize("kind", ["random", "deficient", "every-word"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
     # one middle row and no suffix, so the top rows number k - 1 >= 2 and
@@ -136,16 +103,21 @@ def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
     monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
     if kind == "random":
         rows = random_basis(np.random.default_rng(7 * p), {3: 5, 5: 4, 7: 3}[p], 10, p)
-    else:
+    elif kind == "deficient":
         basis, pivots = rref_mod_p_reference(_rank_deficient_rows(p), p)
         rows = basis[: len(pivots)]
+    else:
+        # every top step with a leading digit of 1 holds words for all p - 1
+        # of its multiples, and every one of them is collected
+        rows = random_basis(np.random.default_rng(p), 4, 9, p)
     k, n = rows.shape
-    limit = n - 2
-    hist, words, overflow = spectrum(rows, p, limit, p**k)
-    assert not overflow
+    limit = n if kind == "every-word" else n - 2
+    hist, words = spectrum(rows, p, limit)
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     expected = Counter(_words_up_to(rows, p, limit))
     assert Counter(tuple(int(x) for x in w) for w in words) == expected
+    if kind == "every-word":
+        assert words.shape == (p**k - 1, n)
 
 
 # table sizes that leave two top rows and a block of 128 (p = 2) or 81
@@ -165,9 +137,8 @@ def test_spectrum_on_both_sides_of_the_shared_product_bound(monkeypatch, p, k, n
         return bincount(x, minlength=minlength)
 
     monkeypatch.setattr(np, "bincount", counting)
-    hist, words, overflow = spectrum(rows, p, n, p**k)
+    hist, words = spectrum(rows, p, n)
     assert ((n + 1) ** 2 in bins) == shared
-    assert not overflow
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     assert Counter(tuple(int(x) for x in w) for w in words) == Counter(_words_up_to(rows, p, n))
 
@@ -180,12 +151,11 @@ def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
     monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
     p, limit = 131, 3
     rows = np.array([[1, 0, 0, 130, 7], [0, 1, 0, 130, 130], [0, 0, 1, 5, 1]], dtype=np.uint8)
-    hist, words, overflow = spectrum(rows, p, limit, p**3)
+    hist, words = spectrum(rows, p, limit)
     # every message at once: 131^3 words of 5 entries
     messages = np.indices((p,) * 3, dtype=np.int32).reshape(3, -1).T
     expected = (messages @ rows.astype(np.int32)) % p
     weights = np.count_nonzero(expected, axis=1)
-    assert not overflow
     assert np.array_equal(hist, np.bincount(weights, minlength=6))
     low = expected[(weights > 0) & (weights <= limit)]
     assert Counter(map(tuple, words.tolist())) == Counter(map(tuple, low.tolist()))
@@ -205,14 +175,14 @@ def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
 )
 def test_spectrum_refuses_anything_but_a_reduced_basis(rows):
     with pytest.raises(ValueError, match="reduced basis"):
-        spectrum(rows, 3, 3, 9)
+        spectrum(rows, 3, 3)
 
 
 @pytest.mark.parametrize("n", [0, 4])
 def test_spectrum_takes_a_basis_with_no_rows(n):
-    hist, words, overflow = spectrum(np.zeros((0, n), dtype=np.uint8), 3, n, 1)
+    hist, words = spectrum(np.zeros((0, n), dtype=np.uint8), 3, n)
     assert hist.tolist() == [1] + [0] * n
-    assert words.shape == (0, n) and not overflow
+    assert words.shape == (0, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,11 +230,10 @@ def test_spectrum_matches_oracles_on_random_generators(sweep):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
         mp.setattr(kernels, "_MIDDLE_ROWS", middle_rows)
-        hist, words, overflow = spectrum(rows, p, limit, p ** rows.shape[0])
+        hist, words = spectrum(rows, p, limit)
     expected = brute_force_spectrum(rows, p)
     assert hist.shape == (rows.shape[1] + 1,)
     assert _hist_as_counter(hist) == expected
-    assert not overflow
     assert words.dtype == np.uint8 and words.shape[1] == rows.shape[1]
     # one word per message
     assert words.shape[0] == sum(c for w, c in expected.items() if 0 < w <= limit)
@@ -283,9 +252,8 @@ HULL_DIGESTS = {
 @pytest.mark.parametrize("p,h,n", sorted(HULL_DIGESTS))
 def test_hull_histogram_matches_pinned_digest(p, h, n):
     model = build_model(GeometrySpec(make_field(p, h), n))
-    hist, words, overflow = spectrum(model.hull, p, 0, 1)
+    hist, words = spectrum(model.hull, p, 0)
     assert hist.dtype == np.int64 and words.shape == (0, model.geometry.num_points)
-    assert not overflow
     assert hashlib.sha256(hist.tobytes()).hexdigest() == HULL_DIGESTS[(p, h, n)]
 
 

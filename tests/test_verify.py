@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes import blocking, code, kernels, verify
-from pgcodes.analysis import InconsistentSpectrum, NotInCode, enumerate_spectrum, line_profile
+from pgcodes import analysis, blocking, code, kernels, verify
+from pgcodes.analysis import (
+    InconsistentSpectrum,
+    NotInCode,
+    WordKind,
+    enumerate_spectrum,
+    line_profile,
+)
 from pgcodes.blocking import PointSet, is_k_blocking, is_minimal
 from pgcodes.code import CodeModel, build_incidence_matrix, build_model, expected_dimension
 from pgcodes.geometry import (
@@ -18,6 +24,7 @@ from pgcodes.geometry import (
     enumerate_subspaces,
     global_point_indices,
     hyperplane_point_indices,
+    theta,
 )
 from pgcodes.gf import make_field
 from pgcodes.verify import (
@@ -151,16 +158,21 @@ def test_skip_gates_for_hull_and_bbw_budgets():
 
 
 @pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
-def test_bbw_refuses_a_sweep_that_reports_dropped_words(monkeypatch, params):
-    # only the bbw sweep collects every word; the shared spectrum phase
-    # keeps its honest sweep, which would otherwise retry with more room
+def test_bbw_refuses_a_sweep_with_a_tampered_histogram(monkeypatch, params):
+    # only the bbw sweep collects every word; the shared spectrum phase keeps
+    # its honest sweep, so the MacWilliams check of the bbw sweep must raise
+    # (a raise, which python -O keeps)
     sweep = kernels.spectrum
 
-    def overflowing(rows, p, collect_limit, capacity):
-        hist, words, overflow = sweep(rows, p, collect_limit, capacity)
-        return hist, words, overflow or collect_limit == rows.shape[1]
+    def tampered(rows, p, collect_limit):
+        hist, words = sweep(rows, p, collect_limit)
+        if collect_limit == rows.shape[1]:
+            low = int(np.flatnonzero(hist[1:])[0]) + 1
+            hist[low] -= 1
+            hist[low + 1] += 1
+        return hist, words
 
-    monkeypatch.setattr(kernels, "spectrum", overflowing)
+    monkeypatch.setattr(kernels, "spectrum", tampered)
     with pytest.raises(InconsistentSpectrum):
         run_suite(params, suites=["bbw"])
 
@@ -177,8 +189,8 @@ def test_bbw_witnesses_do_not_depend_on_kernel_word_order(monkeypatch, params):
     sweep = kernels.spectrum
 
     def reversed_words(*args):
-        hist, words, overflow = sweep(*args)
-        return hist, words[::-1], overflow
+        hist, words = sweep(*args)
+        return hist, words[::-1]
 
     monkeypatch.setattr(kernels, "spectrum", reversed_words)
     assert run_suite(params, suites=["bbw"]).check("bbw") == expected
@@ -208,10 +220,10 @@ def test_bbw_rejects_a_sweep_word_outside_the_code(monkeypatch):
     sweep = kernels.spectrum
 
     def with_a_stray_word(*args):
-        hist, words, overflow = sweep(*args)
+        hist, words = sweep(*args)
         stray = np.zeros((1, words.shape[1]), dtype=words.dtype)
         stray[0, 0] = 1
-        return hist, np.concatenate([words, stray]), overflow
+        return hist, np.concatenate([words, stray])
 
     monkeypatch.setattr(kernels, "spectrum", with_a_stray_word)
     with pytest.raises(NotInCode):
@@ -391,11 +403,12 @@ def test_blocking_suite_matches_one_reduction_per_order(monkeypatch, params, see
     g = GeometrySpec(make_field(p, h), n)
     model = build_model(g)
     spectrum = enumerate_spectrum(model)
+    low = verify._LowWords(model, spectrum.low_weight, spectrum.weight_counts)
     shared_rng = verify._suite_rng(seed, "blocking")
-    shared = verify._run_blocking(g, model, spectrum, None, shared_rng, 20, orders)
+    shared = verify._run_blocking(g, low, shared_rng, 20, orders)
     monkeypatch.setattr(verify, "reduce_mask_orders", _one_reduce_mask_per_order)
     replay_rng = verify._suite_rng(seed, "blocking")
-    replay = verify._run_blocking(g, model, spectrum, None, replay_rng, 20, orders)
+    replay = verify._run_blocking(g, low, replay_rng, 20, orders)
     assert shared == replay
     assert shared_rng.bit_generator.state == replay_rng.bit_generator.state
 
@@ -533,18 +546,111 @@ def test_reports_are_reproducible_given_seed():
     assert emit_report(a, "table") == emit_report(b, "table")
 
 
-def test_search_mode_report_matches_pinned_digest():
-    # captured before search rounds, classification and hull tests worked on
-    # whole arrays: the JSON report must stay byte-identical
+# sha256 of the JSON report of a 60-round search-mode run of the weight
+# suites at seed 5; (7, 1, 2) was captured before search rounds,
+# classification and hull tests worked on whole arrays
+PINNED_SEARCH_REPORTS = {
+    (7, 1, 2): "b2deaede9c9d4ebdfded0bfb59ae9a9fce6a002204d1ff3dd8cbadbeea5765bc",
+    (2, 3, 2): "bcf7ff7a2dd524b10bca133cc1dc9afc81ff5534a6bcea1823fc20a4c6e2a405",
+    (5, 1, 2): "c8e93b9655a998b1d1bab750bd2eeafa511dc30ca9133b58c3e877eaebd92361",
+}
+
+
+def _search_report_digest(params):
     r = run_suite(
-        (7, 1, 2),
+        params,
         ("dimension", "minweight", "gap", "second", "blocking"),
         seed=5,
         search_iterations=60,
     )
     assert r.mode == "search"
-    digest = hashlib.sha256(emit_report(r, "json").encode()).hexdigest()
-    assert digest == "b2deaede9c9d4ebdfded0bfb59ae9a9fce6a002204d1ff3dd8cbadbeea5765bc"
+    return hashlib.sha256(emit_report(r, "json").encode()).hexdigest()
+
+
+def test_search_mode_report_matches_pinned_digest():
+    assert _search_report_digest((7, 1, 2)) == PINNED_SEARCH_REPORTS[7, 1, 2]
+
+
+@pytest.mark.parametrize("params", [(2, 3, 2), (5, 1, 2)])
+def test_more_search_mode_reports_match_pinned_digests(params):
+    assert _search_report_digest(params) == PINNED_SEARCH_REPORTS[params]
+
+
+def _every_word_other(classify_words):
+    """classify_words with every row's kind replaced by OTHER."""
+
+    def other(model, words):
+        classes = classify_words(model, words)
+        kinds = np.full_like(classes.kinds, analysis._KINDS.index(WordKind.OTHER))
+        return dataclasses.replace(classes, kinds=kinds)
+
+    return other
+
+
+def _gap_word(g):
+    """A word of weight theta_{n-1} + 1, which lies in the gap wherever there is one."""
+    word = np.zeros(g.num_points, dtype=np.uint8)
+    word[: theta(g.n - 1, g.q) + 1] = 1
+    return word
+
+
+def _with_a_gap_word(enumerate_spectrum, low_weight_search):
+    """Both sources of low words, with one gap word added to their words
+    (and to the spectrum's counts)."""
+
+    def spectrum(model, **kwargs):
+        report = enumerate_spectrum(model, **kwargs)
+        word = _gap_word(model.geometry)
+        counts = dict(report.weight_counts)
+        w = int(np.count_nonzero(word))
+        counts[w] = counts.get(w, 0) + 1
+        low = np.concatenate([report.low_weight, word[None]])
+        return dataclasses.replace(report, weight_counts=dict(sorted(counts.items())), low_weight=low)
+
+    def search(model, *args, **kwargs):
+        result = low_weight_search(model, *args, **kwargs)
+        words = np.concatenate([result.words, _gap_word(model.geometry)[None]])
+        return dataclasses.replace(result, words=words)
+
+    return spectrum, search
+
+
+# sha256 of the JSON reports in which minweight and second (every low word
+# classified OTHER) or gap (one added gap word) fail, captured before the
+# weight suites read one low-word value
+PINNED_FAILURE_REPORTS = {
+    ((3, 1, 2), "exhaustive", "classes"): "83477b1187e97eeff4554c28c89377eb480c0522a7671e6efe296cd52ec8751f",
+    ((3, 1, 2), "exhaustive", "gap"): "9be2ea5a257b76aaf1f5b0f68075ca55421e25f523417767da6713d98ea05e11",
+    ((2, 2, 2), "exhaustive", "classes"): "7d3e65d9ff9158c67842044b36565f620cf2d2e74e9be153b92a2c19a8916721",
+    ((2, 2, 2), "exhaustive", "gap"): "9dfec7dc2cabab1a2580b7450a8cfc1c6dd22ec3047780faac0d8ca87d28926e",
+    ((5, 1, 2), "search", "classes"): "7ec4941cd832e5183f03e1c16410abda75708601ae34e76a4a102457f44bee9f",
+    ((5, 1, 2), "search", "gap"): "38445e3be7aedcb82307b51cb88cc1c200790c6f933777d928af2dd523688a31",
+    ((2, 3, 2), "search", "classes"): "ab2bb56c5ea16e32570b4b86da890a0ca579521a4a127c8776966a52d46f645b",
+    ((2, 3, 2), "search", "gap"): "2d09af35d2977cf41915843a4308351d25ad6aa560441b7e219bd174f9c9c43c",
+}
+
+
+@pytest.mark.parametrize("params, mode, tamper", list(PINNED_FAILURE_REPORTS))
+def test_weight_suite_failure_reports_match_pinned_digests(monkeypatch, params, mode, tamper):
+    if tamper == "classes":
+        monkeypatch.setattr(verify, "classify_words", _every_word_other(verify.classify_words))
+        failing = {"minweight", "second"}
+    else:
+        spectrum, search = _with_a_gap_word(verify.enumerate_spectrum, verify.low_weight_search)
+        monkeypatch.setattr(verify, "enumerate_spectrum", spectrum)
+        monkeypatch.setattr(verify, "low_weight_search", search)
+        failing = {"gap", "blocking"}
+    suites = [s for s in SUITES if mode == "exhaustive" or s not in ("hull", "bbw")]
+    report = run_suite(
+        params, suites, seed=3, mode=mode, search_iterations=60, restriction_samples=100
+    )
+    assert report.mode == mode
+    failed = {c.name: c for c in report.checks if c.status == "fail"}
+    assert failing <= set(failed)
+    # an exhaustive gap check reads the histogram alone and lists no words
+    assert all(failed[name].witnesses for name in failing if mode == "search" or name != "gap")
+    digest = hashlib.sha256(emit_report(report, "json").encode()).hexdigest()
+    assert digest == PINNED_FAILURE_REPORTS[params, mode, tamper]
 
 
 def test_json_rendering_round_trips():
