@@ -65,7 +65,7 @@ class NoInformationSetFound(RuntimeError):
 
 class InconsistentSpectrum(RuntimeError):
     """A sweep's result cannot be right: its weight histogram violates the
-    MacWilliams identities, or it dropped words it was sized to keep."""
+    MacWilliams identities."""
 
 
 class NotInCode(ValueError):
@@ -116,7 +116,7 @@ class SpectrumReport:
     """Weight distribution plus the collected low-weight words.
 
     low_weight holds every nonzero word of weight <= collect_limit, sorted
-    by (weight, entries) so output is identical across kernel backends.
+    by (weight, entries), so the words of a lower limit are its leading rows.
     """
 
     weight_counts: dict[int, int]

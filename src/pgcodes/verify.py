@@ -4,12 +4,14 @@ run_suite builds the code for one (p, h, n) triple and runs a selection
 of named check suites, each recording pass/fail with enough detail to
 audit.  Where the full message space fits the budget the checks are
 exhaustive; beyond it the weight-facing suites degrade to randomized
-search evidence and say so in their status.  The weight suites (minweight,
-gap, second, blocking) read one low-word value, _LowWords: the spectrum's
-low words and histogram, or the search's words and a tally of their
-weights, classified once.  Suites test whole word arrays: bbw asks about
-every (incidence word, external point) pair in one call, and restriction
-tests its sampled (subspace, word) pairs a dimension at a time.
+search evidence and say so in their status.  An exhaustive run sweeps the
+generator once.  The weight suites (minweight, gap, second, blocking) read
+one low-word value, _LowWords: the sweep's words up to weight 2q^(n-1) and
+its histogram, or the search's words and a tally of their weights,
+classified once.  bbw reads every word of the sweep.  Suites test whole
+word arrays: bbw asks about every (incidence word, external point) pair in
+one call, and restriction tests its sampled (subspace, word) pairs a
+dimension at a time.
 """
 
 from __future__ import annotations
@@ -253,7 +255,7 @@ def _subspace_words(g: GeometrySpec) -> np.ndarray:
 @dataclass(eq=False)
 class _LowWords:
     """The low words that minweight, gap, second and blocking read, sorted
-    by (weight, entries): the spectrum's words up to its collect limit, with
+    by (weight, entries): the spectrum's words up to weight 2q^(n-1), with
     its whole histogram as counts, or the search's found words, with a tally
     of their weights and the round count as iterations.  The weights and
     the one classification are computed on first use."""
@@ -329,11 +331,15 @@ def run_suite(
         checks=[],
     )
 
-    low = None
+    spectrum = low = None
     if resolved == "exhaustive" and set(chosen) & {"minweight", "gap", "second", "bbw", "blocking"}:
-        spectrum = enumerate_spectrum(model, budget=budget)
+        # the one sweep collects every word when planar bbw is within its budget
+        every_word = "bbw" in chosen and n == 2 and p**model.dimension <= bbw_budget
+        limit = g.num_points if every_word else None
+        spectrum = enumerate_spectrum(model, budget=budget, collect_limit=limit)
         report.spectrum = spectrum.to_json_dict()
-        low = _LowWords(model, spectrum.low_weight, spectrum.weight_counts)
+        low_rows = np.count_nonzero(spectrum.low_weight, axis=1) <= second_weight
+        low = _LowWords(model, spectrum.low_weight[low_rows], spectrum.weight_counts)
     if resolved == "search" and set(chosen) & {"minweight", "gap", "second", "blocking"}:
         search = low_weight_search(
             model,
@@ -354,7 +360,7 @@ def run_suite(
         "restriction": lambda: _run_restriction(
             g, model, low, _suite_rng(seed, "restriction"), restriction_samples
         ),
-        "bbw": lambda: _run_bbw(g, model, resolved, bbw_budget),
+        "bbw": lambda: _run_bbw(g, model, spectrum, bbw_budget),
         "blocking": lambda: _run_blocking(
             g, low, _suite_rng(seed, "blocking"), blocking_trials, blocking_orders
         ),
@@ -549,18 +555,16 @@ def _run_restriction(g, model, low, rng, samples) -> CheckResult:
     return CheckResult("restriction", "pass" if not bad else "fail", details, bad)
 
 
-def _run_bbw(g, model, mode, bbw_budget) -> CheckResult:
+def _run_bbw(g, model, spectrum, bbw_budget) -> CheckResult:
     if g.n != 2:
         return CheckResult("bbw", "skipped", {"reason": "planar statement only"})
-    if mode != "exhaustive":
+    if spectrum is None:
         return CheckResult("bbw", "skipped", {"reason": "requires exhaustive enumeration"})
-    p = g.field.p
-    messages = p**model.dimension
-    if messages > bbw_budget:
-        details = {"messages": messages, "bbw_budget": bbw_budget}
+    if spectrum.collect_limit < g.num_points:  # run_suite kept it to the low words
+        details = {"messages": spectrum.messages, "bbw_budget": bbw_budget}
         return CheckResult("bbw", "skipped", details)
-    # collect every codeword, keep those with all entries in {0, 1}
-    words = _sweep(model.generator, p, g.num_points)[1]
+    # the run's one sweep collected every codeword; keep those with entries in {0, 1}
+    words = spectrum.low_weight
     words = words[words.max(axis=1) <= 1]
     if not model.contains_rows(words).all():
         raise NotInCode("an incidence word of the sweep is not a codeword")

@@ -299,3 +299,19 @@ def test_criterion_11_search_evidence_beyond_exhaustion():
         assert gap["interval"] == [6, 10]
         assert gap["weights_inside"] == {}
         assert time.perf_counter() - start < 120.0
+
+
+def test_criterion_12_exact_beyond_the_default_budget():
+    # PG(4,3) has 3^16 messages, past the default 2^22; a raised budget
+    # makes the run exact, and every statement but the planar bbw passes
+    with verdict(12, "exact-beyond-default-budget"):
+        start = time.perf_counter()
+        r = run_suite((3, 1, 4), budget=3**16)
+        assert r.mode == "exhaustive"
+        assert r.spectrum["messages"] == 3**16
+        statuses = {c.name: c.status for c in r.checks}
+        assert statuses.pop("bbw") == "skipped"
+        assert r.check("bbw").details == {"reason": "planar statement only"}
+        assert set(statuses.values()) == {"pass"}
+        assert r.check("minweight").details["minimum_weight"] == theta(3, 3)
+        assert time.perf_counter() - start < 30.0

@@ -593,6 +593,18 @@ def test_classify_words_matches_oracle_on_exhaustive_words(params):
     _check_classify_words(model, words)
 
 
+@pytest.mark.parametrize("params", [t for t in DEFAULT_GRID if t != (2, 3, 2)])
+def test_low_words_lead_the_words_of_a_sweep_that_collects_all(params):
+    # a run that checks bbw takes its low words from the one sweep that
+    # collects every word; _sort_words puts them first
+    g = _geometry(params)
+    model = build_model(g)
+    low = enumerate_spectrum(model).low_weight
+    every = enumerate_spectrum(model, collect_limit=g.num_points).low_weight
+    assert len(every) > len(low) > 0
+    assert np.array_equal(every[: len(low)], low)
+
+
 @pytest.mark.parametrize("params,seed", [((7, 1, 2), 21), ((2, 3, 2), 22)])
 def test_classify_words_matches_oracle_on_search_words(params, seed):
     g = _geometry(params)

@@ -159,9 +159,9 @@ def test_skip_gates_for_hull_and_bbw_budgets():
 
 @pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 2)])
 def test_bbw_refuses_a_sweep_with_a_tampered_histogram(monkeypatch, params):
-    # only the bbw sweep collects every word; the shared spectrum phase keeps
-    # its honest sweep, so the MacWilliams check of the bbw sweep must raise
-    # (a raise, which python -O keeps)
+    # only a sweep that collects every word is tampered with: the run's one
+    # sweep, which bbw reads, so its MacWilliams check must raise (a raise,
+    # which python -O keeps)
     sweep = kernels.spectrum
 
     def tampered(rows, p, collect_limit):
@@ -413,6 +413,51 @@ def test_blocking_suite_matches_one_reduction_per_order(monkeypatch, params, see
     assert shared_rng.bit_generator.state == replay_rng.bit_generator.state
 
 
+def _spy_sweeps(monkeypatch, model):
+    """The (basis is the generator, collect limit) of every kernel sweep."""
+    sweep = kernels.spectrum
+    calls = []
+
+    def spy(rows, p, collect_limit):
+        calls.append((np.array_equal(rows, model.generator), collect_limit))
+        return sweep(rows, p, collect_limit)
+
+    monkeypatch.setattr(kernels, "spectrum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("params", _EXHAUSTIVE_GRID)
+def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
+    # the spectrum, the weight suites and bbw share one generator sweep, which
+    # collects every word only for a planar bbw within its budget; the hull
+    # suite sweeps the hull basis, counting only
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    model = build_model(g)
+    low, messages = 2 * g.q ** (n - 1), p**model.dimension
+    low_words = len(enumerate_spectrum(model).low_weight)
+    classify_words = verify.classify_words
+    classified = []
+
+    def counting(model, words):
+        classified.append(len(words))
+        return classify_words(model, words)
+
+    monkeypatch.setattr(verify, "classify_words", counting)
+    calls = _spy_sweeps(monkeypatch, model)
+    run_suite(params, restriction_samples=10, blocking_trials=2)
+    assert calls == [(True, g.num_points if n == 2 else low), (False, 0)]
+    # the weight suites classify the low words only, not every word bbw reads
+    assert classified == [low_words]
+    if n == 2:
+        calls.clear()
+        run_suite(params, bbw_budget=messages - 1, restriction_samples=10, blocking_trials=2)
+        assert calls == [(True, low), (False, 0)]
+        calls.clear()
+        assert run_suite(params, ["bbw"], bbw_budget=messages).check("bbw").status == "pass"
+        assert calls == [(True, g.num_points)]
+
+
 @pytest.mark.parametrize(
     "params, mode", [((5, 1, 2), "search"), ((2, 3, 2), "search"), ((3, 1, 2), "auto")]
 )
@@ -528,15 +573,82 @@ PINNED_REPORTS = {
 }
 
 
+def _report_digests(report):
+    return tuple(
+        hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
+        for fmt in ("json", "table", "csv")
+    )
+
+
 @pytest.mark.parametrize("params, seed", list(PINNED_REPORTS))
 def test_exhaustive_reports_match_pinned_digests(params, seed):
     report = run_suite(params, seed=seed)
     assert report.mode == "exhaustive"
-    digests = tuple(
-        hashlib.sha256(emit_report(report, fmt).encode()).hexdigest()
-        for fmt in ("json", "table", "csv")
-    )
-    assert digests == PINNED_REPORTS[params, seed]
+    assert _report_digests(report) == PINNED_REPORTS[params, seed]
+
+
+# the same digests of planar runs at seed 1 that choose bbw alone, bbw with
+# restriction (whose word pool must stay the low words), or every suite with
+# bbw over its budget; captured while bbw still swept the generator itself
+_BBW_RUNS = {
+    "bbw": {"suites": ["bbw"]},
+    "bbw+restriction": {"suites": ["bbw", "restriction"]},
+    "bbw_budget=16": {"bbw_budget": 16},
+}
+PINNED_BBW_REPORTS = {
+    ((2, 1, 2), "bbw"): (
+        "67768045bb632a457fed5644b94316a247493b1c7d6bdec94d9cb5884b8beb65",
+        "d6e0086d3630d83bc669392ae07d9cbd478d8e868f6c43f7c689302b6aae2645",
+        "49112b759944ba98030c515ce6491f8845ceb14159d0b1735c5eb15e2a7c38da",
+    ),
+    ((3, 1, 2), "bbw"): (
+        "f01abec571644c506958fbeacbc34159fe45a1b3b0d3c4048907fa1d12b535bb",
+        "2e2abd7ff6b7d31af0b9fc8c4d87ee72f591184f5795c15279f061d85dcc0ed1",
+        "58fd694c977d28331335495b1efd2ddce7339c4e73bb966409cc5d6d63a37974",
+    ),
+    ((2, 2, 2), "bbw"): (
+        "207e87058b883c92e33cccfdb29724bba2ea486de3755462f317280d6e27eb56",
+        "61e028b1a165b515992b4e0a3f8fe83ddc417a44ac613d14ff6f2dd6c2734bd1",
+        "78d102cd314c2b607e74eed96e0e4366a85b6d8c833189611dd2187bd592795d",
+    ),
+    ((2, 1, 2), "bbw+restriction"): (
+        "f5ff83f459a4e93363e1ccdbcc9bfb73d307e987b6cb6829bdbadce4205e36d0",
+        "4bcc64f147ff9fb91452639b5feb203dc9c511b74e41e07cfc764358167c9d77",
+        "49112b759944ba98030c515ce6491f8845ceb14159d0b1735c5eb15e2a7c38da",
+    ),
+    ((3, 1, 2), "bbw+restriction"): (
+        "4e0a585f1484d6f7e6f076548a47171f471a98cf7aa62efd87edf21e8f9999ff",
+        "d6be60945d2d364451d64aa5ff4494b8f7334e35c41bbf80f0f383f390c4e188",
+        "58fd694c977d28331335495b1efd2ddce7339c4e73bb966409cc5d6d63a37974",
+    ),
+    ((2, 2, 2), "bbw+restriction"): (
+        "a94ee06f272007c85ec44e7e69cfd4b2b0a71f8cf23a4960da74282a4d7ff17b",
+        "6d230fdb6604c194e6e5ce42c3e8b22bed561178d336aa60702903c55a9bbbf3",
+        "78d102cd314c2b607e74eed96e0e4366a85b6d8c833189611dd2187bd592795d",
+    ),
+    ((2, 1, 2), "bbw_budget=16"): (
+        "18e4925836d06fcca7e1f176b0815416db3f834b26be1267fa690a87393fbfbc",
+        "650872fc580e173e3dc0b7440ad66218205aeefcb43c0ef5d7b96aa1cfbc290e",
+        "49112b759944ba98030c515ce6491f8845ceb14159d0b1735c5eb15e2a7c38da",
+    ),
+    ((3, 1, 2), "bbw_budget=16"): (
+        "f9c4c279194d99ad6683dda647091c601c6a37b21805cb379fac63b1cfebf2d1",
+        "ea9c2e1f231f3baefe7b57c606525bc58ebff67b28d5446c6e4ab92550bc1a14",
+        "58fd694c977d28331335495b1efd2ddce7339c4e73bb966409cc5d6d63a37974",
+    ),
+    ((2, 2, 2), "bbw_budget=16"): (
+        "9e5aa9578b0f4234351e8099672d3719359c2db55c7482806ea837fe09bfdaf5",
+        "d33b09b6c5c19e4dbf5f0c8b45e956ceb6809a890a1f4541fa272bb26cc99b8d",
+        "78d102cd314c2b607e74eed96e0e4366a85b6d8c833189611dd2187bd592795d",
+    ),
+}
+
+
+@pytest.mark.parametrize("params, run", list(PINNED_BBW_REPORTS))
+def test_bbw_run_reports_match_pinned_digests(params, run):
+    report = run_suite(params, seed=1, **_BBW_RUNS[run])
+    assert report.mode == "exhaustive"
+    assert _report_digests(report) == PINNED_BBW_REPORTS[params, run]
 
 
 def test_reports_are_reproducible_given_seed():
@@ -594,25 +706,29 @@ def _gap_word(g):
     return word
 
 
-def _with_a_gap_word(enumerate_spectrum, low_weight_search):
-    """Both sources of low words, with one gap word added to their words
-    (and to the spectrum's counts)."""
+def _with_a_gap_word(enumerate_spectrum, low_words, low_weight_search):
+    """Both sources of low words, with one gap word added to their words:
+    to the exhaustive low-word value (and the spectrum's counts), so that bbw
+    still reads the honest sweep, and to the search's words."""
 
     def spectrum(model, **kwargs):
         report = enumerate_spectrum(model, **kwargs)
-        word = _gap_word(model.geometry)
         counts = dict(report.weight_counts)
-        w = int(np.count_nonzero(word))
+        w = int(np.count_nonzero(_gap_word(model.geometry)))
         counts[w] = counts.get(w, 0) + 1
-        low = np.concatenate([report.low_weight, word[None]])
-        return dataclasses.replace(report, weight_counts=dict(sorted(counts.items())), low_weight=low)
+        return dataclasses.replace(report, weight_counts=dict(sorted(counts.items())))
+
+    def low(model, words, counts, iterations=None):
+        if iterations is None:
+            words = np.concatenate([words, _gap_word(model.geometry)[None]])
+        return low_words(model, words, counts, iterations)
 
     def search(model, *args, **kwargs):
         result = low_weight_search(model, *args, **kwargs)
         words = np.concatenate([result.words, _gap_word(model.geometry)[None]])
         return dataclasses.replace(result, words=words)
 
-    return spectrum, search
+    return spectrum, low, search
 
 
 # sha256 of the JSON reports in which minweight and second (every low word
@@ -636,8 +752,11 @@ def test_weight_suite_failure_reports_match_pinned_digests(monkeypatch, params, 
         monkeypatch.setattr(verify, "classify_words", _every_word_other(verify.classify_words))
         failing = {"minweight", "second"}
     else:
-        spectrum, search = _with_a_gap_word(verify.enumerate_spectrum, verify.low_weight_search)
+        spectrum, low, search = _with_a_gap_word(
+            verify.enumerate_spectrum, verify._LowWords, verify.low_weight_search
+        )
         monkeypatch.setattr(verify, "enumerate_spectrum", spectrum)
+        monkeypatch.setattr(verify, "_LowWords", low)
         monkeypatch.setattr(verify, "low_weight_search", search)
         failing = {"gap", "blocking"}
     suites = [s for s in SUITES if mode == "exhaustive" or s not in ("hull", "bbw")]
