@@ -1,9 +1,11 @@
 """Codeword analytics: classification, spectra, search, traces, tangency.
 
 Everything operates on plain uint8 words over the global point order.  The
-spectrum enumerator and the information-set search delegate their inner
-loops to the kernels module; this module owns the mathematics around them
-(classification of what was found, deduplication, deterministic ordering).
+spectrum enumerator, the minimum-weight proof and the information-set
+search delegate their inner loops to the kernels module; this module owns
+the mathematics around them (classification of what was found,
+deduplication, deterministic ordering, and the proof's information sets,
+bound and checks).
 
 Word classification and subspace traces ask one question of a point set:
 is it a hyperplane, or the symmetric difference of two hyperplanes?
@@ -17,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -25,10 +28,12 @@ from pgcodes import kernels
 from pgcodes.code import (
     CodeModel,
     LengthMismatch,
+    _product_mod_p,
     as_word,
     as_words,
     build_model,
     row_blocks,
+    rref_mod_p,
 )
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -66,6 +71,11 @@ class NoInformationSetFound(RuntimeError):
 class InconsistentSpectrum(RuntimeError):
     """A sweep's result cannot be right: its weight histogram violates the
     MacWilliams identities."""
+
+
+class InconsistentProof(RuntimeError):
+    """A minimum-weight proof cannot be right: a systematic form, the message
+    count of an enumerated weight, or the lightest word fails its check."""
 
 
 class NotInCode(ValueError):
@@ -464,6 +474,146 @@ def enumerate_spectrum(
         collect_limit=collect_limit,
         low_weight=words,
     )
+
+
+# -- minimum weight by information sets --------------------------------------
+#
+# The Brouwer-Zimmermann algorithm (Zimmermann 1996; Brouwer, Handbook of
+# Coding Theory, 1998).  Information sets I_1, I_2, ... are taken greedily,
+# and r_j counts the columns of I_j that no earlier set holds.  A word c is
+# m_j G_j in the systematic form G_j on I_j, and m_j is c on I_j.  Once every
+# message of weight at most t of G_j is enumerated, an unfound c has at least
+# t + 1 nonzeros on I_j, of which at most k - r_j lie on older columns, so at
+# least t + 1 - (k - r_j) on I_j's fresh ones.  The fresh columns of distinct
+# sets are disjoint, so every unfound word weighs at least the bound
+# sum_j max(0, t + 1 - (k - r_j)), and the lightest word found is the
+# minimum as soon as the bound reaches it.
+
+
+def _zimmermann_bound(k: int, ranks, t: int) -> int:
+    """The least weight of a word no message of weight <= t found."""
+    return sum(max(0, t + 1 - (k - r)) for r in ranks)
+
+
+def _orbit_messages(k: int, w: int, p: int) -> int:
+    """Messages of weight w of a k-row basis, one per scalar orbit."""
+    return comb(k, w) * (p - 1) ** (w - 1)
+
+
+def _proof_levels(k: int, ranks, upper: int) -> list:
+    """The levels t = 1, 2, ... of a proof over sets of these fresh ranks
+    whose bound stays below upper, the weight to beat: for each, the bound
+    proved before it and its (set, message weight) batches.
+
+    At level t every set whose bound term t + 1 - (k - r_j) is positive has
+    its messages of weight t enumerated, and a set that first contributes
+    at level t catches up on the weights below t.  Past t = k the first set,
+    of rank k, has no message left.
+    """
+    done = [0] * len(ranks)
+    levels = []
+    for t in range(1, k + 1):
+        bound = _zimmermann_bound(k, ranks, t - 1)
+        if bound >= upper:
+            break
+        batches = []
+        for j, r in enumerate(ranks):
+            if k - r <= t:
+                batches += [(j, w) for w in range(done[j] + 1, t + 1)]
+                done[j] = t
+        levels.append((bound, batches))
+    return levels
+
+
+def _proof_messages(p: int, k: int, ranks, upper: int) -> int:
+    """Messages the levels of _proof_levels enumerate: an upper bound on the
+    work of a proof whose lightest word found is at most upper."""
+    levels = _proof_levels(k, ranks, upper)
+    return sum(_orbit_messages(k, w, p) for _, batches in levels for _, w in batches)
+
+
+def _information_sets(basis: np.ndarray, p: int, contains_rows):
+    """Greedy disjoint information sets of a k-row reduced basis.
+
+    Each set is the pivots of the basis reduced with the columns no earlier
+    set holds put first, so it takes as many fresh columns as they have
+    rank; the sets end when they have none.  Returns (form, order, rank)
+    for each: the systematic form on the permuted columns (column i is the
+    basis's column order[i]), the permutation, and the fresh rank r_j.
+    Raises InconsistentProof unless every form has k pivots and rows that
+    contains_rows accepts in the basis's own column order.
+    """
+    k, n = basis.shape
+    unused = np.ones(n, dtype=bool)
+    sets = []
+    while True:
+        order = np.concatenate([np.flatnonzero(unused), np.flatnonzero(~unused)])
+        form, pivots = rref_mod_p(basis[:, order], p)
+        rows = np.empty_like(form)
+        rows[:, order] = form
+        if len(pivots) != k or not contains_rows(rows).all():
+            raise InconsistentProof(
+                f"a systematic form has {len(pivots)} pivots, not {k}, or leaves the code"
+            )
+        fresh = [c for c in pivots if unused[order[c]]]
+        if not fresh:
+            return sets
+        sets.append((form, order, len(fresh)))
+        unused[order[fresh]] = False
+
+
+def minimum_weight(basis, p: int, budget: int | None = None, contains_rows=None):
+    """The minimum weight of the code a reduced basis spans over F_p, or None
+    for a basis with no rows; proved by Brouwer-Zimmermann enumeration.
+
+    The basis is taken as kernels.spectrum takes it.  The lightest basis row
+    is the first word to beat.  The proof raises its level t, enumerating by
+    kernels.lightest_words one message per scalar orbit, until the bound
+    reaches the lightest word found.  contains_rows tests code membership of
+    word rows (default: the basis's row space); budget caps the messages the
+    proof is estimated to enumerate, from its sets' fresh ranks and the
+    lightest basis row, and BudgetExceeded is raised before any enumeration
+    above it.  Each step is checked, and InconsistentProof raised when one
+    fails: every systematic form (_information_sets), the message count of
+    every enumerated weight, and the lightest word, rebuilt from its message
+    digits, must have the claimed weight and lie in the code.
+    """
+    basis, free = kernels._reduced_basis(basis, p)
+    k = basis.shape[0]
+    if not k:
+        return None
+    pivots = np.flatnonzero(~free)
+    if contains_rows is None:
+        def contains_rows(words):
+            return (_product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
+    weights = np.count_nonzero(basis, axis=1)
+    best, word = int(weights.min()), basis[weights.argmin()]
+    sets = _information_sets(basis, p, contains_rows)
+    ranks = [rank for _, _, rank in sets]
+    estimate = _proof_messages(p, k, ranks, best)
+    if budget is not None and estimate > budget:
+        raise BudgetExceeded(f"the proof's estimated {estimate} messages exceed budget {budget}")
+    levels = _proof_levels(k, ranks, best)
+    # each set's batches are its weights 1, 2, ... in turn, up to these
+    top = {j: w for _, batches in levels for j, w in batches}
+    enumerators = {j: kernels.lightest_words(sets[j][0], p, w) for j, w in top.items()}
+    for bound, batches in levels:
+        if bound >= best:
+            break
+        for j, w in batches:
+            messages, weight, found = next(enumerators[j])
+            if messages != _orbit_messages(k, w, p):
+                raise InconsistentProof(
+                    f"{messages} messages of weight {w}, not {_orbit_messages(k, w, p)}"
+                )
+            if weight < best:
+                best, word = weight, np.empty_like(found)
+                word[sets[j][1]] = found
+    rebuilt = _product_mod_p(word[pivots][None], basis, p)
+    rebuilds = (rebuilt[0] == word).all() and np.count_nonzero(word) == best
+    if not (rebuilds and contains_rows(rebuilt)[0]):
+        raise InconsistentProof(f"the lightest word is no codeword of weight {best}")
+    return best
 
 
 # -- randomized low-weight search --------------------------------------------

@@ -462,7 +462,20 @@ def _subspace_bases(g: GeometrySpec, k: int) -> np.ndarray:
 
 
 def _as_subspaces(g: GeometrySpec, bases: np.ndarray) -> list[Subspace]:
-    return [Subspace(g, tuple(map(tuple, basis))) for basis in bases.tolist()]
+    """The Subspaces of an (N, k+1, n+1) table of bases, which are checked
+    as one stack, as Subspace checks one basis; the keys are then built
+    without a check each."""
+    if ((bases < 0) | (bases >= g.q)).any():
+        raise ValueError(f"basis entry outside [0, {g.q})")
+    if _rref_pivots(bases) is None:
+        raise ValueError("basis is not in reduced row-echelon form")
+    keys = []
+    for basis in bases.tolist():
+        key = object.__new__(Subspace)
+        object.__setattr__(key, "geometry", g)
+        object.__setattr__(key, "basis", tuple(map(tuple, basis)))
+        keys.append(key)
+    return keys
 
 
 def enumerate_subspaces(g: GeometrySpec, k: int) -> list[Subspace]:

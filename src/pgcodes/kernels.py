@@ -1,8 +1,9 @@
 """Hot kernels: the spectrum sweep, batched search rounds and the mod-p eliminator.
 
-The two hot loops are full-spectrum enumeration (all p^k messages of a k-row
-generator) and the randomized information-set rounds of the low-weight
-search.  Both are plain numpy whose inner work is float32 matrix products.
+The hot loops are full-spectrum enumeration (all p^k messages of a k-row
+generator), the enumeration of low-weight messages behind a minimum-weight
+proof, and the randomized information-set rounds of the low-weight search.
+All are plain numpy whose inner work is float32 matrix products.
 
 spectrum is a meet-in-the-middle sweep, one code path for every p.  It takes
 a reduced basis, as every basis of a code model is, and refuses any other
@@ -19,6 +20,12 @@ one product and one bincount, their weights packed as two base-(n+1) digits.
 It returns the weight histogram and every word of weight 1..collect_limit,
 with no cap on their number; analysis._sweep checks the one against the
 MacWilliams identities and sorts the other.
+
+lightest_words serves analysis.minimum_weight's Brouwer-Zimmermann proof
+with the same machinery: it enumerates the messages of one weight t at a
+time, one per scalar orbit, from two half tables built by _combinations
+with at most t digits and encoded by _encode, one product per split of t
+between the halves, and yields the lightest word of each weight.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -61,14 +68,22 @@ def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _combinations(rows: np.ndarray, p: int) -> np.ndarray:
-    """All p^m combinations sum_i c_i rows[i] mod p of m rows, as uint8 rows."""
+def _combinations(rows: np.ndarray, p: int, max_digits: int | None = None) -> np.ndarray:
+    """All p^m combinations sum_i c_i rows[i] mod p of m rows, as uint8 rows;
+    with max_digits, only those with at most that many nonzero c_i, in the
+    same order."""
     n = rows.shape[1]
-    table = np.zeros((1, n), dtype=np.uint16)
-    coeffs = np.arange(p, dtype=np.uint16)[:, None, None]
+    # c * row + entry stays below p (p - 1) + 1: a byte holds it up to p = 13,
+    # and 2^16 up to p = 251
+    dtype = np.uint8 if p * (p - 1) < 256 else np.uint16
+    table = np.zeros((1, n), dtype=dtype)
+    digits = np.zeros(1, dtype=np.intp)
+    coeffs = np.arange(p, dtype=dtype)[:, None, None]
     for row in rows:
-        # c * row + entry stays below 251 * 251 < 2^16
-        table = _mod_p(table + coeffs * row, p).reshape(p * len(table), n)
+        table = _mod_p(table + coeffs * row.astype(dtype), p).reshape(p * len(table), n)
+        if max_digits is not None:
+            digits = (digits + (coeffs.ravel() != 0)[:, None]).ravel()
+            table, digits = table[digits <= max_digits], digits[digits <= max_digits]
     return table.astype(np.uint8)
 
 
@@ -83,7 +98,12 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
     """
     if p == 2:
         x = values.astype(np.float32)
-        return 1 - 2 * x if middle else x - 0.5
+        if middle:
+            x *= -2
+            x += 1
+        else:
+            x -= 0.5
+        return x
     targets = ((-np.arange(p)) % p if middle else np.arange(p)).astype(np.uint8)
     onehot = (values[:, :, None] == targets).reshape(len(values), -1).astype(np.float32)
     return onehot if middle else -onehot
@@ -91,7 +111,8 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
 
 def _rref_pivots(rows: np.ndarray):
     """The pivot columns of a matrix in reduced row-echelon form with no zero
-    row, or None for any other matrix.
+    row, or None for any other matrix; for a (..., r, c) stack of matrices,
+    the (..., r) pivots if every one is so reduced, and None otherwise.
 
     Entries are field element indices, and every field's order puts 0 and 1
     first, so the test holds over any GF(q): each row leads with a 1, the
@@ -100,16 +121,29 @@ def _rref_pivots(rows: np.ndarray):
     columns.  A matrix with no rows is reduced, with no pivots.
     """
     if not rows.size:
-        return None if len(rows) else np.zeros(0, dtype=np.intp)
-    lead = (rows != 0).argmax(axis=1)
-    at_lead = rows[:, lead]
+        return None if len(rows) else np.zeros(rows.shape[:-1], dtype=np.intp)
+    lead = (rows != 0).argmax(axis=-1)
+    # at_lead[..., i, j] is rows[..., i, lead[..., j]]
+    at_lead = np.take_along_axis(rows, lead[..., None, :], axis=-1)
     if (
-        (lead[1:] > lead[:-1]).all()
-        and (at_lead.diagonal() == 1).all()
-        and int(at_lead.sum()) == len(rows)
+        (lead[..., 1:] > lead[..., :-1]).all()
+        and (np.diagonal(at_lead, axis1=-2, axis2=-1) == 1).all()
+        and (at_lead.sum(axis=(-2, -1)) == rows.shape[-2]).all()
     ):
         return lead
     return None
+
+
+def _reduced_basis(rows, p: int):
+    """(rows as contiguous uint8, mask of the non-pivot columns) for a reduced
+    basis over F_p; ValueError for any other input."""
+    rows = np.asarray(rows)
+    pivots = _rref_pivots(rows)
+    if pivots is None or (rows.size and (rows.min() < 0 or rows.max() >= p)):
+        raise ValueError(f"expected a reduced basis over F_{p}")
+    free = np.ones(rows.shape[1], dtype=bool)
+    free[pivots] = False
+    return np.ascontiguousarray(rows, dtype=np.uint8), free
 
 
 def _orbit_steps(rows: np.ndarray, p: int):
@@ -162,14 +196,8 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
     step codes combine as (n+1) C_a + C_b, so an entry is (n+1) w_a + w_b,
     and one bincount over (n+1)^2 bins counts both.
     """
-    rows = np.asarray(rows)
-    pivots = _rref_pivots(rows)
-    if pivots is None or (rows.size and (rows.min() < 0 or rows.max() >= p)):
-        raise ValueError(f"the sweep takes a reduced basis over F_{p}")
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    rows, free = _reduced_basis(rows, p)
     k, n = rows.shape
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
     n_free = int(free.sum())
     width = n_free * (1 if p == 2 else p)
     middle = min(k, 1)
@@ -261,6 +289,75 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
                 chunks.append(found.reshape(-1, n).astype(np.uint8))
     words = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
     return hist, words
+
+
+def _digit_groups(rows: np.ndarray, p: int, max_digits: int, free: np.ndarray):
+    """The combinations of rows of a reduced basis with at most max_digits
+    nonzero digits, grouped: (table, starts, units), where the rows with d
+    digits are table[starts[d]:starts[d + 1]] and those of them whose
+    leading digit is 1 are table[starts[d]:units[d]]."""
+    table = _combinations(rows, p, max_digits)
+    nonzero = table != 0
+    # the zero combination leads with no digit, as does every one of a
+    # basis with no columns
+    unit = np.zeros(len(table), dtype=bool)
+    if table.shape[1]:
+        unit = table[np.arange(len(table)), nonzero.argmax(axis=1)] == 1
+    digits = nonzero[:, ~free].sum(axis=1)
+    order = np.lexsort((~unit, digits))
+    starts = np.searchsorted(digits[order], np.arange(max_digits + 2))
+    return table[order], starts, starts[:-1] + np.bincount(digits[unit], minlength=max_digits + 1)
+
+
+def lightest_words(rows: np.ndarray, p: int, max_weight: int):
+    """For t = 1..max_weight in turn, the lightest word of the messages of
+    weight t of a k x n reduced basis over F_p, one message per scalar orbit
+    {c x : c != 0}.
+
+    The basis is taken as spectrum takes it.  A generator: it yields
+    (messages, weight, word) for each t, the number of messages enumerated,
+    which is C(k, t)(p-1)^(t-1) when none is lost, and the least weight of
+    their words, with one word of that weight (None and None when there is
+    no message).
+
+    A message of weight t puts w digits on the first k // 2 rows and t - w
+    on the others.  The combinations of each half with at most max_weight
+    nonzero digits are built once (_combinations) and grouped by their digit
+    count; one message per orbit is kept, the one whose leading digit, the
+    first nonzero entry of its word, is 1.  Each weight class (w, t - w) is
+    then one float32 product of the two groups' encodings (_encode), which
+    gives the weight on the non-pivot columns of every sum; the t pivot
+    columns add t.  The tables stay uint8 and each class is encoded when it
+    is multiplied, so a proof that keeps one enumerator per information set
+    holds their bytes, not four times as many.
+    """
+    rows, free = _reduced_basis(rows, p)
+    k = rows.shape[0]
+    half = k // 2
+    left, left_starts, left_units = _digit_groups(rows[:half], p, max_weight, free)
+    right, right_starts, right_units = _digit_groups(rows[half:], p, max_weight, free)
+    # the product is wt - n_free / 2 over F_2 and wt - n_free over odd p
+    offset = int(free.sum()) / (2 if p == 2 else 1)
+    for t in range(1, max_weight + 1):
+        messages, weight, word = 0, None, None
+        for w in range(max(0, t - (k - half)), min(t, half) + 1):
+            # the leading digit is the first half's unless it has none
+            a = left[left_starts[w] : left_units[w] if w else left_starts[1]]
+            b = right[right_starts[t - w] : right_units[t] if w == 0 else right_starts[t - w + 1]]
+            messages += len(a) * len(b)
+            if not (len(a) and len(b)):
+                continue
+            b_code = _encode(b[:, free], p, middle=True)
+            step = max(1, _SPECTRUM_BYTES // (4 * len(b)))
+            for start in range(0, len(a), step):
+                block = _encode(a[start : start + step, free], p) @ b_code.T
+                i, j = np.unravel_index(block.argmin(), block.shape)
+                lightest = t + int(block[i, j] + offset)
+                if weight is None or lightest < weight:
+                    # entries stay below 2p, within uint16
+                    found = a[start + i].astype(np.uint16) + b[j]
+                    weight, word = lightest, _mod_p(found, p).astype(np.uint8)
+        yield messages, weight, word
 
 
 # -- batched Lee-Brickell rounds ---------------------------------------------

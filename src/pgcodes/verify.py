@@ -8,7 +8,10 @@ search evidence and say so in their status.  An exhaustive run sweeps the
 generator once.  The weight suites (minweight, gap, second, blocking) read
 one low-word value, _LowWords: the sweep's words up to weight 2q^(n-1) and
 its histogram, or the search's words and a tally of their weights,
-classified once.  bbw reads every word of the sweep.  Suites test whole
+classified once.  bbw reads every word of the sweep.  The hull suite
+proves the hull's minimum weight by information sets
+(analysis.minimum_weight) where a closed-form estimate makes that much
+cheaper than sweeping the hull, and sweeps it otherwise.  Suites test whole
 word arrays: bbw asks about every (incidence word, external point) pair in
 one call, and restriction tests its sampled (subspace, word) pairs a
 dimension at a time.
@@ -38,13 +41,16 @@ from .code import (
 )
 from .analysis import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     NotInCode,
     WordKind,
     _line_columns,
+    _proof_messages,
     _sweep,
     classify_words,
     enumerate_spectrum,
     low_weight_search,
+    minimum_weight,
     tally,
     tangent_collinear_rows,
 )
@@ -52,6 +58,10 @@ from .blocking import reduce_mask_orders
 
 DEFAULT_HULL_BUDGET = 2**28
 DEFAULT_BBW_BUDGET = 2**20
+# the hull's minimum is proved by information sets, not swept, when the
+# sweep's message orbits outnumber the proof's estimated messages this many
+# times over
+_PROOF_ADVANTAGE = 10
 
 SUITES = (
     "dimension",
@@ -462,7 +472,38 @@ def _run_second(g, model, low) -> CheckResult:
     return CheckResult("second", "pass" if low.exhaustive else "evidence-only", details)
 
 
+def _hull_minimum_weight(g, model):
+    """The hull's minimum weight, proved by analysis.minimum_weight where
+    that is much cheaper than the sweep, and read off the MacWilliams-checked
+    sweep otherwise.
+
+    The choice is made before any elimination, from p, the hull dimension k,
+    theta_n and the lightest hull basis row: the proof is estimated over
+    floor(theta_n / k) full-rank information sets, beating that row, against
+    the sweep's p^k / (p - 1) message orbits.  minimum_weight checks it
+    again with the real sets' fresh ranks and raises BudgetExceeded, before
+    enumerating, when they make the proof too dear.
+    """
+    p, k = g.field.p, model.hull_dimension
+    orbits = p**k // (p - 1)
+    if k:
+        lightest = int(np.count_nonzero(model.hull, axis=1).min())
+        full_sets = [k] * (g.num_points // k)
+        if _proof_messages(p, k, full_sets, lightest) * _PROOF_ADVANTAGE < orbits:
+            try:
+                return minimum_weight(
+                    model.hull, p, orbits // _PROOF_ADVANTAGE, model.hull_contains_rows
+                )
+            except BudgetExceeded:
+                pass
+    hist = _sweep(model.hull, p, 0)[0]
+    nonzero = np.nonzero(hist[1:])[0]
+    return int(nonzero[0]) + 1 if nonzero.size else None
+
+
 def _run_hull(g, model, hull_budget) -> CheckResult:
+    """The hull's minimum weight against 2q^(n-1), skipped when its p^k
+    messages exceed hull_budget, whichever way it is found."""
     expected = 2 * g.q ** (g.n - 1)
     hull_dim = model.hull_dimension
     messages = g.field.p**hull_dim
@@ -473,9 +514,7 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
             "hull_budget": hull_budget,
         }
         return CheckResult("hull", "skipped", details)
-    hist = _sweep(model.hull, g.field.p, 0)[0]
-    nonzero = np.nonzero(hist[1:])[0]
-    minw = int(nonzero[0]) + 1 if nonzero.size else None
+    minw = _hull_minimum_weight(g, model)
     details = {
         "hull_dimension": hull_dim,
         "hull_minimum_weight": minw,

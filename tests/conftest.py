@@ -1,9 +1,9 @@
 """Shared fixtures: warm the kernels once per session.
 
-The first spectrum sweep and the first batched search round pay numpy's
-and BLAS's set-up cost (thread pool start, first-touch allocations);
-warming here keeps the runtime-bounded acceptance checks honest about
-steady-state speed.
+The first spectrum sweep, the first enumeration of low-weight messages and
+the first batched search round pay numpy's and BLAS's set-up cost (thread
+pool start, first-touch allocations); warming here keeps the
+runtime-bounded acceptance checks honest about steady-state speed.
 """
 
 import numpy as np
@@ -18,6 +18,8 @@ def warm_kernels():
     kernels.spectrum(rows2, 2, 4)
     rows3 = np.array([[1, 0, 2, 0], [0, 1, 1, 2]], dtype=np.uint8)
     kernels.spectrum(rows3, 3, 4)
+    list(kernels.lightest_words(rows2, 2, 2))
+    list(kernels.lightest_words(rows3, 3, 2))
     inv3 = np.array([0, 1, 2], dtype=np.uint8)
     kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, inv3)
     yield

@@ -61,6 +61,26 @@ def brute_force_words_of_weight(generator_rows: np.ndarray, p: int, weight: int)
     return found
 
 
+def brute_force_lightest_by_message_weight(generator_rows: np.ndarray, p: int) -> dict:
+    """For each message weight t >= 1: (the messages of weight t whose
+    leading digit is 1, the least weight of their words), by enumerating
+    all messages."""
+    k = generator_rows.shape[0]
+    rows = generator_rows.astype(np.int64)
+    found: dict = {}
+    for msg in itertools.product(range(p), repeat=k):
+        digits = [c for c in msg if c]
+        if not digits or digits[0] != 1:
+            continue
+        word = np.zeros(rows.shape[1], dtype=np.int64)
+        for coeff, row in zip(msg, rows):
+            word += coeff * row
+        count, lightest = found.get(len(digits), (0, None))
+        w = int(np.count_nonzero(word % p))
+        found[len(digits)] = (count + 1, w if lightest is None else min(lightest, w))
+    return found
+
+
 def python_rank_mod_p(matrix, p: int) -> int:
     """Row rank over F_p by plain Gaussian elimination on python ints."""
     rows = [[int(x) % p for x in row] for row in matrix]

@@ -5,6 +5,7 @@ Each test covers one numbered criterion and prints a single verdict line
 are asserted where stated.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -29,6 +30,7 @@ from pgcodes.analysis import (
     classify_word,
     enumerate_spectrum,
     line_profile,
+    minimum_weight,
     restrict,
     restriction_model,
     support,
@@ -159,8 +161,16 @@ def test_criterion_05_hull_minimum_weight_and_membership():
         assert int(hull_hist.sum()) == 2**27
         nonzero = np.nonzero(hull_hist[1:])[0]
         assert int(nonzero[0]) + 1 == 16  # 2q^(n-1) for q = 8
+        # the proof by information sets gives the sweep's minimum
+        assert minimum_weight(model8.hull, 2) == int(nonzero[0]) + 1
         report8 = enumerate_spectrum(model8, budget=2**28)
         assert min(w for w in report8.weight_counts if w) == 9
+        # the collecting sweep's words, as they were before the proof existed
+        low8 = np.ascontiguousarray(report8.low_weight)
+        assert low8.shape == (2701, 73) and low8.dtype == np.uint8
+        assert hashlib.sha256(low8.tobytes()).hexdigest() == (
+            "742872e75a03507dfb397f32a64d03184ed0adf0802cb0378a569344d138e177"
+        )
         assert report8.weight_counts[16] == int(hull_hist[16])
         sixteens = [r for r in report8.low_weight if weight(r) == 16]
         assert len(sixteens) == report8.weight_counts[16]

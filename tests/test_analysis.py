@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+from math import comb
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from pgcodes import analysis
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -33,6 +37,7 @@ from pgcodes.analysis import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DimensionTooLow,
+    InconsistentProof,
     InconsistentSpectrum,
     NotInCode,
     QInX,
@@ -45,6 +50,7 @@ from pgcodes.analysis import (
     enumerate_spectrum,
     line_profile,
     low_weight_search,
+    minimum_weight,
     restrict,
     restriction_model,
     support,
@@ -60,6 +66,7 @@ from helpers import (
     brute_force_spectrum,
     brute_force_words_of_weight,
     classify_subspace_traces_reference,
+    rref_mod_p_reference,
     tangent_collinearity_reference,
 )
 
@@ -190,6 +197,162 @@ def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch
         enumerate_spectrum(build_model(PG23))
     with pytest.raises(InconsistentSpectrum):
         run_suite((3, 1, 2), suites=["hull"])
+
+
+# -- minimum weight by information sets ---------------------------------------
+
+_HULL_GRID = [t for t in DEFAULT_GRID if t != (2, 3, 2)] + [(2, 3, 2), (3, 1, 4)]
+
+
+@pytest.mark.parametrize("params", _HULL_GRID)
+def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(params):
+    p, h, n = params
+    model = build_model(GeometrySpec(make_field(p, h), n))
+    hist = kernels.spectrum(model.hull, p, 0)[0]
+    swept = int(np.flatnonzero(hist[1:])[0]) + 1
+    assert minimum_weight(model.hull, p) == swept
+    assert minimum_weight(model.hull, p, contains_rows=model.hull_contains_rows) == swept
+
+
+@st.composite
+def _reduced_bases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(0, {2: 8, 3: 5, 5: 4}[p]))
+    # n = k leaves one information set, the identity
+    n = draw(st.sampled_from([k, k + 1, k + 3, k + 6]))
+    values = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    basis, pivots = rref_mod_p_reference(np.array(values, dtype=np.int64).reshape(k, n), p)
+    return p, basis[: len(pivots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reduced_bases())
+def test_minimum_weight_matches_brute_force_on_small_reduced_bases(case):
+    p, basis = case
+    weights = [w for w in brute_force_spectrum(basis, p) if w]
+    assert minimum_weight(basis, p) == (min(weights) if weights else None)
+
+
+def test_minimum_weight_of_a_basis_with_no_rows_is_none():
+    assert minimum_weight(np.zeros((0, 5), dtype=np.uint8), 3) is None
+    assert minimum_weight(np.zeros((0, 0), dtype=np.uint8), 2) is None
+
+
+def test_minimum_weight_refuses_an_unreduced_basis():
+    with pytest.raises(ValueError, match="reduced basis"):
+        minimum_weight(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8), 2)
+
+
+def _spy_lightest_words(monkeypatch):
+    """The (message weight, messages) of every level of every enumerator
+    minimum_weight runs."""
+    enumerate_levels = kernels.lightest_words
+    calls = []
+
+    def spy(rows, p, max_weight):
+        for t, level in enumerate(enumerate_levels(rows, p, max_weight), start=1):
+            calls.append((t, level[0]))
+            yield level
+
+    monkeypatch.setattr(kernels, "lightest_words", spy)
+    return calls
+
+
+def test_pg28_hull_proof_takes_its_information_sets_and_levels(monkeypatch):
+    # Zimmermann's bound over fresh ranks [27, 27, 18, 1] reaches 16 after
+    # t = 7, on the two full-rank sets alone
+    model = build_model(GeometrySpec(make_field(2, 3), 2))
+    sets = analysis._information_sets(model.hull, 2, model.hull_contains_rows)
+    assert [rank for _, _, rank in sets] == [27, 27, 18, 1]
+    assert analysis._zimmermann_bound(27, [27, 27, 18, 1], 6) == 14
+    assert analysis._zimmermann_bound(27, [27, 27, 18, 1], 7) == 16
+    calls = _spy_lightest_words(monkeypatch)
+    assert minimum_weight(model.hull, 2) == 16
+    assert sorted(calls) == sorted((t, comb(27, t)) for t in range(1, 8) for _ in range(2))
+    assert sum(messages for _, messages in calls) == 2_571_246
+    assert analysis._proof_messages(2, 27, [27, 27, 18, 1], 16) == 2_571_246
+
+
+def test_a_set_that_contributes_late_catches_up_on_the_lower_weights():
+    # k = 4 over fresh ranks [4, 2]: the second set's term t + 1 - 2 turns
+    # positive at t = 2, when it takes weights 1 and 2
+    levels = analysis._proof_levels(4, [4, 2], 100)
+    assert levels == [
+        (1, [(0, 1)]),
+        (2, [(0, 2), (1, 1), (1, 2)]),
+        (4, [(0, 3), (1, 3)]),
+        (6, [(0, 4), (1, 4)]),
+    ]
+    assert analysis._proof_levels(4, [4, 2], 4) == levels[:2]
+
+
+def test_minimum_weight_budget_is_checked_before_enumerating(monkeypatch):
+    model = build_model(GeometrySpec(make_field(2, 3), 2))
+    calls = _spy_lightest_words(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        minimum_weight(model.hull, 2, budget=2_571_245)
+    assert calls == []
+    assert minimum_weight(model.hull, 2, budget=2_571_246) == 16
+
+
+# each proof step that fails its check raises InconsistentProof, under python
+# -O as well: a systematic form, a weight's message count, the lightest word
+
+
+def test_minimum_weight_refuses_a_systematic_form_outside_the_code(monkeypatch):
+    model = build_model(PG23)
+    eliminate = analysis.rref_mod_p
+
+    def leaving(mat, p):
+        form, pivots = eliminate(mat, p)
+        form[0, -1] = (form[0, -1] + 1) % p
+        return form, pivots
+
+    def short(mat, p):
+        form, pivots = eliminate(mat, p)
+        return form, pivots[:-1]
+
+    for tampered in (leaving, short):
+        monkeypatch.setattr(analysis, "rref_mod_p", tampered)
+        with pytest.raises(InconsistentProof, match="systematic form"):
+            minimum_weight(model.hull, 3, contains_rows=model.hull_contains_rows)
+        with pytest.raises(InconsistentProof, match="systematic form"):
+            minimum_weight(model.hull, 3)
+
+
+def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
+    combinations = kernels._combinations
+
+    def dropping(rows, p, max_digits=None):
+        table = combinations(rows, p, max_digits)
+        # row 1 is the first row's unit multiple, a message of weight 1
+        return np.delete(table, 1, axis=0) if len(table) > 1 else table
+
+    monkeypatch.setattr(kernels, "_combinations", dropping)
+    with pytest.raises(InconsistentProof, match="messages of weight 1"):
+        minimum_weight(build_model(PG23).hull, 3)
+    with pytest.raises(InconsistentProof, match="messages of weight 1"):
+        run_suite((2, 3, 2), suites=["hull"])
+
+
+def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatch):
+    model = build_model(PG24)
+    enumerate_levels = kernels.lightest_words
+
+    def lighter(rows, p, max_weight):
+        for messages, weight, word in enumerate_levels(rows, p, max_weight):
+            yield messages, weight - 1, word
+
+    def outside(rows, p, max_weight):
+        for messages, _, word in enumerate_levels(rows, p, max_weight):
+            unit = np.zeros_like(word)
+            unit[0] = 1
+            yield messages, 1, unit
+
+    for tampered in (lighter, outside):
+        monkeypatch.setattr(kernels, "lightest_words", tampered)
+        with pytest.raises(InconsistentProof, match="lightest word is no codeword"):
+            minimum_weight(model.hull, 2, contains_rows=model.hull_contains_rows)
 
 
 def test_spectrum_budget_gate():

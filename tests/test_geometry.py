@@ -325,6 +325,30 @@ def test_subspace_rejects_entries_outside_the_field():
             Subspace(g, basis)
 
 
+@pytest.mark.parametrize("p, h, n, k", [(2, 1, 3, 1), (3, 1, 3, 2), (2, 2, 2, 0), (3, 1, 4, 2)])
+def test_subspace_keys_checked_as_one_stack_equal_those_checked_one_by_one(p, h, n, k):
+    g = GeometrySpec(make_field(p, h), n)
+    keys = enumerate_subspaces(g, k)
+    bases = geometry._subspace_bases(g, k).tolist()
+    one_by_one = [Subspace(g, tuple(map(tuple, basis))) for basis in bases]
+    assert keys == one_by_one
+    assert [hash(s) for s in keys] == [hash(s) for s in one_by_one]
+
+
+def test_subspace_keys_refuse_a_table_with_one_bad_basis():
+    g = GeometrySpec(make_field(3), 3)
+    bases = geometry._subspace_bases(g, 1).copy()
+    unreduced = bases.copy()
+    unreduced[7, 1] = unreduced[7, 0]  # both rows now lead in the same column
+    with pytest.raises(ValueError, match="reduced row-echelon"):
+        geometry._as_subspaces(g, unreduced)
+    outside = bases.copy()
+    outside[3, 0, -1] = 3
+    with pytest.raises(ValueError, match="outside"):
+        geometry._as_subspaces(g, outside)
+    assert geometry._as_subspaces(g, bases) == enumerate_subspaces(g, 1)
+
+
 def test_hyperplane_as_subspace_matches_incidence_row():
     for g in (PG23, PG24):
         for hi, h in enumerate(enumerate_hyperplanes(g)):

@@ -8,6 +8,7 @@ the batched eliminator are checked item by item against each item's RREF.
 
 import hashlib
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from pgcodes.kernels import isd_batch_size, isd_rounds, spectrum
 
 from helpers import (
     brute_force_isd_candidates,
+    brute_force_lightest_by_message_weight,
     brute_force_spectrum,
     brute_force_words_of_weight,
     rref_mod_p_reference,
@@ -239,6 +241,55 @@ def test_spectrum_matches_oracles_on_random_generators(sweep):
     assert words.shape[0] == sum(c for w, c in expected.items() if 0 < w <= limit)
     got = {tuple(int(x) for x in w) for w in words}
     assert got == _words_up_to(rows, p, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rref_pivots_tests_a_stack_as_each_of_its_items(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    count, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    items = []
+    for _ in range(count):
+        values = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+        rows = np.array(values, dtype=np.uint8).reshape(k, n)
+        if data.draw(st.booleans()):
+            basis, pivots = rref_mod_p_reference(rows, p)
+            if len(pivots) == k:
+                rows = basis
+        items.append(rows)
+    stack = np.stack(items)
+    each = [kernels._rref_pivots(rows) for rows in items]
+    got = kernels._rref_pivots(stack)
+    assert (got is not None) == all(pivots is not None for pivots in each)
+    if got is not None:
+        assert got.tolist() == [pivots.tolist() for pivots in each]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sweeps())
+def test_lightest_words_match_the_messages_of_each_weight(sweep):
+    p, rows, _, (budget, _) = sweep
+    k = rows.shape[0]
+    expected = brute_force_lightest_by_message_weight(rows, p)
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks split a weight class into several products
+        mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
+        levels = list(kernels.lightest_words(rows, p, k))
+    assert len(levels) == k
+    for t, (messages, weight, word) in enumerate(levels, start=1):
+        count, lightest = expected[t]
+        assert messages == count == comb(k, t) * (p - 1) ** (t - 1)
+        assert weight == lightest == np.count_nonzero(word)
+        assert tuple(int(x) for x in word) in brute_force_words_of_weight(rows, p, weight)
+
+
+@pytest.mark.parametrize("p,k,limit", [(2, 6, 2), (3, 4, 3), (5, 3, 0), (7, 2, 2)])
+def test_combinations_with_a_digit_cap_keep_the_full_tables_order(p, k, limit):
+    rows = np.eye(k, dtype=np.uint8)
+    full = kernels._combinations(rows, p)
+    capped = kernels._combinations(rows, p, limit)
+    assert np.array_equal(capped, full[np.count_nonzero(full, axis=1) <= limit])
 
 
 # sha256 of the int64 hull weight histograms, pinned from the byte-wise and

@@ -1,7 +1,9 @@
 """Suite orchestration, report schema, rendering, reproducibility."""
 
+import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import jsonschema
@@ -37,6 +39,7 @@ from pgcodes.verify import (
     emit_report,
     run_suite,
 )
+from pgcodes.cli import build_parser
 from helpers import reduce_to_minimal_reference
 
 
@@ -456,6 +459,149 @@ def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
         calls.clear()
         assert run_suite(params, ["bbw"], bbw_budget=messages).check("bbw").status == "pass"
         assert calls == [(True, g.num_points)]
+
+
+@pytest.mark.parametrize("params", _EXHAUSTIVE_GRID + [(3, 1, 4), (2, 3, 2)])
+def test_the_hull_suite_sweeps_only_where_the_sweep_is_cheap(monkeypatch, params):
+    # PG(2,8)'s 2^27 hull messages are proved by information sets; every
+    # other hull here keeps its one counting sweep
+    p, h, n = params
+    model = build_model(GeometrySpec(make_field(p, h), n))
+    calls = _spy_sweeps(monkeypatch, model)
+    report = run_suite(params, suites=["hull"])
+    assert report.check("hull").status == "pass"
+    assert calls == ([] if params == (2, 3, 2) else [(False, 0)])
+
+
+def test_a_proof_dearer_than_its_estimate_falls_back_to_the_sweep(monkeypatch):
+    # the choice before any elimination assumes full-rank sets; when the
+    # real fresh ranks make the proof too dear, minimum_weight refuses it
+    # before enumerating and the suite sweeps
+    model = build_model(GeometrySpec(make_field(2, 3), 2))
+
+    def one_set(basis, p, contains_rows):
+        return [(basis, np.arange(basis.shape[1]), basis.shape[0])]
+
+    monkeypatch.setattr(analysis, "_information_sets", one_set)
+    calls = _spy_sweeps(monkeypatch, model)
+    report = run_suite((2, 3, 2), suites=["hull"])
+    assert report.check("hull").details["hull_minimum_weight"] == 16
+    assert calls == [(False, 0)]
+
+
+def test_the_hull_proof_adds_no_option():
+    assert list(inspect.signature(run_suite).parameters) == [
+        "params", "suites", "budget", "hull_budget", "bbw_budget", "seed", "mode",
+        "search_iterations", "search_max_weight", "restriction_samples",
+        "blocking_trials", "blocking_orders",
+    ]
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in commands.choices["verify"]._actions for o in a.option_strings}
+    assert options == {
+        "--all", "--budget", "--format", "--h", "--help", "--hull-budget", "--iterations",
+        "--mode", "--n", "--out", "--p", "--seed", "--suites", "-h",
+    }
+
+
+# sha256 of the json, table and csv reports of the hull suite alone, captured
+# while every hull was swept: PG(2,8)'s is proved by information sets now,
+# and PG(2,5)'s stays skipped by hull_budget
+PINNED_HULL_REPORTS = {
+    ((2, 1, 2), 0): (
+        "8a3ff9481bd1fb8ee73dab22ca234c5f1ff0214f341c3c1b81462db84adb94db",
+        "59a06f3d1074b8b7135b2eb3ae76d629b91623374d09f4dbe6a9c67f8cade57f",
+    ),
+    ((2, 1, 2), 3): (
+        "d52d4a2d46c656ad2411ed8ee0bc8f84826b855acf852b0cc4d8eaeebca407f0",
+        "061dc93779fc1db9e971ae91f823ba3ecbe092c02024084519b86f1040f95dc0",
+    ),
+    ((3, 1, 2), 0): (
+        "3cee5ae2561fd05c54caa348a76fa18c3aa871f1d3af946956f25ef117ba5a31",
+        "be6f38e8f61b1c76127102ac50ad8fc45cf06b36198b90ceb823e52637864f7a",
+    ),
+    ((3, 1, 2), 3): (
+        "170686220a098271e1058eeb3d4677439076466525ba8e1b8531b7ae4aae1de6",
+        "48efc1b3c59c9d1284fac1b018466faf56715c2ca75342aa0ecaa5606ba0c470",
+    ),
+    ((2, 2, 2), 0): (
+        "f0ea8ddd5527a4e770f99ea742ce88aa4d989cde72bd3f86d206c366c435ea16",
+        "dcdf2c9bee2d3f0671426605743219a0c23c9726b8223cfff8436f7b979857a5",
+    ),
+    ((2, 2, 2), 3): (
+        "1ca73982ca3e9c22db0e89d600a97a430f8d469a045b0501c6cd53950b5241a4",
+        "36f8d1a9468983308608b19b2e344115b2f04e0f6398ef07f0babcfc4640e382",
+    ),
+    ((2, 1, 3), 0): (
+        "dfb1938d3e5debb15f8bfc985e73e71315acef9da43d01d307d3760eed2cc57f",
+        "542dfa7b57efbf0e1e7983d8c84e0adf29430039302564510ea034bd74d84a01",
+    ),
+    ((2, 1, 3), 3): (
+        "e30492c7e077dc9191522adb83a94d9e187e0bd1640d75295e440c0175805eb9",
+        "065b692dfcbb96d707abd1252136b175234ab3a1adea1a3a9e9fb8a779758455",
+    ),
+    ((3, 1, 3), 0): (
+        "d953ab9558c9eaa17003482954ba9bd225d81d503ee86da2ec5411d7f2e44949",
+        "461d797b1c45ed00ddd3bfd60ecb045472e922a945bf8eb100753bb0a47574b4",
+    ),
+    ((3, 1, 3), 3): (
+        "0801ce0fcbd36f421786e18a0558bae159e8dfedc3c7156c0fef63f0ac3dda35",
+        "89ede1e9f6202641fff1f018e13fb4d585c6c1e982370612ef1eebed04a2a071",
+    ),
+    ((2, 2, 3), 0): (
+        "152de15c9c29d637325de89915c67fd384119f4b32f2bc29e28b1d3dbfad03e5",
+        "842308418225e77d69dcad49563181b50d51ffd4ed291b0191800354770f3e20",
+    ),
+    ((2, 2, 3), 3): (
+        "42e404b3ccb830cb4cbbfe598fb1cb55d6137ad7653b37d27f2e20982de91c0a",
+        "cbd00e5dd8de88fed2588df8203584f932b47af9f440e0c79cec110857fa20ee",
+    ),
+    ((2, 1, 4), 0): (
+        "105ad46e765fbcaa2dac08ed939c5ea6a5277b9a3f80ea910ca8ec265e44651b",
+        "e44f26acc3aad2f8f4d737105629ebaa5e5bfbab9fe97ce7bc21b96b5a4e6ed0",
+    ),
+    ((2, 1, 4), 3): (
+        "6d229a034e7a2a3b5143812468a3cd9e8c8f1d381e1653e3cef4b3dcc6443896",
+        "1a84bf914cc931f0d216a72bedbd8271a8d8cf9614857a763ffdc92f7210d2fd",
+    ),
+    ((2, 3, 2), 0): (
+        "834ed6043095127f88fbb44870feaf63377ff2ebed2b830e156a23b1cc6a61f8",
+        "33447212b4d49b15cbaa43fbd47feae7fa093b5c764c295c8dc038b6776cb6fa",
+    ),
+    ((2, 3, 2), 3): (
+        "8c8dd9043442f7a77049299a36ab0601b5c237671d16ca2d1f1475c05c5accb9",
+        "4840a92992e13cc0a926ad55ac81c978b73f3b7abe250468fb80ac966c777536",
+    ),
+    ((3, 1, 4), 0): (
+        "e6459971d41da0c5c4c573e29d4fb4399a1bf9fd8ef9249e830ce0a848304cdf",
+        "b0b1398dfafde62bf8d9aeff53115c2e00b7ca2391a8c2077a09bdfc937c01b9",
+    ),
+    ((3, 1, 4), 3): (
+        "8f79e7c18a66975bef0e12a4e661112e5a8b0d1617c8ef9aa6f2265d0cd8e74f",
+        "193ed2ea82656903cb5c1aa05dc2dc536e84ed2850a437340d84527f8f09c8ab",
+    ),
+    ((5, 1, 2), 0): (
+        "34ae01dd2e342ab3cf507e9d0968efe551a9b5c3b7cf6aaed12a6d4b3adf0844",
+        "aa32fe690e55acad3b19be9047d7b928b2a87675da3b5e391037eb55ed5b2c0b",
+    ),
+    ((5, 1, 2), 3): (
+        "7efe4dcce3ca0b9bcdbf11a16425cd1372b66d87659675a045eef12e56eb705a",
+        "16fa46c30b44ba98012840ae89a67e33930fd2189f962e379641c9f9d7c8c91f",
+    ),
+}
+# the csv of a hull run lists one check and its status
+_HULL_CSV = {
+    "pass": "b3b7b9568215f7a5004780c01271bbee041f7e88631e84097f470802c8607830",
+    "skipped": "b70f9f7c70a0ca0ab36930ed18d77ec4f35ec7411cf10ea69393ac8c9d0861fc",
+}
+
+
+@pytest.mark.parametrize("params, seed", list(PINNED_HULL_REPORTS))
+def test_hull_reports_match_pinned_digests(params, seed):
+    report = run_suite(params, suites=["hull"], seed=seed)
+    status = "skipped" if params == (5, 1, 2) else "pass"
+    assert report.check("hull").status == status
+    assert _report_digests(report) == PINNED_HULL_REPORTS[params, seed] + (_HULL_CSV[status],)
 
 
 @pytest.mark.parametrize(
