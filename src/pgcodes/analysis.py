@@ -54,6 +54,9 @@ from pgcodes.geometry import (
 from pgcodes.gf import make_field
 
 DEFAULT_BUDGET = 2**22
+# minimum_weight proves, rather than sweeps, only when the sweep's message
+# orbits outnumber the proof's estimated messages this many times over
+_PROOF_ADVANTAGE = 10
 
 
 class DimensionTooLow(ValueError):
@@ -562,24 +565,28 @@ def _information_sets(basis: np.ndarray, p: int, contains_rows):
         unused[order[fresh]] = False
 
 
-def minimum_weight(basis, p: int, budget: int | None = None, contains_rows=None):
+def minimum_weight(basis, p: int, contains_rows=None):
     """The minimum weight of the code a reduced basis spans over F_p, or None
-    for a basis with no rows; proved by Brouwer-Zimmermann enumeration.
+    for a basis with no rows; proved by Brouwer-Zimmermann enumeration where
+    that is much cheaper than the sweep, and read off the MacWilliams-checked
+    sweep otherwise.
 
-    The basis is taken as kernels.spectrum takes it.  The lightest basis row
-    is the first word to beat.  The proof raises its level t, enumerating by
+    The basis is taken as kernels.spectrum takes it, and its lightest row is
+    the first word to beat.  The proof is chosen when the sweep's p^k / (p-1)
+    message orbits reach _PROOF_ADVANTAGE times its estimated messages
+    twice: in closed form, over floor(n / k) information sets of full rank,
+    before any elimination; then over the real sets' fresh ranks, before
+    any enumeration.  The proof raises its level t, enumerating by
     kernels.lightest_words one message per scalar orbit, until the bound
-    reaches the lightest word found.  contains_rows tests code membership of
-    word rows (default: the basis's row space); budget caps the messages the
-    proof is estimated to enumerate, from its sets' fresh ranks and the
-    lightest basis row, and BudgetExceeded is raised before any enumeration
-    above it.  Each step is checked, and InconsistentProof raised when one
-    fails: every systematic form (_information_sets), the message count of
-    every enumerated weight, and the lightest word, rebuilt from its message
-    digits, must have the claimed weight and lie in the code.
+    reaches the lightest word found.  contains_rows tests code membership
+    of word rows (default: the basis's row space).  Each step is checked,
+    and InconsistentProof raised when one fails: every systematic form
+    (_information_sets), the message count of every enumerated weight, and
+    the lightest word, rebuilt from its message digits, must have the
+    claimed weight and lie in the code.
     """
     basis, free = kernels._reduced_basis(basis, p)
-    k = basis.shape[0]
+    k, n = basis.shape
     if not k:
         return None
     pivots = np.flatnonzero(~free)
@@ -588,11 +595,14 @@ def minimum_weight(basis, p: int, budget: int | None = None, contains_rows=None)
             return (_product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
     weights = np.count_nonzero(basis, axis=1)
     best, word = int(weights.min()), basis[weights.argmin()]
-    sets = _information_sets(basis, p, contains_rows)
+    orbits = p**k // (p - 1)
+    sets = []
+    if _proof_messages(p, k, [k] * (n // k), best) * _PROOF_ADVANTAGE < orbits:
+        sets = _information_sets(basis, p, contains_rows)
     ranks = [rank for _, _, rank in sets]
-    estimate = _proof_messages(p, k, ranks, best)
-    if budget is not None and estimate > budget:
-        raise BudgetExceeded(f"the proof's estimated {estimate} messages exceed budget {budget}")
+    if not sets or _proof_messages(p, k, ranks, best) * _PROOF_ADVANTAGE > orbits:
+        hist = _sweep(basis, p, 0)[0]
+        return int(np.flatnonzero(hist[1:])[0]) + 1
     levels = _proof_levels(k, ranks, best)
     # each set's batches are its weights 1, 2, ... in turn, up to these
     top = {j: w for _, batches in levels for j, w in batches}

@@ -251,17 +251,14 @@ def reduce_mask(
     mask,
     k: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    *,
-    stacklevel: int = 2,
 ) -> np.ndarray:
     """The mask core of reduce_to_minimal: a new (theta_n,) boolean mask of
     the minimal k-blocking subset it reaches from the points of mask.
 
     The removable points are kept in ascending order, and each step removes
     the first of them or, given rng, the one at rng.integers(len(removable)).
-    stacklevel is passed to the SizeGuaranteeViolated warning.
     """
-    return _reduce_from(_reduction_start(g, mask, k, stacklevel + 1), rng)
+    return _reduce_from(_reduction_start(g, mask, k, 3), rng)
 
 
 def reduce_mask_orders(
@@ -297,9 +294,10 @@ def reduce_to_minimal(
     performed but a SizeGuaranteeViolated warning is issued.
 
     The default removal order is deterministic (smallest point first);
-    pass a numpy Generator to randomize it.  This wraps reduce_mask.
+    pass a numpy Generator to randomize it.  This is reduce_mask on the
+    set's mask.
     """
-    reduced = reduce_mask(B.geometry, B.mask(), k, rng, stacklevel=3)
+    reduced = _reduce_from(_reduction_start(B.geometry, B.mask(), k, 3), rng)
     return PointSet(B.geometry, np.flatnonzero(reduced).tolist())
 
 

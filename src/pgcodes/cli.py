@@ -52,6 +52,18 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -106,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--search", action="store_true", help="randomized low-weight search instead"
     )
     spectrum.add_argument(
-        "--max-weight", type=int, default=None, help="search weight cap (default 2q^(n-1))"
+        "--max-weight", type=_at_least(0), default=None, help="search weight cap (default 2q^(n-1))"
     )
-    spectrum.add_argument("--iterations", type=int, default=10_000, help="search rounds")
+    spectrum.add_argument("--iterations", type=_at_least(1), default=10_000, help="search rounds")
     spectrum.set_defaults(func=cmd_code_spectrum)
 
     verify = top.add_parser("verify", parents=[params, common], help="run check suites")
@@ -124,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--hull-budget", type=int, default=DEFAULT_HULL_BUDGET)
     verify.add_argument(
-        "--iterations", type=int, default=100_000, help="search rounds in search mode"
+        "--iterations", type=_at_least(1), default=100_000, help="search rounds in search mode"
     )
     verify.set_defaults(func=cmd_verify)
 

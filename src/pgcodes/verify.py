@@ -9,12 +9,19 @@ generator once.  The weight suites (minweight, gap, second, blocking) read
 one low-word value, _LowWords: the sweep's words up to weight 2q^(n-1) and
 its histogram, or the search's words and a tally of their weights,
 classified once.  bbw reads every word of the sweep.  The hull suite
-proves the hull's minimum weight by information sets
-(analysis.minimum_weight) where a closed-form estimate makes that much
-cheaper than sweeping the hull, and sweeps it otherwise.  Suites test whole
-word arrays: bbw asks about every (incidence word, external point) pair in
-one call, and restriction tests its sampled (subspace, word) pairs a
-dimension at a time.
+reads the hull's minimum weight off analysis.minimum_weight, which proves
+it by information sets where that is much cheaper than sweeping the hull.
+Suites test whole word arrays: bbw asks about every (incidence word,
+external point) pair in one call, and restriction tests its sampled
+(subspace, word) pairs a dimension at a time.
+
+run_suite takes the options of `pgcodes verify`.  Four sizes are fixed
+module constants, read when a run starts: BBW_BUDGET, the messages up to
+which a planar run's one sweep collects every word for bbw;
+RESTRICTION_SAMPLES, the (subspace, word) pairs restriction samples;
+BLOCKING_TRIALS, the hyperplane supersets blocking reduces; and
+BLOCKING_ORDERS, the removal orders of each.  The search's weight cap is
+always 2q^(n-1).
 """
 
 from __future__ import annotations
@@ -41,12 +48,9 @@ from .code import (
 )
 from .analysis import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     NotInCode,
     WordKind,
     _line_columns,
-    _proof_messages,
-    _sweep,
     classify_words,
     enumerate_spectrum,
     low_weight_search,
@@ -57,11 +61,10 @@ from .analysis import (
 from .blocking import reduce_mask_orders
 
 DEFAULT_HULL_BUDGET = 2**28
-DEFAULT_BBW_BUDGET = 2**20
-# the hull's minimum is proved by information sets, not swept, when the
-# sweep's message orbits outnumber the proof's estimated messages this many
-# times over
-_PROOF_ADVANTAGE = 10
+BBW_BUDGET = 2**20
+RESTRICTION_SAMPLES = 1000
+BLOCKING_TRIALS = 20
+BLOCKING_ORDERS = 3
 
 SUITES = (
     "dimension",
@@ -294,16 +297,16 @@ def run_suite(
     *,
     budget: int = DEFAULT_BUDGET,
     hull_budget: int = DEFAULT_HULL_BUDGET,
-    bbw_budget: int = DEFAULT_BBW_BUDGET,
     seed: int = 0,
     mode: str = "auto",
     search_iterations: int = 100_000,
-    search_max_weight: Optional[int] = None,
-    restriction_samples: int = 1000,
-    blocking_trials: int = 20,
-    blocking_orders: int = 3,
 ) -> VerificationReport:
-    """Run the selected check suites for one parameter triple (p, h, n)."""
+    """Run the selected check suites for one parameter triple (p, h, n).
+
+    The options are those of `pgcodes verify`.  BBW_BUDGET,
+    RESTRICTION_SAMPLES, BLOCKING_TRIALS and BLOCKING_ORDERS are read here,
+    at the call.
+    """
     p, h, n = (int(x) for x in params)
     if suites is None:
         chosen = list(SUITES)
@@ -344,19 +347,14 @@ def run_suite(
     spectrum = low = None
     if resolved == "exhaustive" and set(chosen) & {"minweight", "gap", "second", "bbw", "blocking"}:
         # the one sweep collects every word when planar bbw is within its budget
-        every_word = "bbw" in chosen and n == 2 and p**model.dimension <= bbw_budget
+        every_word = "bbw" in chosen and n == 2 and p**model.dimension <= BBW_BUDGET
         limit = g.num_points if every_word else None
         spectrum = enumerate_spectrum(model, budget=budget, collect_limit=limit)
         report.spectrum = spectrum.to_json_dict()
         low_rows = np.count_nonzero(spectrum.low_weight, axis=1) <= second_weight
         low = _LowWords(model, spectrum.low_weight[low_rows], spectrum.weight_counts)
     if resolved == "search" and set(chosen) & {"minweight", "gap", "second", "blocking"}:
-        search = low_weight_search(
-            model,
-            second_weight if search_max_weight is None else search_max_weight,
-            search_iterations,
-            seed=_search_seed(seed),
-        )
+        search = low_weight_search(model, second_weight, search_iterations, seed=_search_seed(seed))
         weights = np.count_nonzero(search.words, axis=1)
         low = _LowWords(model, search.words, tally(weights), search.iterations)
 
@@ -368,11 +366,11 @@ def run_suite(
         "hull": lambda: _run_hull(g, model, hull_budget),
         "properties": lambda: _run_properties(g, model, _suite_rng(seed, "properties")),
         "restriction": lambda: _run_restriction(
-            g, model, low, _suite_rng(seed, "restriction"), restriction_samples
+            g, model, low, _suite_rng(seed, "restriction"), RESTRICTION_SAMPLES
         ),
-        "bbw": lambda: _run_bbw(g, model, spectrum, bbw_budget),
+        "bbw": lambda: _run_bbw(g, model, spectrum, BBW_BUDGET),
         "blocking": lambda: _run_blocking(
-            g, low, _suite_rng(seed, "blocking"), blocking_trials, blocking_orders
+            g, low, _suite_rng(seed, "blocking"), BLOCKING_TRIALS, BLOCKING_ORDERS
         ),
     }
     for name in SUITES:
@@ -472,35 +470,6 @@ def _run_second(g, model, low) -> CheckResult:
     return CheckResult("second", "pass" if low.exhaustive else "evidence-only", details)
 
 
-def _hull_minimum_weight(g, model):
-    """The hull's minimum weight, proved by analysis.minimum_weight where
-    that is much cheaper than the sweep, and read off the MacWilliams-checked
-    sweep otherwise.
-
-    The choice is made before any elimination, from p, the hull dimension k,
-    theta_n and the lightest hull basis row: the proof is estimated over
-    floor(theta_n / k) full-rank information sets, beating that row, against
-    the sweep's p^k / (p - 1) message orbits.  minimum_weight checks it
-    again with the real sets' fresh ranks and raises BudgetExceeded, before
-    enumerating, when they make the proof too dear.
-    """
-    p, k = g.field.p, model.hull_dimension
-    orbits = p**k // (p - 1)
-    if k:
-        lightest = int(np.count_nonzero(model.hull, axis=1).min())
-        full_sets = [k] * (g.num_points // k)
-        if _proof_messages(p, k, full_sets, lightest) * _PROOF_ADVANTAGE < orbits:
-            try:
-                return minimum_weight(
-                    model.hull, p, orbits // _PROOF_ADVANTAGE, model.hull_contains_rows
-                )
-            except BudgetExceeded:
-                pass
-    hist = _sweep(model.hull, p, 0)[0]
-    nonzero = np.nonzero(hist[1:])[0]
-    return int(nonzero[0]) + 1 if nonzero.size else None
-
-
 def _run_hull(g, model, hull_budget) -> CheckResult:
     """The hull's minimum weight against 2q^(n-1), skipped when its p^k
     messages exceed hull_budget, whichever way it is found."""
@@ -514,7 +483,7 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
             "hull_budget": hull_budget,
         }
         return CheckResult("hull", "skipped", details)
-    minw = _hull_minimum_weight(g, model)
+    minw = minimum_weight(model.hull, g.field.p, model.hull_contains_rows)
     details = {
         "hull_dimension": hull_dim,
         "hull_minimum_weight": minw,

@@ -206,7 +206,7 @@ def test_criterion_07_restriction_closure():
                 assert local.contains(restricted)
                 assert np.array_equal(restricted, row[s_pts])
         # sampled: at least 1000 pairs in PG(3,3)
-        r = run_suite((3, 1, 3), suites=["restriction"], restriction_samples=1000)
+        r = run_suite((3, 1, 3), suites=["restriction"])
         c = r.check("restriction")
         assert c.status == "pass"
         assert c.details["pairs_checked"] >= 1000
@@ -289,7 +289,6 @@ def test_criterion_11_search_evidence_beyond_exhaustion():
             suites=["minweight", "gap", "second"],
             seed=20240817,
             search_iterations=100_000,
-            search_max_weight=10,
         )
         assert r.mode == "search"
         statuses = {c.name: c.status for c in r.checks}

@@ -204,14 +204,40 @@ def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch
 _HULL_GRID = [t for t in DEFAULT_GRID if t != (2, 3, 2)] + [(2, 3, 2), (3, 1, 4)]
 
 
+def _spy_sweeps(patch):
+    """The collect limit of every kernel sweep run after this call."""
+    sweep = kernels.spectrum
+    calls = []
+
+    def spy(rows, p, collect_limit):
+        calls.append(collect_limit)
+        return sweep(rows, p, collect_limit)
+
+    patch.setattr(kernels, "spectrum", spy)
+    return calls
+
+
+def _force_the_proof(patch):
+    """Make minimum_weight prove wherever it can, and spy on the sweeps it
+    must then never run."""
+    patch.setattr(analysis, "_PROOF_ADVANTAGE", 0)
+    return _spy_sweeps(patch)
+
+
 @pytest.mark.parametrize("params", _HULL_GRID)
-def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(params):
+def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(monkeypatch, params):
     p, h, n = params
     model = build_model(GeometrySpec(make_field(p, h), n))
     hist = kernels.spectrum(model.hull, p, 0)[0]
     swept = int(np.flatnonzero(hist[1:])[0]) + 1
+    # as chosen: the sweep everywhere but PG(2,8), whose hull is proved
+    sweeps = _spy_sweeps(monkeypatch)
+    assert minimum_weight(model.hull, p) == swept
+    assert sweeps == ([] if params == (2, 3, 2) else [0])
+    sweeps = _force_the_proof(monkeypatch)
     assert minimum_weight(model.hull, p) == swept
     assert minimum_weight(model.hull, p, contains_rows=model.hull_contains_rows) == swept
+    assert sweeps == []
 
 
 @st.composite
@@ -230,7 +256,12 @@ def _reduced_bases(draw):
 def test_minimum_weight_matches_brute_force_on_small_reduced_bases(case):
     p, basis = case
     weights = [w for w in brute_force_spectrum(basis, p) if w]
-    assert minimum_weight(basis, p) == (min(weights) if weights else None)
+    expected = min(weights) if weights else None
+    assert minimum_weight(basis, p) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        sweeps = _force_the_proof(patch)
+        assert minimum_weight(basis, p) == expected
+    assert sweeps == []
 
 
 def test_minimum_weight_of_a_basis_with_no_rows_is_none():
@@ -286,13 +317,35 @@ def test_a_set_that_contributes_late_catches_up_on_the_lower_weights():
     assert analysis._proof_levels(4, [4, 2], 4) == levels[:2]
 
 
-def test_minimum_weight_budget_is_checked_before_enumerating(monkeypatch):
+def test_minimum_weight_sweeps_without_enumerating_when_the_real_ranks_cost_too_much(
+    monkeypatch,
+):
+    # the closed form assumes floor(63 / 27) = 2 full-rank sets; one set of
+    # rank 27 leaves levels up to t = 15, about 1.05e8 messages, too dear
+    # against the sweep's 2^27, so it is swept after the elimination
     model = build_model(GeometrySpec(make_field(2, 3), 2))
+
+    def one_set(basis, p, contains_rows):
+        return [(basis, np.arange(basis.shape[1]), basis.shape[0])]
+
+    monkeypatch.setattr(analysis, "_information_sets", one_set)
     calls = _spy_lightest_words(monkeypatch)
-    with pytest.raises(BudgetExceeded):
-        minimum_weight(model.hull, 2, budget=2_571_245)
-    assert calls == []
-    assert minimum_weight(model.hull, 2, budget=2_571_246) == 16
+    sweeps = _spy_sweeps(monkeypatch)
+    assert minimum_weight(model.hull, 2) == 16
+    assert calls == [] and sweeps == [0]
+
+
+@pytest.mark.parametrize("advantage, proved", [(52, True), (53, False)])
+def test_the_proof_advantage_is_where_the_choice_turns(monkeypatch, advantage, proved):
+    # PG(2,8)'s hull: 2,571,246 messages proved, in both estimates, against
+    # 2^27 message orbits; 52 times the proof fits in them, 53 times does not
+    model = build_model(GeometrySpec(make_field(2, 3), 2))
+    monkeypatch.setattr(analysis, "_PROOF_ADVANTAGE", advantage)
+    calls = _spy_lightest_words(monkeypatch)
+    sweeps = _spy_sweeps(monkeypatch)
+    assert minimum_weight(model.hull, 2) == 16
+    assert (sum(messages for _, messages in calls) == 2_571_246) == proved
+    assert sweeps == ([] if proved else [0])
 
 
 # each proof step that fails its check raises InconsistentProof, under python
@@ -301,6 +354,7 @@ def test_minimum_weight_budget_is_checked_before_enumerating(monkeypatch):
 
 def test_minimum_weight_refuses_a_systematic_form_outside_the_code(monkeypatch):
     model = build_model(PG23)
+    sweeps = _force_the_proof(monkeypatch)
     eliminate = analysis.rref_mod_p
 
     def leaving(mat, p):
@@ -318,6 +372,7 @@ def test_minimum_weight_refuses_a_systematic_form_outside_the_code(monkeypatch):
             minimum_weight(model.hull, 3, contains_rows=model.hull_contains_rows)
         with pytest.raises(InconsistentProof, match="systematic form"):
             minimum_weight(model.hull, 3)
+    assert sweeps == []
 
 
 def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
@@ -329,14 +384,17 @@ def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
         return np.delete(table, 1, axis=0) if len(table) > 1 else table
 
     monkeypatch.setattr(kernels, "_combinations", dropping)
+    sweeps = _force_the_proof(monkeypatch)
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
         minimum_weight(build_model(PG23).hull, 3)
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
         run_suite((2, 3, 2), suites=["hull"])
+    assert sweeps == []
 
 
 def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatch):
     model = build_model(PG24)
+    sweeps = _force_the_proof(monkeypatch)
     enumerate_levels = kernels.lightest_words
 
     def lighter(rows, p, max_weight):
@@ -353,6 +411,7 @@ def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatc
         monkeypatch.setattr(kernels, "lightest_words", tampered)
         with pytest.raises(InconsistentProof, match="lightest word is no codeword"):
             minimum_weight(model.hull, 2, contains_rows=model.hull_contains_rows)
+    assert sweeps == []
 
 
 def test_spectrum_budget_gate():

@@ -157,6 +157,35 @@ def test_verify_exhaustive_beyond_budget_exits_3(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["code", "spectrum", "--p", "2", "--n", "2", "--search", "--iterations", "0"], "--iterations"),
+        (["code", "spectrum", "--p", "2", "--n", "2", "--search", "--max-weight", "-1"], "--max-weight"),
+        (["verify", "--p", "2", "--h", "3", "--n", "2", "--suites", "minweight", "--iterations", "0"],
+         "--iterations"),
+        (["verify", "--p", "2", "--n", "2", "--all", "--iterations", "0"], "--iterations"),
+    ],
+)
+def test_invalid_round_counts_are_usage_errors(capsys, argv, option):
+    # refused while parsing, before any model is built; an exhaustive run
+    # that would never search is refused too
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+
+
+def test_zero_max_weight_is_a_valid_search_cap(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "code", "spectrum", "--p", "2", "--n", "2", "--search",
+        "--max-weight", "0", "--iterations", "1", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["found_counts"] == {}
+
+
 def test_composite_p_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometry", "info", "--p", "6", "--n", "2"])

@@ -80,8 +80,9 @@ def test_full_suite_fano_plane():
     assert "timing" not in r.to_json_dict()
 
 
-def test_full_suite_pg32_statuses():
-    r = run_suite((2, 1, 3), restriction_samples=200)
+def test_full_suite_pg32_statuses(monkeypatch):
+    monkeypatch.setattr(verify, "RESTRICTION_SAMPLES", 200)
+    r = run_suite((2, 1, 3))
     by_name = {c.name: c.status for c in r.checks}
     assert by_name["bbw"] == "skipped"  # planar statement only
     del by_name["bbw"]
@@ -97,13 +98,7 @@ def test_full_suite_pg32_statuses():
 
 
 def test_forced_search_mode_downgrades_weight_suites():
-    r = run_suite(
-        (3, 1, 2),
-        mode="search",
-        search_iterations=300,
-        restriction_samples=50,
-        blocking_trials=5,
-    )
+    r = run_suite((3, 1, 2), mode="search", search_iterations=300)
     assert r.mode == "search"
     by_name = {c.name: c.status for c in r.checks}
     assert by_name["minweight"] == "evidence-only"
@@ -153,10 +148,11 @@ def test_suite_subset_runs_in_canonical_order():
         r.check("minweight")
 
 
-def test_skip_gates_for_hull_and_bbw_budgets():
+def test_skip_gates_for_hull_and_bbw_budgets(monkeypatch):
     r = run_suite((2, 2, 2), suites=["hull"], hull_budget=8)
     assert r.check("hull").status == "skipped"
-    r = run_suite((2, 2, 2), suites=["bbw"], bbw_budget=16)
+    monkeypatch.setattr(verify, "BBW_BUDGET", 16)
+    r = run_suite((2, 2, 2), suites=["bbw"])
     assert r.check("bbw").status == "skipped"
 
 
@@ -242,7 +238,8 @@ def test_restriction_witnesses_follow_the_draw_sequence(monkeypatch, params):
         CodeModel, "contains_rows", lambda self, words: np.zeros(len(words), dtype=bool)
     )
     seed, samples = 3, 40
-    report = run_suite(params, ["minweight", "restriction"], seed=seed, restriction_samples=samples)
+    monkeypatch.setattr(verify, "RESTRICTION_SAMPLES", samples)
+    report = run_suite(params, ["minweight", "restriction"], seed=seed)
     check = report.check("restriction")
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
@@ -354,9 +351,9 @@ def test_blocking_lists_a_forced_reduction_disagreement(monkeypatch, params):
         return out
 
     monkeypatch.setattr(verify, "reduce_mask_orders", one_wrong)
-    check = run_suite(
-        params, ["blocking"], seed=seed, blocking_trials=trials, blocking_orders=orders
-    ).check("blocking")
+    monkeypatch.setattr(verify, "BLOCKING_TRIALS", trials)
+    monkeypatch.setattr(verify, "BLOCKING_ORDERS", orders)
+    check = run_suite(params, ["blocking"], seed=seed).check("blocking")
     assert len(calls) == trials and sum(calls) == trials * orders
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
@@ -448,16 +445,18 @@ def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
 
     monkeypatch.setattr(verify, "classify_words", counting)
     calls = _spy_sweeps(monkeypatch, model)
-    run_suite(params, restriction_samples=10, blocking_trials=2)
+    run_suite(params)
     assert calls == [(True, g.num_points if n == 2 else low), (False, 0)]
     # the weight suites classify the low words only, not every word bbw reads
     assert classified == [low_words]
     if n == 2:
         calls.clear()
-        run_suite(params, bbw_budget=messages - 1, restriction_samples=10, blocking_trials=2)
+        monkeypatch.setattr(verify, "BBW_BUDGET", messages - 1)
+        run_suite(params)
         assert calls == [(True, low), (False, 0)]
         calls.clear()
-        assert run_suite(params, ["bbw"], bbw_budget=messages).check("bbw").status == "pass"
+        monkeypatch.setattr(verify, "BBW_BUDGET", messages)
+        assert run_suite(params, ["bbw"]).check("bbw").status == "pass"
         assert calls == [(True, g.num_points)]
 
 
@@ -475,8 +474,8 @@ def test_the_hull_suite_sweeps_only_where_the_sweep_is_cheap(monkeypatch, params
 
 def test_a_proof_dearer_than_its_estimate_falls_back_to_the_sweep(monkeypatch):
     # the choice before any elimination assumes full-rank sets; when the
-    # real fresh ranks make the proof too dear, minimum_weight refuses it
-    # before enumerating and the suite sweeps
+    # real fresh ranks make the proof too dear, minimum_weight sweeps
+    # without enumerating
     model = build_model(GeometrySpec(make_field(2, 3), 2))
 
     def one_set(basis, p, contains_rows):
@@ -490,11 +489,15 @@ def test_a_proof_dearer_than_its_estimate_falls_back_to_the_sweep(monkeypatch):
 
 
 def test_the_hull_proof_adds_no_option():
+    # run_suite takes what `pgcodes verify` takes, minimum_weight makes its
+    # own sweep-or-proof choice, and reduce_mask's warning names its caller
     assert list(inspect.signature(run_suite).parameters) == [
-        "params", "suites", "budget", "hull_budget", "bbw_budget", "seed", "mode",
-        "search_iterations", "search_max_weight", "restriction_samples",
-        "blocking_trials", "blocking_orders",
+        "params", "suites", "budget", "hull_budget", "seed", "mode", "search_iterations",
     ]
+    assert list(inspect.signature(analysis.minimum_weight).parameters) == [
+        "basis", "p", "contains_rows",
+    ]
+    assert list(inspect.signature(blocking.reduce_mask).parameters) == ["g", "mask", "k", "rng"]
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {o for a in commands.choices["verify"]._actions for o in a.option_strings}
@@ -739,7 +742,7 @@ def test_exhaustive_reports_match_pinned_digests(params, seed):
 _BBW_RUNS = {
     "bbw": {"suites": ["bbw"]},
     "bbw+restriction": {"suites": ["bbw", "restriction"]},
-    "bbw_budget=16": {"bbw_budget": 16},
+    "bbw_budget=16": {},
 }
 PINNED_BBW_REPORTS = {
     ((2, 1, 2), "bbw"): (
@@ -791,15 +794,17 @@ PINNED_BBW_REPORTS = {
 
 
 @pytest.mark.parametrize("params, run", list(PINNED_BBW_REPORTS))
-def test_bbw_run_reports_match_pinned_digests(params, run):
+def test_bbw_run_reports_match_pinned_digests(monkeypatch, params, run):
+    if run == "bbw_budget=16":
+        monkeypatch.setattr(verify, "BBW_BUDGET", 16)
     report = run_suite(params, seed=1, **_BBW_RUNS[run])
     assert report.mode == "exhaustive"
     assert _report_digests(report) == PINNED_BBW_REPORTS[params, run]
 
 
 def test_reports_are_reproducible_given_seed():
-    a = run_suite((3, 1, 2), seed=42, restriction_samples=100, blocking_trials=5)
-    b = run_suite((3, 1, 2), seed=42, restriction_samples=100, blocking_trials=5)
+    a = run_suite((3, 1, 2), seed=42)
+    b = run_suite((3, 1, 2), seed=42)
     assert emit_report(a, "json") == emit_report(b, "json")
     assert emit_report(a, "table") == emit_report(b, "table")
 
@@ -906,9 +911,8 @@ def test_weight_suite_failure_reports_match_pinned_digests(monkeypatch, params, 
         monkeypatch.setattr(verify, "low_weight_search", search)
         failing = {"gap", "blocking"}
     suites = [s for s in SUITES if mode == "exhaustive" or s not in ("hull", "bbw")]
-    report = run_suite(
-        params, suites, seed=3, mode=mode, search_iterations=60, restriction_samples=100
-    )
+    monkeypatch.setattr(verify, "RESTRICTION_SAMPLES", 100)
+    report = run_suite(params, suites, seed=3, mode=mode, search_iterations=60)
     assert report.mode == mode
     failed = {c.name: c for c in report.checks if c.status == "fail"}
     assert failing <= set(failed)
