@@ -28,7 +28,6 @@ from pgcodes import kernels
 from pgcodes.code import (
     CodeModel,
     LengthMismatch,
-    _product_mod_p,
     as_word,
     as_words,
     build_model,
@@ -592,7 +591,7 @@ def minimum_weight(basis, p: int, contains_rows=None):
     pivots = np.flatnonzero(~free)
     if contains_rows is None:
         def contains_rows(words):
-            return (_product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
+            return (kernels._product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
     weights = np.count_nonzero(basis, axis=1)
     best, word = int(weights.min()), basis[weights.argmin()]
     orbits = p**k // (p - 1)
@@ -619,7 +618,7 @@ def minimum_weight(basis, p: int, contains_rows=None):
             if weight < best:
                 best, word = weight, np.empty_like(found)
                 word[sets[j][1]] = found
-    rebuilt = _product_mod_p(word[pivots][None], basis, p)
+    rebuilt = kernels._product_mod_p(word[pivots][None], basis, p)
     rebuilds = (rebuilt[0] == word).all() and np.count_nonzero(word) == best
     if not (rebuilds and contains_rows(rebuilt)[0]):
         raise InconsistentProof(f"the lightest word is no codeword of weight {best}")

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", parents=[params, common], help="weight distribution"
     )
     spectrum.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="message budget for enumeration"
+        "--budget", type=_at_least(1), default=DEFAULT_BUDGET, help="message budget for enumeration"
     )
     spectrum.add_argument(
         "--search", action="store_true", help="randomized low-weight search instead"
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="enumeration strategy (default auto)",
     )
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--hull-budget", type=int, default=DEFAULT_HULL_BUDGET)
+    verify.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
+    verify.add_argument("--hull-budget", type=_at_least(1), default=DEFAULT_HULL_BUDGET)
     verify.add_argument(
         "--iterations", type=_at_least(1), default=100_000, help="search rounds in search mode"
     )

@@ -16,8 +16,9 @@ needs no elimination of its own: the RREF R of the Gram matrix's kernel
 times the generator G is already reduced, because G has unit columns at its
 pivots (see hull_basis).
 
-Every mod-p matrix product here and in verify is _product_mod_p: an exact
-float product on BLAS, reduced as integers.
+Every mod-p matrix product of the package, here, in analysis, in verify and
+behind geometry's GF(q) products, is kernels._product_mod_p: an exact float
+product on BLAS, reduced as integers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
 from pgcodes.gf import make_field
-from pgcodes.kernels import _mod_p, _systematize
+from pgcodes.kernels import _exact_float, _product_mod_p, _systematize
 
 
 # whole-array word tests run in row blocks whose float32 copy stays near this
@@ -107,27 +108,6 @@ def check_basis(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     basis[np.arange(first.size), first] = 1
     basis[:, last] = (p - reduced[: last.size, ::-1][:, first].T) % p
     return basis, first.tolist()
-
-
-def _exact_float(inner: int, p: int) -> type:
-    """Float type whose sums of `inner` products of entries in [0, p) are
-    exact: float32 while they stay below 2^24, float64 beyond."""
-    return np.float32 if inner * (p - 1) ** 2 < 2**24 else np.float64
-
-
-def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p as uint8 for matrices with entries in [0, p).
-
-    The product is one exact float product on BLAS (operands already in the
-    exact float type are not copied).  Its entries are whole numbers, so
-    they are reduced as integers: cast to uint32 (float32) or uint64
-    (float64), then kernels._mod_p, which is much faster than a float
-    remainder.
-    """
-    exact = _exact_float(a.shape[1], p)
-    whole = np.uint32 if exact is np.float32 else np.uint64
-    sums = (a.astype(exact, copy=False) @ b.astype(exact, copy=False)).astype(whole)
-    return _mod_p(sums, p).astype(np.uint8)
 
 
 def hull_basis(generator: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[int]]:

@@ -20,18 +20,24 @@ Conventions fixed once and relied on everywhere:
     (base-q value of the vector) - q^m + theta_{m-1};
   - hyperplane i has dual coordinates equal to point i's coordinates, so
     the incidence matrix is symmetric.
+
+The incidence matrix and the subspace tables come from GF(q) matrix
+products (fq_matmul), and each is one exact product over F_p on BLAS
+(kernels._product_mod_p, which code also uses): GF(q) is F_p^h, and
+multiplication by an element is an h x h matrix over F_p.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from pgcodes.gf import FieldElement, FieldSpec
-from pgcodes.kernels import _rref_pivots
+from pgcodes.kernels import _exact_float, _product_mod_p, _rref_pivots
 
 
 class GeometryMismatch(ValueError):
@@ -218,39 +224,59 @@ class Subspace:
 # -- F_q linear algebra on index-coded arrays --------------------------------
 
 
-# fq_matmul fills its output this many entries at a time, so that the uint16
-# index buffer and the intp indices np.take makes of it stay in cache
-_GATHER_ENTRIES = 1 << 16
+# fq_matmul takes the rows of a in blocks whose float product over F_p has
+# about this many entries, so that the block and its reduction stay in cache
+_PRODUCT_ENTRIES = 1 << 16
 
 
 def fq_matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Matrix product over GF(q) on element-index arrays, broadcast over
     leading axes like a @ b.
 
-    Each table lookup is one gather from the flattened q x q table at
-    x * q + y: a is scaled by q once, and the running sum is scaled into
-    the index buffer at every step.  The index reaches 255 * 256 + 255 =
-    65535 at q = 256, so uint16 holds it exactly.  The output is filled in
-    blocks of rows of a of about _GATHER_ENTRIES entries.
+    GF(q) is F_p^h, and multiplication by an element is an h x h matrix over
+    F_p (FieldSpec.mul_matrices), so the product is one exact product over
+    F_p, kernels._product_mod_p.  The left operand has rows (r, i) and
+    columns (j, t) holding digit i of a[r, t] * x^j; the right operand has
+    rows (j, t) holding digit j of b[t, s].  Row (r, i) of the product then
+    holds digit i of every entry of row r, and the digits are read back as
+    element indices by Horner's rule (every partial value is below q, so
+    bytes hold it).
+
+    The leading axes of a join the rows and those of b the columns, so a
+    stack of right operands is laid side by side in one product; the pairs
+    of items that the broadcast takes are then picked out, and where a and
+    b are stacked along the same axis every pair of their items is
+    multiplied.  The rows of a are taken in blocks of about
+    _PRODUCT_ENTRIES product entries, which bounds the float temporaries.
     """
-    q = field.q
-    add_flat, mul_flat = field.add_table.ravel(), field.mul_table.ravel()
-    scaled = a.astype(np.uint16) * q
-    out = np.zeros(np.broadcast_shapes(a[..., :1].shape, b[..., :1, :].shape), dtype=np.uint8)
-    rows = out.shape[-2]
-    step = max(1, _GATHER_ENTRIES * rows // max(out.size, 1))
-    for start in range(0, rows, step):
-        block = out[..., start : start + step, :]
-        left = scaled[..., start : start + step, :]
-        index = np.empty(block.shape, dtype=np.uint16)
-        prod = np.empty(block.shape, dtype=np.uint8)
-        for t in range(a.shape[-1]):
-            np.add(left[..., :, t, None], b[..., t, None, :], out=index)
-            np.take(mul_flat, index, out=prod)
-            np.multiply(block, np.uint16(q), out=index)
-            index += prod
-            np.take(add_flat, index, out=block)
-    return out
+    p, h = field.p, field.h
+    (m, inner), cols = a.shape[-2:], b.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    lead_a = (1,) * (len(lead) + 2 - a.ndim) + a.shape[:-2]
+    lead_b = (1,) * (len(lead) + 2 - b.ndim) + b.shape[:-2]
+    exact = _exact_float(h * inner, p)
+    rows = a.reshape(math.prod(lead_a) * m, inner)
+    left = field.mul_matrices[rows].transpose(0, 2, 3, 1).reshape(len(rows) * h, h * inner)
+    left = left.astype(exact)
+    stack = b.reshape(math.prod(lead_b), inner, cols).transpose(1, 0, 2)
+    right = field.digit_table.T.astype(exact)[:, stack].reshape(h * inner, stack[0].size)
+    width = right.shape[1]
+    out = np.empty((len(rows), width), dtype=np.uint8)
+    step = max(1, _PRODUCT_ENTRIES // max(h * width, 1))
+    for start in range(0, len(rows), step):
+        digits = _product_mod_p(left[start * h : (start + step) * h], right, p)
+        digits = digits.reshape(len(digits) // h, h, width)
+        index = digits[:, h - 1]
+        for i in range(h - 2, -1, -1):
+            index = index * p + digits[:, i]
+        out[start : start + step] = index
+    out = out.reshape(lead_a + (m,) + lead_b + (cols,))
+    # output item L takes item L_i of each stacked axis i, and item 0 of an
+    # axis of length 1
+    grid = np.indices(lead, sparse=True)
+    pick_a = tuple(g * (n > 1) for g, n in zip(grid, lead_a))
+    pick_b = tuple(g * (n > 1) for g, n in zip(grid, lead_b))
+    return out[pick_a + (slice(None),) + pick_b + (slice(None),)]
 
 
 def rref_fq(mat: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:

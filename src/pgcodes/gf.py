@@ -149,7 +149,12 @@ class FieldSpec:
         """Operation tables from digit arrays: digits[v] holds the h
         coefficients of element v, and the product a*b is the sum over i
         of a_i * (x^i * b), where x^i * b comes from i steps of the
-        "times x" map.  Inverses are read off the multiplication table."""
+        "times x" map.  Inverses are read off the multiplication table.
+
+        The same digits make GF(q) the F_p-space F_p^h: digit_table[v] holds
+        the digits of v, and mul_matrices[b] is the h x h matrix over F_p of
+        multiplication by b, whose column i holds the digits of x^i * b, so
+        digit_table[a * b] = mul_matrices[b] @ digit_table[a] mod p."""
         p, h, q = self.p, self.h, self.q
         place = p ** np.arange(h)
         digits = np.arange(q)[:, None] // place % p
@@ -162,8 +167,10 @@ class FieldSpec:
         times_x = index(shifted - digits[:, -1:] * np.array(self.modulus[:h]))
         prod = np.zeros((q, q, h), dtype=digits.dtype)  # digits of a * b, before mod p
         power = np.arange(q)  # x^i * b for every b
+        columns = []  # digits of x^i * b for every b
         for i in range(h):
-            prod += digits[:, i, None, None] * digits[power]
+            columns.append(digits[power])
+            prod += digits[:, i, None, None] * columns[-1]
             power = times_x[power]
         add_t = index(digits[:, None, :] + digits).astype(np.uint8)
         mul_t = index(prod).astype(np.uint8)
@@ -175,6 +182,8 @@ class FieldSpec:
         self.mul_table = mul_t
         self.neg_table = neg_t
         self.inv_table = inv_t
+        self.digit_table = digits.astype(np.uint8)
+        self.mul_matrices = np.stack(columns, axis=-1).astype(np.uint8)
         self._coeffs = [tuple(row) for row in digits.tolist()]
 
     # -- element construction ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hot kernels: the spectrum sweep, batched search rounds and the mod-p eliminator.
+"""Hot kernels: the spectrum sweep, search rounds, the mod-p eliminator and product.
 
 The hot loops are full-spectrum enumeration (all p^k messages of a k-row
 generator), the enumeration of low-weight messages behind a minimum-weight
@@ -41,9 +41,15 @@ products score every row pair, so only the pairs within the weight cap are
 ever built.  A batch of one round, with the identity permutation, scores one
 already permuted generator.
 
+_product_mod_p is the package's one mod-p matrix product, behind code,
+analysis, verify and geometry's GF(q) products: an exact float product on
+BLAS whose whole-number entries are reduced in the narrowest unsigned type
+that holds them.
+
 Every float32 product here is a sum of small integers, or of halves, whose
-partial sums stay below 2^23, so it is exact whatever order BLAS sums in, and
-results do not depend on threading.
+partial sums stay below 2^23 (2^24 in _product_mod_p, which switches to
+float64 beyond), so it is exact whatever order BLAS sums in, and results do
+not depend on threading.
 """
 
 from __future__ import annotations
@@ -66,6 +72,29 @@ def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
     q *= p
     x -= q
     return x
+
+
+def _exact_float(inner: int, p: int) -> type:
+    """Float type whose sums of `inner` products of entries in [0, p) are
+    exact: float32 while they stay below 2^24, float64 beyond."""
+    return np.float32 if inner * (p - 1) ** 2 < 2**24 else np.float64
+
+
+def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p as uint8 for matrices with entries in [0, p).
+
+    The product is one exact float product on BLAS (operands already in the
+    exact float type are not copied).  Its entries are whole numbers of at
+    most inner * (p-1)^2, so they are reduced as integers in the narrowest
+    unsigned type that holds that bound (a byte for the short inner sizes of
+    geometry's GF(q) products, up to uint64 for float64 sums), by _mod_p,
+    which is much faster than a float remainder.
+    """
+    inner = a.shape[1]
+    exact = _exact_float(inner, p)
+    whole = np.min_scalar_type(inner * (p - 1) ** 2)
+    sums = (a.astype(exact, copy=False) @ b.astype(exact, copy=False)).astype(whole)
+    return _mod_p(sums, p).astype(np.uint8, copy=False)
 
 
 def _combinations(rows: np.ndarray, p: int, max_digits: int | None = None) -> np.ndarray:

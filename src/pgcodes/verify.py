@@ -39,7 +39,6 @@ from .gf import make_field
 from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
 from .code import (
     CodeModel,
-    _product_mod_p,
     build_incidence_matrix,
     build_model,
     expected_dimension,
@@ -251,7 +250,7 @@ def _random_codewords(model, rng: np.random.Generator, count: int) -> np.ndarray
     """count uniformly random codewords as uint8 rows."""
     p = model.geometry.field.p
     msgs = rng.integers(0, p, size=(count, model.dimension))
-    return _product_mod_p(msgs, model.generator, p)
+    return kernels._product_mod_p(msgs, model.generator, p)
 
 
 def _subspace_words(g: GeometrySpec) -> np.ndarray:
@@ -498,7 +497,7 @@ def _run_properties(g, model, rng) -> CheckResult:
     subs = _subspace_words(g)
     a = build_incidence_matrix(g)
     # difference of any two subspace vectors orthogonal to every row of A
-    against_code = _product_mod_p(a, subs.T, p)
+    against_code = kernels._product_mod_p(a, subs.T, p)
     item1 = bool((against_code == against_code[:, :1]).all())
     sample = np.concatenate(
         [
@@ -508,7 +507,7 @@ def _run_properties(g, model, rng) -> CheckResult:
             _random_codewords(model, rng, 32),
         ]
     )
-    pairing = _product_mod_p(sample, subs.T, p)
+    pairing = kernels._product_mod_p(sample, subs.T, p)
     item2 = bool((pairing == pairing[:, :1]).all())
     in_hull = model.hull_contains_rows(sample)
     item3 = bool((in_hull == (pairing[:, 0] == 0)).all())

@@ -165,6 +165,10 @@ def test_verify_exhaustive_beyond_budget_exits_3(capsys):
         (["verify", "--p", "2", "--h", "3", "--n", "2", "--suites", "minweight", "--iterations", "0"],
          "--iterations"),
         (["verify", "--p", "2", "--n", "2", "--all", "--iterations", "0"], "--iterations"),
+        # p^k >= 1, so no budget below 1 admits a sweep
+        (["verify", "--p", "2", "--n", "2", "--all", "--budget", "-1", "--iterations", "5"], "--budget"),
+        (["verify", "--p", "2", "--n", "2", "--suites", "hull", "--hull-budget", "-1"], "--hull-budget"),
+        (["code", "spectrum", "--p", "2", "--n", "2", "--budget", "-1"], "--budget"),
     ],
 )
 def test_invalid_round_counts_are_usage_errors(capsys, argv, option):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes import code
+from pgcodes import code, kernels
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     GeometryMismatch,
@@ -213,24 +213,27 @@ def test_hull_basis_edge_cases(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 251])
-@pytest.mark.parametrize("limit", [2**24 - 1, 2**24])
+@pytest.mark.parametrize("limit", [2**24 - 1, 2**24, 255, 256])
 def test_product_mod_p_is_exact_at_the_float32_limit(p, limit):
     # all-(p-1) operands with inner * (p-1)^2 at 2^24 - 1 (the last float32
-    # product, reduced from uint32) or 2^24 (the first float64 one, from
-    # uint64); the inner size is rounded so that the sums stay on the side
-    # of the switch that the limit names
+    # product) or 2^24 (the first float64 one), and at 255 (the last sums
+    # reduced in a byte) or 256 (the first in uint16); the inner size is
+    # rounded so that the sums stay on the side of the switch that the
+    # limit names
+    switch = 2**24 if limit > 256 else 256
     square = (p - 1) ** 2
-    inner = limit // square if limit < 2**24 else -(-limit // square)
-    assert (inner * square < 2**24) == (limit < 2**24)
+    inner = limit // square if limit < switch else -(-limit // square)
+    assert (inner * square < switch) == (limit < switch)
     # one row and one column keep the p = 2 operands near 300 MB at float64
     a = np.full((1, inner), p - 1, dtype=np.uint8)
     b = np.full((inner, 1), p - 1, dtype=np.uint8)
-    got = code._product_mod_p(a, b, p)
+    got = kernels._product_mod_p(a, b, p)
     assert got.dtype == np.uint8
     assert got.tolist() == [[inner * square % p]]
-    # one entry lower by one: the sum moves by p - 1
-    a[0, 0] = p - 2
-    assert code._product_mod_p(a, b, p).tolist() == [[(inner * square - (p - 1)) % p]]
+    if inner:  # p = 251 reaches no byte sum but 0
+        # one entry lower by one: the sum moves by p - 1
+        a[0, 0] = p - 2
+        assert kernels._product_mod_p(a, b, p).tolist() == [[(inner * square - (p - 1)) % p]]
 
 
 def _model_digest(model):

@@ -392,12 +392,12 @@ def test_subspace_tables_match_the_loop_reference(p, h, n):
 
 @pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize(
-    "p,h", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 7), (3, 5), (2, 8)]
+    "p,h", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (2, 7), (3, 5), (2, 8), (251, 1)]
 )
 def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
     if block is not None:
         # many row blocks, the last one short, written through strided views
-        monkeypatch.setattr(geometry, "_GATHER_ENTRIES", block)
+        monkeypatch.setattr(geometry, "_PRODUCT_ENTRIES", block)
     fld = make_field(p, h)
     q = fld.q
     rng = np.random.default_rng(q)
@@ -413,9 +413,16 @@ def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
         # as _spanned_vectors passes them: canonical vectors against a stack of bases
         (canonical_vectors(fld, 2), bases),
         (elements(3, 1, 5, 2), bases),
-        # products and running sums at the top element: at q = 256 both flat
-        # indices reach 255 * 256 + 255 = 65535
+        # products and running sums at the top element
         (top, top[1:].T),
+        # a stack of left operands against one right operand
+        (elements(3, 4, 5), elements(5, 6)),
+        # no rows, and no columns
+        (elements(0, 4), elements(4, 3)),
+        (elements(4, 3), elements(3, 0)),
+        # every entry q - 1 with inner size 6: at p = 251 the F_p sums reach
+        # 6 * 250^2, far past a byte, and at q = 256 every digit is 1
+        (np.full((3, 6), q - 1, dtype=np.uint8), np.full((6, 4), q - 1, dtype=np.uint8)),
     ]
     for a, b in cases:
         got, want = fq_matmul(a, b, fld), fq_matmul_reference(a, b, fld)
