@@ -230,7 +230,7 @@ def test_product_mod_p_is_exact_at_the_float32_limit(p, limit):
     got = kernels._product_mod_p(a, b, p)
     assert got.dtype == np.uint8
     assert got.tolist() == [[inner * square % p]]
-    if inner:  # p = 251 reaches no byte sum but 0
+    if inner:  # at limit 255, p = 251 has inner size 0 and no entry to lower
         # one entry lower by one: the sum moves by p - 1
         a[0, 0] = p - 2
         assert kernels._product_mod_p(a, b, p).tolist() == [[(inner * square - (p - 1)) % p]]
