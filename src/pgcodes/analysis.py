@@ -635,9 +635,10 @@ def low_weight_search(
 
     Each round permutes the columns at random, re-systematizes, and keeps
     codewords spanned by at most two rows of the systematized generator.
-    Rounds run in batches of kernels.isd_batch_size, drawing the same
-    permutations in the same order as one round at a time.  Finds are
-    deduplicated exactly as canonical (leading entry 1) scalar-orbit
+    Rounds run in batches of kernels.isd_batch_size; one rng.permuted call
+    draws a batch's permutations, the same permutations in the same order,
+    and the same generator state, as one rng.permutation per round.  Finds
+    are deduplicated exactly as canonical (leading entry 1) scalar-orbit
     representatives, and words holds every scalar multiple of them.  Not
     guaranteed complete.
     """
@@ -658,7 +659,7 @@ def low_weight_search(
     batch = kernels.isd_batch_size(model.dimension, npts)
     orbits = empty
     for start in range(0, iterations, batch):
-        perms = np.array([rng.permutation(npts) for _ in range(min(batch, iterations - start))])
+        perms = rng.permuted(np.tile(np.arange(npts), (min(batch, iterations - start), 1)), axis=1)
         rows = kernels.isd_rounds(model.generator, perms, p, max_weight, inverse)[0]
         lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
         canon = kernels._mod_p(rows * inverse[lead][:, None].astype(np.uint16), p)

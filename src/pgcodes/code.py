@@ -74,7 +74,8 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     basis from this module, goes to the eliminator without a widening copy;
     any other integer matrix is reduced mod p in int64 first.  The
     elimination is the one-item case of the batched Gauss-Jordan pass in
-    kernels._systematize, which works in uint8 or uint16.
+    kernels._systematize, which works on 64-column words over F_2 and in
+    uint8 or uint16 over odd p.
     """
     m = np.asarray(mat)
     if m.dtype != np.uint8 or (m.size and m.max() >= p):

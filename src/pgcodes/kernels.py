@@ -33,12 +33,16 @@ code.rref_mod_p, and through it every rank, basis and nullspace of the code
 model, is its one-item case.  A model's matrices have rank far below their
 width (65 of 585 columns on PG(3,8)), so most columns can hold no pivot; the
 pass finds the next column that can with one look-ahead over a window of
-columns, in place of a numpy step per column.
+columns, in place of a numpy step per column.  Over F_2 it keeps rows as
+64-column uint64 words, so a column step is one XOR of words over the whole
+stack (the packed layout of Albrecht, Bard and Hart's M4RI); over odd p it
+keeps one byte, or two, per entry.
 
 isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy:
-_systematize reduces a stack of column-permuted generators, and matrix
-products score every row pair, so only the pairs within the weight cap are
-ever built.  A batch of one round, with the identity permutation, scores one
+_systematize reduces a stack of column-permuted generators, one gather puts
+every round's columns back in the generator's order, and matrix products
+score every row pair, so only the pairs within the weight cap are ever
+built.  A batch of one round, with the identity permutation, scores one
 already permuted generator.
 
 _product_mod_p is the package's one mod-p matrix product, behind code,
@@ -394,9 +398,12 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
 # a batch's stacked generators, and each scoring chunk's float32 copies (the
 # support and one indicator per nonzero value), stay near this many bytes
 _BATCH_BYTES = 1 << 18
-# a column where no free row of any item is nonzero looks this many columns
-# ahead for the next one where some item can pivot
+# over odd p, a column where no free row of any item is nonzero looks this
+# many columns ahead for the next one where some item can pivot
 _LOOKAHEAD = 64
+# over F_2, rows are packed 64 columns to a little-endian word: column c is
+# bit c % 64 of word c // 64, and _WORD_BITS[c % 64] selects it
+_WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def isd_batch_size(k: int, n: int) -> int:
@@ -412,16 +419,79 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     Each item tracks which of its rows already hold a pivot; one column step
     pivots every item that has a free row nonzero in that column and leaves
     the others unchanged, and the pass stops once every item has k pivots.
-    A step rewrites only the columns from the pivot on, in the rows that are
-    nonzero in that column for some item.  At a column where no item has
-    such a row, one look-ahead over the free rows of every item finds the
-    next column of the following _LOOKAHEAD where one has, or passes the
-    whole window: the skipped columns hold no eligible entry and nothing
-    changes while skipping, so pivots and rows are those of a pass that
-    visits every column.  Entries stay reduced, so the row updates fit uint8
-    while p^2 <= 256 and uint16 up to p = 251.  Returns (reduced, pivots):
-    rows come back in pivot-column order, and pivots[b, i] is the pivot
-    column of row i of item b, or n for a zero row.
+    A step rewrites only the columns from the pivot on.  At a column where
+    no item has such a row, one look-ahead over the free rows of every item
+    finds the next column where one has, within a window: the skipped
+    columns hold no eligible entry and nothing changes while skipping, so
+    pivots and rows are those of a pass that visits every column.  Over F_2
+    the rows are 64-column words (_eliminate_f2); over odd p they are
+    bytes (_eliminate_mod_p).  Returns (reduced, pivots) with uint8 rows for
+    p = 2 and p^2 <= 256, uint16 beyond: rows come back in pivot-column
+    order, and pivots[b, i] is the pivot column of row i of item b, or n for
+    a zero row.
+    """
+    if p == 2:
+        u, pivot_col = _eliminate_f2(gens)
+    else:
+        u, pivot_col = _eliminate_mod_p(gens, p, inv_mod)
+    items = np.arange(len(u))[:, None]
+    order = np.argsort(pivot_col, axis=1, kind="stable")
+    return u[items, order], pivot_col[items, order]
+
+
+def _eliminate_f2(gens: np.ndarray):
+    """_systematize's pass over F_2 on (words, items, rows) planes of uint64.
+
+    Plane w holds word w of every row, so a column step reads its bit from
+    one plane and adds the pivot row's words, from the pivot's word on, to
+    every other row that has the bit, in one XOR over the stack whose inner
+    loop runs over rows.  Free rows are zero left of the current column, so
+    the look-ahead is one OR over the free rows' current word and a scan for
+    its lowest bit, or a jump to the next word.  Returns the rows unpacked
+    to uint8 bytes, in their pass order, and their pivot columns.
+    """
+    b, k, n = gens.shape
+    nwords = -(-n // 64)
+    packed = np.zeros((b, k, 8 * nwords), dtype=np.uint8)
+    packed[:, :, : -(-n // 8)] = np.packbits(gens, axis=2, bitorder="little")
+    planes = np.ascontiguousarray(packed.view("<u8").transpose(2, 0, 1))
+    zero = np.uint64(0)
+    free = np.ones((b, k), dtype=bool)
+    pivot_col = np.full((b, k), n)
+    items = np.arange(b)
+    c = 0
+    while c < n and free.any():
+        w, bit = divmod(c, 64)
+        plane = planes[w]
+        hot = (plane & _WORD_BITS[bit]) != 0
+        eligible = hot & free
+        has = eligible.any(axis=1)
+        if not has.any():
+            ahead = int(np.bitwise_or.reduce(plane[free]))
+            c = 64 * w + ((ahead & -ahead).bit_length() - 1 if ahead else 64)
+            continue
+        row = eligible.argmax(axis=1)
+        hit = np.nonzero(has)[0]
+        # items without a pivot here get a zero pivot row: a no-op update
+        prow = planes[w:, items, row]
+        prow *= has
+        hot[hit, row[hit]] = False
+        planes[w:] ^= np.where(hot, prow[:, :, None], zero)
+        free[hit, row[hit]] = False
+        pivot_col[hit, row[hit]] = c
+        c += 1
+    rows = np.ascontiguousarray(planes.transpose(1, 2, 0)).view(np.uint8)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little"), pivot_col
+
+
+def _eliminate_mod_p(gens: np.ndarray, p: int, inv_mod: np.ndarray):
+    """_systematize's pass over odd p on bytes.
+
+    A step rewrites only the rows that are nonzero in the pivot column for
+    some item, and the look-ahead reads the next _LOOKAHEAD columns of the
+    free rows.  Entries stay reduced, so the row updates fit uint8 while
+    p^2 <= 256 and uint16 up to p = 251.  Returns the rows in their pass
+    order and their pivot columns.
     """
     b, k, n = gens.shape
     dtype = np.uint8 if p * p <= 256 else np.uint16
@@ -443,24 +513,19 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
         prow = u[items, row, c:]
         touched = np.flatnonzero(col.any(axis=0))
         col = col[:, touched, None]
-        if p == 2:
-            prow *= has[:, None]
-            u[:, touched, c:] ^= col & prow[:, None, :]
-        else:
-            # items without a pivot here get a zero pivot row: a no-op update
-            prow *= (inv[prow[:, 0]] * has)[:, None]
-            _mod_p(prow, p)
-            update = (p - col) * prow[:, None, :]
-            update += u[:, touched, c:]
-            _mod_p(update, p)
-            u[:, touched, c:] = update
+        # items without a pivot here get a zero pivot row: a no-op update
+        prow *= (inv[prow[:, 0]] * has)[:, None]
+        _mod_p(prow, p)
+        update = (p - col) * prow[:, None, :]
+        update += u[:, touched, c:]
+        _mod_p(update, p)
+        u[:, touched, c:] = update
         hit = np.nonzero(has)[0]
         u[hit, row[hit], c:] = prow[hit]
         free[hit, row[hit]] = False
         pivot_col[hit, row[hit]] = c
         c += 1
-    order = np.argsort(pivot_col, axis=1, kind="stable")
-    return u[items[:, None], order], pivot_col[items[:, None], order]
+    return u, pivot_col
 
 
 def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):
@@ -505,17 +570,23 @@ def isd_rounds(
 ):
     """Lee-Brickell rounds, one per row of perms, on a k x n generator.
 
-    Round b systematizes gen[:, perms[b]].  Returns (words, items): the rows
-    and row-pair combinations u_i + c*u_j (i < j, c != 0) of each round's
-    RREF with weight <= max_weight, in gen's own column order, and the round
-    index of every word.
+    Round b systematizes gen[:, perms[b]]; the whole batch is one
+    _systematize stack, bit-packed over F_2.  Returns (words, items): the
+    rows and row-pair combinations u_i + c*u_j (i < j, c != 0) of each
+    round's RREF with weight <= max_weight, in gen's own column order, and
+    the round index of every word.
     """
     reduced = _systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod)[0]
     # column t of round b is gen's column perms[b, t]; weights do not depend
-    # on the column order, so restoring it first leaves the scores unchanged
-    restored = np.empty_like(reduced)
-    np.put_along_axis(restored, perms[:, None, :], reduced, axis=2)
-    b, k, n = restored.shape
+    # on the column order, so restoring it first leaves the scores unchanged.
+    # Column s of round b is column inverse[b, s] of its RREF: one gather of
+    # the rounds' columns, offset by n per round.
+    b, k, n = reduced.shape
+    inverse = np.empty_like(perms)
+    inverse[np.arange(b)[:, None], perms] = np.arange(n)
+    columns = reduced.transpose(0, 2, 1).reshape(b * n, k)
+    restored = columns[(inverse + np.arange(0, b * n, n)[:, None]).ravel()]
+    restored = restored.reshape(b, n, k).transpose(0, 2, 1)
     step = max(1, _BATCH_BYTES // (4 * p * k * n))
     starts = range(0, b, step)
     found = [_low_weight_combinations(restored[s : s + step], p, max_weight) for s in starts]

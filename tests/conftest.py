@@ -1,9 +1,10 @@
 """Shared fixtures: warm the kernels once per session.
 
 The first spectrum sweep, the first enumeration of low-weight messages and
-the first batched search round pay numpy's and BLAS's set-up cost (thread
-pool start, first-touch allocations); warming here keeps the
-runtime-bounded acceptance checks honest about steady-state speed.
+the first batched search round, over F_2 and over odd p, pay numpy's and
+BLAS's set-up cost (thread pool start, first-touch allocations); warming
+here keeps the runtime-bounded acceptance checks honest about steady-state
+speed.
 """
 
 import numpy as np
@@ -20,6 +21,6 @@ def warm_kernels():
     kernels.spectrum(rows3, 3, 4)
     list(kernels.lightest_words(rows2, 2, 2))
     list(kernels.lightest_words(rows3, 3, 2))
-    inv3 = np.array([0, 1, 2], dtype=np.uint8)
-    kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, inv3)
+    kernels.isd_rounds(rows2, np.arange(4)[None], 2, 4, np.array([0, 1], dtype=np.uint8))
+    kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, np.array([0, 1, 2], dtype=np.uint8))
     yield

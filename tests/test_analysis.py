@@ -763,6 +763,24 @@ def test_search_results_match_pinned_digests(params, rounds, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_a_batch_of_permutations_is_one_draw_per_round():
+    # low_weight_search draws each batch with one rng.permuted call: the
+    # permutations and the generator state after them must be those of one
+    # rng.permutation per round, and the stream itself must not drift
+    for n, rounds in [(7, 3), (73, 128), (31, 528), (1, 2)]:
+        batched, single = np.random.default_rng(2026), np.random.default_rng(2026)
+        perms = batched.permuted(np.tile(np.arange(n), (rounds, 1)), axis=1)
+        assert np.array_equal(perms, [single.permutation(n) for _ in range(rounds)])
+        assert batched.integers(1000) == single.integers(1000)
+    rng = np.random.default_rng(2026)
+    assert rng.permuted(np.tile(np.arange(7), (3, 1)), axis=1).tolist() == [
+        [0, 3, 5, 1, 6, 4, 2],
+        [3, 1, 2, 6, 5, 4, 0],
+        [3, 0, 4, 6, 1, 5, 2],
+    ]
+    assert rng.integers(1000) == 282
+
+
 def test_search_edge_cases():
     model = build_model(PG22)
     empty = low_weight_search(model, 0, 5, seed=0)

@@ -374,7 +374,7 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
 def _gapped_matrices(p):
     """Named k x n matrices whose empty column runs the eliminator skips:
     runs longer than its look-ahead window, a run to the last column,
-    repeated columns and an all-zero matrix."""
+    repeated columns, an all-zero matrix and runs across word boundaries."""
     rng = np.random.default_rng(p)
     w = kernels._LOOKAHEAD
 
@@ -388,12 +388,22 @@ def _gapped_matrices(p):
             pieces += [group, np.zeros((mat.shape[0], run), dtype=mat.dtype)]
         return np.hstack(pieces)
 
+    def on_columns(cols, n):
+        # nonzero only on the given columns
+        mat = np.zeros((4, n), dtype=np.int64)
+        mat[:, cols] = low_rank(4, 3, len(cols))
+        return mat
+
     dense = low_rank(9, 5, 12)
     return [
         ("runs longer than the window", with_runs(dense, [w + 1, 2 * w + 5, 1, 3 * w])),
         ("a run to the last column", with_runs(dense, [0, 0, 0, w - 1])),
         ("repeated columns", with_runs(np.repeat(low_rank(7, 3, 6), 3, axis=1), [w, 0, 2])),
         ("all zero", np.zeros((6, 2 * w + 3), dtype=np.int64)),
+        # runs that cross the 64-column words of the F_2 pass
+        ("a run across a word", on_columns([5, 6, 70, 128], 129)),
+        ("either side of a word boundary", on_columns([62, 63, 64, 65], 129)),
+        ("a run across two words", on_columns([0, 1, 128], 129)),
     ]
 
 
@@ -418,6 +428,39 @@ def test_systematize_skips_empty_columns_as_the_reference_does(p):
     stack = [mat, mat[:, ::-1], np.roll(mat, kernels._LOOKAHEAD // 2, axis=1), 0 * mat]
     reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), p, inv)
     _check_against_reference(stack, reduced, pivots, p, "stack")
+
+
+def _binary_items(rng, k, n):
+    """Random k x n 0/1 items of rank at most min(k, n), 2, 1 and 0."""
+    return [
+        rng.integers(0, 2, (k, r)) @ rng.integers(0, 2, (r, n)) % 2
+        for r in sorted({min(k, n), 2, 1, 0}, reverse=True)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+def test_systematize_over_f2_matches_the_reference_at_word_boundaries(n):
+    # F_2 rows are 64-column words: widths on both sides of one and two
+    # words, more rows than columns, and items of different ranks (a zero
+    # item among them) in one stack
+    rng = np.random.default_rng(n)
+    inv = make_field(2).inv_table
+    for k in (3, n + 2):
+        stack = _binary_items(rng, k, n)
+        reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), 2, inv)
+        assert reduced.dtype == np.uint8
+        _check_against_reference(stack, reduced, pivots, 2, f"k={k}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_systematize_over_f2_matches_the_reference_on_random_stacks(data):
+    b, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 5))
+    n = data.draw(st.one_of(st.integers(0, 9), st.integers(60, 68), st.integers(126, 130)))
+    bits = data.draw(st.lists(st.booleans(), min_size=b * k * n, max_size=b * k * n))
+    stack = np.array(bits, dtype=np.uint8).reshape(b, k, n)
+    reduced, pivots = kernels._systematize(stack, 2, make_field(2).inv_table)
+    _check_against_reference(stack, reduced, pivots, 2, "random")
 
 
 def test_isd_batch_size_bounds_the_batch():
