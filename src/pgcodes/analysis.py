@@ -4,8 +4,7 @@ Everything operates on plain uint8 words over the global point order.  The
 spectrum enumerator, the minimum-weight proof and the information-set
 search delegate their inner loops to the kernels module; this module owns
 the mathematics around them (classification of what was found,
-deduplication, deterministic ordering, and the proof's information sets,
-bound and checks).
+deduplication, deterministic ordering, and the proof's bound and checks).
 
 Word classification and subspace traces ask one question of a point set:
 is it a hyperplane, or the symmetric difference of two hyperplanes?
@@ -32,7 +31,6 @@ from pgcodes.code import (
     as_words,
     build_model,
     row_blocks,
-    rref_mod_p,
 )
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -76,8 +74,9 @@ class InconsistentSpectrum(RuntimeError):
 
 
 class InconsistentProof(RuntimeError):
-    """A minimum-weight proof cannot be right: a systematic form, the message
-    count of an enumerated weight, or the lightest word fails its check."""
+    """A minimum-weight proof cannot be right: the symmetries it rests on, the
+    message count of an enumerated weight, or the lightest word fails its
+    check."""
 
 
 class NotInCode(ValueError):
@@ -478,23 +477,18 @@ def enumerate_spectrum(
     )
 
 
-# -- minimum weight by information sets --------------------------------------
+# -- minimum weight from one information set ---------------------------------
 #
-# The Brouwer-Zimmermann algorithm (Zimmermann 1996; Brouwer, Handbook of
-# Coding Theory, 1998).  Information sets I_1, I_2, ... are taken greedily,
-# and r_j counts the columns of I_j that no earlier set holds.  A word c is
-# m_j G_j in the systematic form G_j on I_j, and m_j is c on I_j.  Once every
-# message of weight at most t of G_j is enumerated, an unfound c has at least
-# t + 1 nonzeros on I_j, of which at most k - r_j lie on older columns, so at
-# least t + 1 - (k - r_j) on I_j's fresh ones.  The fresh columns of distinct
-# sets are disjoint, so every unfound word weighs at least the bound
-# sum_j max(0, t + 1 - (k - r_j)), and the lightest word found is the
-# minimum as soon as the bound reaches it.
-
-
-def _zimmermann_bound(k: int, ranks, t: int) -> int:
-    """The least weight of a word no message of weight <= t found."""
-    return sum(max(0, t + 1 - (k - r)) for r in ranks)
+# The single-set form of the Brouwer-Zimmermann algorithm (Zimmermann 1996;
+# Brouwer, Handbook of Coding Theory, 1998), as used for cyclic codes.  A
+# reduced basis is systematic on its k pivot columns I, so a word's message
+# is the word on I.  Let G be a group of point permutations that preserves
+# the code and is transitive on the n points.  Summed over G, the nonzeros
+# that the images of a word c of weight w put on I come to |G| k w / n, so
+# some image gc, a codeword of weight w too, has at most floor(k w / n) of
+# them.  Once every message of weight at most t is enumerated, an unfound
+# word therefore weighs at least ceil((t + 1) n / k), and the lightest word
+# found is the minimum as soon as that bound reaches it.
 
 
 def _orbit_messages(k: int, w: int, p: int) -> int:
@@ -502,87 +496,53 @@ def _orbit_messages(k: int, w: int, p: int) -> int:
     return comb(k, w) * (p - 1) ** (w - 1)
 
 
-def _proof_levels(k: int, ranks, upper: int) -> list:
-    """The levels t = 1, 2, ... of a proof over sets of these fresh ranks
-    whose bound stays below upper, the weight to beat: for each, the bound
-    proved before it and its (set, message weight) batches.
-
-    At level t every set whose bound term t + 1 - (k - r_j) is positive has
-    its messages of weight t enumerated, and a set that first contributes
-    at level t catches up on the weights below t.  Past t = k the first set,
-    of rank k, has no message left.
-    """
-    done = [0] * len(ranks)
-    levels = []
-    for t in range(1, k + 1):
-        bound = _zimmermann_bound(k, ranks, t - 1)
-        if bound >= upper:
-            break
-        batches = []
-        for j, r in enumerate(ranks):
-            if k - r <= t:
-                batches += [(j, w) for w in range(done[j] + 1, t + 1)]
-                done[j] = t
-        levels.append((bound, batches))
-    return levels
-
-
-def _proof_messages(p: int, k: int, ranks, upper: int) -> int:
-    """Messages the levels of _proof_levels enumerate: an upper bound on the
-    work of a proof whose lightest word found is at most upper."""
-    levels = _proof_levels(k, ranks, upper)
-    return sum(_orbit_messages(k, w, p) for _, batches in levels for _, w in batches)
-
-
-def _information_sets(basis: np.ndarray, p: int, contains_rows):
-    """Greedy disjoint information sets of a k-row reduced basis.
-
-    Each set is the pivots of the basis reduced with the columns no earlier
-    set holds put first, so it takes as many fresh columns as they have
-    rank; the sets end when they have none.  Returns (form, order, rank)
-    for each: the systematic form on the permuted columns (column i is the
-    basis's column order[i]), the permutation, and the fresh rank r_j.
-    Raises InconsistentProof unless every form has k pivots and rows that
-    contains_rows accepts in the basis's own column order.
-    """
+def _certify_symmetries(perms: np.ndarray, basis: np.ndarray, contains_rows) -> None:
+    """Raise InconsistentProof unless the rows of perms, where row j maps
+    point i to point perms[j, i], are permutations of the basis's n points
+    that generate a group transitive on them (the orbit of point 0 is every
+    point) and move every basis row into the code (contains_rows)."""
     k, n = basis.shape
-    unused = np.ones(n, dtype=bool)
-    sets = []
-    while True:
-        order = np.concatenate([np.flatnonzero(unused), np.flatnonzero(~unused)])
-        form, pivots = rref_mod_p(basis[:, order], p)
-        rows = np.empty_like(form)
-        rows[:, order] = form
-        if len(pivots) != k or not contains_rows(rows).all():
-            raise InconsistentProof(
-                f"a systematic form has {len(pivots)} pivots, not {k}, or leaves the code"
-            )
-        fresh = [c for c in pivots if unused[order[c]]]
-        if not fresh:
-            return sets
-        sets.append((form, order, len(fresh)))
-        unused[order[fresh]] = False
+    if perms.ndim != 2 or perms.shape[1] != n or not (np.sort(perms, axis=1) == np.arange(n)).all():
+        raise InconsistentProof(f"the symmetries are no permutations of {n} points")
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        new = np.zeros(n, dtype=bool)
+        new[perms[:, frontier]] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.flatnonzero(new)
+    if not reached.all():
+        raise InconsistentProof(f"the symmetries reach {int(reached.sum())} of {n} points from point 0")
+    # the image of row r under permutation j has basis[r, i] at perms[j, i]
+    moved = basis[:, np.argsort(perms, axis=1)].reshape(-1, n)
+    if not contains_rows(moved).all():
+        raise InconsistentProof("a symmetry moves a basis row out of the code")
 
 
-def minimum_weight(basis, p: int, contains_rows=None):
+def minimum_weight(basis, p: int, symmetries, contains_rows=None):
     """The minimum weight of the code a reduced basis spans over F_p, or None
-    for a basis with no rows; proved by Brouwer-Zimmermann enumeration where
-    that is much cheaper than the sweep, and read off the MacWilliams-checked
-    sweep otherwise.
+    for a basis with no rows; proved from the basis's own information set
+    where that is much cheaper than the sweep, and read off the
+    MacWilliams-checked sweep otherwise.
 
-    The basis is taken as kernels.spectrum takes it, and its lightest row is
-    the first word to beat.  The proof is chosen when the sweep's p^k / (p-1)
-    message orbits reach _PROOF_ADVANTAGE times its estimated messages
-    twice: in closed form, over floor(n / k) information sets of full rank,
-    before any elimination; then over the real sets' fresh ranks, before
-    any enumeration.  The proof raises its level t, enumerating by
-    kernels.lightest_words one message per scalar orbit, until the bound
-    reaches the lightest word found.  contains_rows tests code membership
-    of word rows (default: the basis's row space).  Each step is checked,
-    and InconsistentProof raised when one fails: every systematic form
-    (_information_sets), the message count of every enumerated weight, and
-    the lightest word, rebuilt from its message digits, must have the
-    claimed weight and lie in the code.
+    symmetries() returns the code's symmetries as an (m, n) array of point
+    permutations, row j mapping point i to point row[i], that generate a
+    group transitive on the points; it is called only when the proof is
+    chosen.  The basis is taken as kernels.spectrum takes it, and its
+    lightest row is the first word to beat.  The proof enumerates the
+    messages of weight t = 1, 2, ... one per scalar orbit
+    (kernels.lightest_words) until ceil((t + 1) n / k) reaches the lightest
+    word found, so it is chosen, before anything is built, when the sweep's
+    p^k / (p-1) message orbits reach _PROOF_ADVANTAGE times the messages up
+    to the top level that the lightest row allows.  contains_rows tests code
+    membership of word rows (default: the basis's row space).  The proof
+    checks its premise and each step, and raises InconsistentProof when one
+    fails: the symmetries must pass _certify_symmetries, every enumerated
+    weight must have its exact message count, and the lightest word,
+    rebuilt from its message digits, must have the claimed weight and lie in
+    the code.
     """
     basis, free = kernels._reduced_basis(basis, p)
     k, n = basis.shape
@@ -594,30 +554,24 @@ def minimum_weight(basis, p: int, contains_rows=None):
             return (kernels._product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
     weights = np.count_nonzero(basis, axis=1)
     best, word = int(weights.min()), basis[weights.argmin()]
-    orbits = p**k // (p - 1)
-    sets = []
-    if _proof_messages(p, k, [k] * (n // k), best) * _PROOF_ADVANTAGE < orbits:
-        sets = _information_sets(basis, p, contains_rows)
-    ranks = [rank for _, _, rank in sets]
-    if not sets or _proof_messages(p, k, ranks, best) * _PROOF_ADVANTAGE > orbits:
+    # level t runs while ceil(t n / k) < best, that is while t n <= (best - 1) k
+    top = min(k, (best - 1) * k // n)
+    messages = sum(_orbit_messages(k, t, p) for t in range(1, top + 1))
+    if messages * _PROOF_ADVANTAGE >= p**k // (p - 1):
         hist = _sweep(basis, p, 0)[0]
         return int(np.flatnonzero(hist[1:])[0]) + 1
-    levels = _proof_levels(k, ranks, best)
-    # each set's batches are its weights 1, 2, ... in turn, up to these
-    top = {j: w for _, batches in levels for j, w in batches}
-    enumerators = {j: kernels.lightest_words(sets[j][0], p, w) for j, w in top.items()}
-    for bound, batches in levels:
-        if bound >= best:
+    _certify_symmetries(np.asarray(symmetries()), basis, contains_rows)
+    levels = kernels.lightest_words(basis, p, top)
+    for t in range(1, top + 1):
+        if -(-t * n // k) >= best:
             break
-        for j, w in batches:
-            messages, weight, found = next(enumerators[j])
-            if messages != _orbit_messages(k, w, p):
-                raise InconsistentProof(
-                    f"{messages} messages of weight {w}, not {_orbit_messages(k, w, p)}"
-                )
-            if weight < best:
-                best, word = weight, np.empty_like(found)
-                word[sets[j][1]] = found
+        messages, weight, found = next(levels)
+        if messages != _orbit_messages(k, t, p):
+            raise InconsistentProof(
+                f"{messages} messages of weight {t}, not {_orbit_messages(k, t, p)}"
+            )
+        if weight < best:
+            best, word = weight, found
     rebuilt = kernels._product_mod_p(word[pivots][None], basis, p)
     rebuilds = (rebuilt[0] == word).all() and np.count_nonzero(word) == best
     if not (rebuilds and contains_rows(rebuilt)[0]):

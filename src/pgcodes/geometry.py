@@ -421,6 +421,31 @@ def hyperplane_point_indices(g: GeometrySpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def collineations(g: GeometrySpec) -> np.ndarray:
+    """(h + 1, theta_n) point permutations of collineations that generate a
+    group transitive on the points: entry [j, i] is the image of point i
+    under collineation j.
+
+    Row 0 is the coordinate cycle (x_0, ..., x_n) -> (x_n, x_0, ..., x_{n-1})
+    and row 1 + i the transvection x_0 <- x_0 + x^i x_1 for i < h, where the
+    x^i (element index p^i) are a basis of GF(q) over F_p.  Conjugated by
+    powers of the cycle, the transvections give x_j <- x_j + a x_{j+1} for
+    every j mod n + 1 and every a in GF(q), and these generate SL(n+1, q),
+    which is transitive on the points.  Every point's image is one product
+    (fq_matmul), scaled to a leading 1 and ranked by point_indices.
+    """
+    field, size = g.field, g.n + 1
+    mats = np.tile(np.eye(size, dtype=np.uint8), (field.h + 1, 1, 1))
+    mats[0] = np.roll(mats[0], 1, axis=1)
+    mats[1:, 1, 0] = field.p ** np.arange(field.h)
+    images = fq_matmul(point_array(g), mats, field)
+    lead = np.take_along_axis(images, (images != 0).argmax(axis=-1)[..., None], axis=-1)
+    out = point_indices(g, field.mul_table[field.inv_table[lead], images])
+    out.setflags(write=False)
+    return out
+
+
 def line_through(p: ProjPoint, q: ProjPoint) -> Subspace:
     if p.geometry != q.geometry:
         raise GeometryMismatch("points from different geometries")

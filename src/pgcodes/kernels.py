@@ -127,7 +127,9 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
     to the product of u's and v's encodings where u + v is 1 and -1/2 where
     it is 0: the product is wt(u + v) - n/2.  Over odd p, entry x becomes the
     p indicators -[x = t] (middle: [-x = t]), so a column adds -1 where
-    u + v is 0: the product is wt(u + v) - n.
+    u + v is 0: the product is wt(u + v) - n.  Those indicators are laid out
+    target by target, column t n + c holding target t of column c: one
+    comparison per target fills a contiguous block.
     """
     if p == 2:
         x = values.astype(np.float32)
@@ -137,9 +139,12 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
         else:
             x -= 0.5
         return x
-    targets = ((-np.arange(p)) % p if middle else np.arange(p)).astype(np.uint8)
-    onehot = (values[:, :, None] == targets).reshape(len(values), -1).astype(np.float32)
-    return onehot if middle else -onehot
+    onehot = np.empty((len(values), p, values.shape[1]), dtype=np.float32)
+    for t in range(p):
+        onehot[:, t] = values == ((-t) % p if middle else t)
+    if not middle:
+        np.negative(onehot, out=onehot)
+    return onehot.reshape(len(values), -1)
 
 
 def _rref_pivots(rows: np.ndarray):
@@ -255,17 +260,17 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
     ).astype(np.float32)
     middle_code = np.ascontiguousarray(_encode(middle_values[:, free], p, middle=True).T)
     middle_digits = (middle_values[:, ~free] != 0).sum(axis=1)
-    # over odd p, row (col, t) of the middle code is [-v = t], and
+    # over odd p, row (t, col) of the middle code is [-v = t], and
     # [-(v + c) = t] = [-v = t + c]: a shift is a gather of rows
-    gather_base = np.arange(n_free)[:, None] * p
-    values = np.arange(p)
+    columns = np.arange(n_free)
+    targets = np.arange(p)[:, None]
 
     def encode_step(cur, ndigits, out):
         cur_free = cur[free]
         if p == 2:
             np.multiply(middle_code, (1 - 2 * cur_free.astype(np.float32))[:, None], out=out[:width])
         else:
-            shift = (gather_base + (values + cur_free[:, None]) % p).ravel()
+            shift = ((targets + cur_free) % p * n_free + columns).ravel()
             np.take(middle_code, shift, axis=0, out=out[:width], mode="clip")
         out[width] = 1
         out[width + 1] = middle_digits + ndigits
@@ -358,19 +363,26 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
     nonzero digits are built once (_combinations) and grouped by their digit
     count; one message per orbit is kept, the one whose leading digit, the
     first nonzero entry of its word, is 1.  Each weight class (w, t - w) is
-    then one float32 product of the two groups' encodings (_encode), which
-    gives the weight on the non-pivot columns of every sum; the t pivot
-    columns add t.  The tables stay uint8 and each class is encoded when it
-    is multiplied, so a proof that keeps one enumerator per information set
-    holds their bytes, not four times as many.
+    then float32 products of the two groups' encodings (_encode), which
+    give the weight on the non-pivot columns of every sum; the t pivot
+    columns add t.  The tables stay uint8 and each class is encoded in
+    chunks as it is multiplied, so that each chunk's encoding and each
+    product block stay near _SPECTRUM_BYTES.
     """
     rows, free = _reduced_basis(rows, p)
     k = rows.shape[0]
     half = k // 2
     left, left_starts, left_units = _digit_groups(rows[:half], p, max_weight, free)
     right, right_starts, right_units = _digit_groups(rows[half:], p, max_weight, free)
+    # the non-pivot columns first, so that _encode reads rows of them, which
+    # is several times faster than reading a selection of columns
+    columns = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+    left, right = left[:, columns], right[:, columns]
+    n_free = int(free.sum())
+    width = n_free * (1 if p == 2 else p)
+    chunk = max(1, _SPECTRUM_BYTES // (4 * max(width, 1)))
     # the product is wt - n_free / 2 over F_2 and wt - n_free over odd p
-    offset = int(free.sum()) / (2 if p == 2 else 1)
+    offset = n_free / (2 if p == 2 else 1)
     for t in range(1, max_weight + 1):
         messages, weight, word = 0, None, None
         for w in range(max(0, t - (k - half)), min(t, half) + 1):
@@ -378,18 +390,18 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
             a = left[left_starts[w] : left_units[w] if w else left_starts[1]]
             b = right[right_starts[t - w] : right_units[t] if w == 0 else right_starts[t - w + 1]]
             messages += len(a) * len(b)
-            if not (len(a) and len(b)):
-                continue
-            b_code = _encode(b[:, free], p, middle=True)
-            step = max(1, _SPECTRUM_BYTES // (4 * len(b)))
-            for start in range(0, len(a), step):
-                block = _encode(a[start : start + step, free], p) @ b_code.T
-                i, j = np.unravel_index(block.argmin(), block.shape)
-                lightest = t + int(block[i, j] + offset)
-                if weight is None or lightest < weight:
-                    # entries stay below 2p, within uint16
-                    found = a[start + i].astype(np.uint16) + b[j]
-                    weight, word = lightest, _mod_p(found, p).astype(np.uint8)
+            for b_start in range(0, len(b), chunk):
+                b_code = _encode(b[b_start : b_start + chunk, :n_free], p, middle=True)
+                step = max(1, _SPECTRUM_BYTES // (4 * max(width, len(b_code))))
+                for start in range(0, len(a), step):
+                    block = _encode(a[start : start + step, :n_free], p) @ b_code.T
+                    i, j = np.unravel_index(block.argmin(), block.shape)
+                    lightest = t + int(block[i, j] + offset)
+                    if weight is None or lightest < weight:
+                        # entries stay below 2p, within uint16
+                        found = a[start + i].astype(np.uint16) + b[b_start + j]
+                        weight, word = lightest, np.empty(len(columns), dtype=np.uint8)
+                        word[columns] = _mod_p(found, p)
         yield messages, weight, word
 
 

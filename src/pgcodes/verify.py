@@ -10,7 +10,8 @@ one low-word value, _LowWords: the sweep's words up to weight 2q^(n-1) and
 its histogram, or the search's words and a tally of their weights,
 classified once.  bbw reads every word of the sweep.  The hull suite
 reads the hull's minimum weight off analysis.minimum_weight, which proves
-it by information sets where that is much cheaper than sweeping the hull.
+it from one information set under the geometry's collineations where that
+is much cheaper than sweeping the hull.
 Suites test whole word arrays: bbw asks about every (incidence word,
 external point) pair in one call, and restriction tests its sampled
 (subspace, word) pairs a dimension at a time.
@@ -36,7 +37,13 @@ import numpy as np
 
 from . import kernels
 from .gf import make_field
-from .geometry import GeometrySpec, hyperplane_point_indices, subspace_point_indices, theta
+from .geometry import (
+    GeometrySpec,
+    collineations,
+    hyperplane_point_indices,
+    subspace_point_indices,
+    theta,
+)
 from .code import (
     CodeModel,
     build_incidence_matrix,
@@ -482,7 +489,10 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
             "hull_budget": hull_budget,
         }
         return CheckResult("hull", "skipped", details)
-    minw = minimum_weight(model.hull, g.field.p, model.hull_contains_rows)
+    # the hull is preserved by every collineation, as the code and its dual are
+    minw = minimum_weight(
+        model.hull, g.field.p, lambda: collineations(g), model.hull_contains_rows
+    )
     details = {
         "hull_dimension": hull_dim,
         "hull_minimum_weight": minw,

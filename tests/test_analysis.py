@@ -1,13 +1,16 @@
 """Analysis checks: spectra vs brute force, classification, traces, search."""
 
 import hashlib
+import itertools
 import json
+import tracemalloc
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pgcodes import analysis
 from pgcodes.gf import make_field
@@ -15,6 +18,7 @@ from pgcodes.geometry import (
     DimensionOutOfRange,
     GeometryMismatch,
     GeometrySpec,
+    collineations,
     enumerate_points,
     enumerate_subspaces,
     global_point_indices,
@@ -179,8 +183,9 @@ def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
     monkeypatch.setattr(kernels, "spectrum", tampered)
     with pytest.raises(InconsistentSpectrum):
         enumerate_spectrum(build_model(PG23))
+    # PG(2,4)'s hull is swept, not proved
     with pytest.raises(InconsistentSpectrum):
-        run_suite((3, 1, 2), suites=["hull"])
+        run_suite((2, 2, 2), suites=["hull"])
 
 
 def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch):
@@ -195,13 +200,22 @@ def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch
     monkeypatch.setattr(kernels, "spectrum", dropping)
     with pytest.raises(InconsistentSpectrum):
         enumerate_spectrum(build_model(PG23))
+    # PG(2,4)'s hull is swept, not proved
     with pytest.raises(InconsistentSpectrum):
-        run_suite((3, 1, 2), suites=["hull"])
+        run_suite((2, 2, 2), suites=["hull"])
 
 
-# -- minimum weight by information sets ---------------------------------------
+# -- minimum weight from one information set ----------------------------------
 
-_HULL_GRID = [t for t in DEFAULT_GRID if t != (2, 3, 2)] + [(2, 3, 2), (3, 1, 4)]
+# (2,2,4) is PG(4,4), whose hull is swept: its proof is only 8.7 times cheaper
+_HULL_GRID = [t for t in DEFAULT_GRID if t != (2, 3, 2)] + [(2, 3, 2), (3, 1, 4), (2, 2, 4)]
+# the hulls minimum_weight proves rather than sweeps, at _PROOF_ADVANTAGE 10
+_PROVED_HULLS = [(3, 1, 2), (3, 1, 3), (2, 3, 2), (3, 1, 4)]
+
+
+def _geometry(params):
+    p, h, n = params
+    return GeometrySpec(make_field(p, h), n)
 
 
 def _spy_sweeps(patch):
@@ -226,152 +240,184 @@ def _force_the_proof(patch):
 
 @pytest.mark.parametrize("params", _HULL_GRID)
 def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(monkeypatch, params):
-    p, h, n = params
-    model = build_model(GeometrySpec(make_field(p, h), n))
+    p = params[0]
+    g = _geometry(params)
+    model = build_model(g)
     hist = kernels.spectrum(model.hull, p, 0)[0]
     swept = int(np.flatnonzero(hist[1:])[0]) + 1
-    # as chosen: the sweep everywhere but PG(2,8), whose hull is proved
+    group = partial(collineations, g)
     sweeps = _spy_sweeps(monkeypatch)
-    assert minimum_weight(model.hull, p) == swept
-    assert sweeps == ([] if params == (2, 3, 2) else [0])
+    assert minimum_weight(model.hull, p, group) == swept
+    assert sweeps == ([] if params in _PROVED_HULLS else [0])
     sweeps = _force_the_proof(monkeypatch)
-    assert minimum_weight(model.hull, p) == swept
-    assert minimum_weight(model.hull, p, contains_rows=model.hull_contains_rows) == swept
+    assert minimum_weight(model.hull, p, group) == swept
+    assert minimum_weight(model.hull, p, group, contains_rows=model.hull_contains_rows) == swept
     assert sweeps == []
 
 
+@lru_cache(maxsize=None)
+def _cyclic_factors(p: int, n: int) -> tuple:
+    """The monic irreducible factors of x^n - 1 over F_p, with multiplicity,
+    as coefficient tuples from the constant term up, by trial division."""
+    rest = [p - 1] + [0] * (n - 1) + [1]
+    factors = []
+    degree = 1
+    while len(rest) > 1:
+        if 2 * degree > len(rest) - 1:
+            # no factor of degree below half its own: rest is irreducible
+            return tuple(factors) + (tuple(rest),)
+        for low in itertools.product(range(p), repeat=degree):
+            f = list(low) + [1]
+            while True:
+                quotient, remainder = _divide(rest, f, p)
+                if any(remainder):
+                    break
+                factors.append(tuple(f))
+                rest = quotient
+        degree += 1
+    return tuple(factors)
+
+
+def _divide(a: list, f: list, p: int):
+    """(quotient, remainder) of a by the monic f over F_p."""
+    a = list(a)
+    quotient = [0] * max(1, len(a) - len(f) + 1)
+    for i in range(len(a) - len(f), -1, -1):
+        c = a[i + len(f) - 1]
+        quotient[i] = c
+        for j, fj in enumerate(f):
+            a[i + j] = (a[i + j] - c * fj) % p
+    return quotient, a[: len(f) - 1]
+
+
 @st.composite
-def _reduced_bases(draw):
+def _cyclic_codes(draw):
+    """(p, unreduced generator rows x^i g(x), reduced basis) of a cyclic code
+    of length n <= 15 over F_2, F_3 or F_5 whose generator polynomial g
+    divides x^n - 1."""
     p = draw(st.sampled_from([2, 3, 5]))
-    k = draw(st.integers(0, {2: 8, 3: 5, 5: 4}[p]))
-    # n = k leaves one information set, the identity
-    n = draw(st.sampled_from([k, k + 1, k + 3, k + 6]))
-    values = draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
-    basis, pivots = rref_mod_p_reference(np.array(values, dtype=np.int64).reshape(k, n), p)
-    return p, basis[: len(pivots)]
+    n = draw(st.integers(1, 15))
+    factors = _cyclic_factors(p, n)
+    g = [1]
+    for f in factors:
+        if draw(st.booleans()):
+            g = [sum(g[i] * f[d - i] for i in range(len(g)) if 0 <= d - i < len(f)) % p
+                 for d in range(len(g) + len(f) - 1)]
+    k = n - (len(g) - 1)
+    assume(p**k <= 2**11)
+    rows = np.zeros((k, n), dtype=np.int64)
+    for i in range(k):
+        rows[i, i : i + len(g)] = g
+    basis, pivots = rref_mod_p_reference(rows, p)
+    return p, rows, basis[: len(pivots)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_reduced_bases())
+@given(_cyclic_codes())
 def test_minimum_weight_matches_brute_force_on_small_reduced_bases(case):
-    p, basis = case
-    weights = [w for w in brute_force_spectrum(basis, p) if w]
+    # the bases are those of cyclic codes, whose cyclic shift is a symmetry
+    # transitive on the coordinates, as the proof needs
+    p, rows, basis = case
+    n = rows.shape[1]
+    weights = [w for w in brute_force_spectrum(rows, p) if w]
     expected = min(weights) if weights else None
-    assert minimum_weight(basis, p) == expected
+    shift = ((np.arange(n) + 1) % n)[None]
+    assert minimum_weight(basis, p, lambda: shift) == expected
     with pytest.MonkeyPatch.context() as patch:
         sweeps = _force_the_proof(patch)
-        assert minimum_weight(basis, p) == expected
+        assert minimum_weight(basis, p, lambda: shift) == expected
     assert sweeps == []
 
 
 def test_minimum_weight_of_a_basis_with_no_rows_is_none():
-    assert minimum_weight(np.zeros((0, 5), dtype=np.uint8), 3) is None
-    assert minimum_weight(np.zeros((0, 0), dtype=np.uint8), 2) is None
+    assert minimum_weight(np.zeros((0, 5), dtype=np.uint8), 3, None) is None
+    assert minimum_weight(np.zeros((0, 0), dtype=np.uint8), 2, None) is None
 
 
 def test_minimum_weight_refuses_an_unreduced_basis():
     with pytest.raises(ValueError, match="reduced basis"):
-        minimum_weight(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8), 2)
+        minimum_weight(np.array([[1, 1, 0], [1, 0, 1]], dtype=np.uint8), 2, None)
 
 
 def _spy_lightest_words(monkeypatch):
-    """The (message weight, messages) of every level of every enumerator
-    minimum_weight runs."""
+    """The (max_weight, message weight, messages) of every level of every
+    enumerator minimum_weight runs."""
     enumerate_levels = kernels.lightest_words
     calls = []
 
     def spy(rows, p, max_weight):
         for t, level in enumerate(enumerate_levels(rows, p, max_weight), start=1):
-            calls.append((t, level[0]))
+            calls.append((max_weight, t, level[0]))
             yield level
 
     monkeypatch.setattr(kernels, "lightest_words", spy)
     return calls
 
 
-def test_pg28_hull_proof_takes_its_information_sets_and_levels(monkeypatch):
-    # Zimmermann's bound over fresh ranks [27, 27, 18, 1] reaches 16 after
-    # t = 7, on the two full-rank sets alone
-    model = build_model(GeometrySpec(make_field(2, 3), 2))
-    sets = analysis._information_sets(model.hull, 2, model.hull_contains_rows)
-    assert [rank for _, _, rank in sets] == [27, 27, 18, 1]
-    assert analysis._zimmermann_bound(27, [27, 27, 18, 1], 6) == 14
-    assert analysis._zimmermann_bound(27, [27, 27, 18, 1], 7) == 16
-    calls = _spy_lightest_words(monkeypatch)
-    assert minimum_weight(model.hull, 2) == 16
-    assert sorted(calls) == sorted((t, comb(27, t)) for t in range(1, 8) for _ in range(2))
-    assert sum(messages for _, messages in calls) == 2_571_246
-    assert analysis._proof_messages(2, 27, [27, 27, 18, 1], 16) == 2_571_246
-
-
-def test_a_set_that_contributes_late_catches_up_on_the_lower_weights():
-    # k = 4 over fresh ranks [4, 2]: the second set's term t + 1 - 2 turns
-    # positive at t = 2, when it takes weights 1 and 2
-    levels = analysis._proof_levels(4, [4, 2], 100)
-    assert levels == [
-        (1, [(0, 1)]),
-        (2, [(0, 2), (1, 1), (1, 2)]),
-        (4, [(0, 3), (1, 3)]),
-        (6, [(0, 4), (1, 4)]),
-    ]
-    assert analysis._proof_levels(4, [4, 2], 4) == levels[:2]
-
-
-def test_minimum_weight_sweeps_without_enumerating_when_the_real_ranks_cost_too_much(
-    monkeypatch,
+@pytest.mark.parametrize("params, top, messages", [((2, 3, 2), 5, 101_583), ((3, 1, 4), 6, 221_173)])
+def test_the_hull_proofs_enumerate_every_message_up_to_their_top_level(
+    monkeypatch, params, top, messages
 ):
-    # the closed form assumes floor(63 / 27) = 2 full-rank sets; one set of
-    # rank 27 leaves levels up to t = 15, about 1.05e8 messages, too dear
-    # against the sweep's 2^27, so it is swept after the elimination
-    model = build_model(GeometrySpec(make_field(2, 3), 2))
-
-    def one_set(basis, p, contains_rows):
-        return [(basis, np.arange(basis.shape[1]), basis.shape[0])]
-
-    monkeypatch.setattr(analysis, "_information_sets", one_set)
+    # PG(2,8): k = 27, n = 73, and ceil(6 * 73 / 27) = 17 reaches 16 after
+    # t = 5; PG(4,3): k = 15, n = 121, and ceil(7 * 121 / 15) = 57 reaches
+    # 54 after t = 6.  One message per scalar orbit of each weight
+    p = params[0]
+    g = _geometry(params)
+    model = build_model(g)
+    k = model.hull.shape[0]
     calls = _spy_lightest_words(monkeypatch)
     sweeps = _spy_sweeps(monkeypatch)
-    assert minimum_weight(model.hull, 2) == 16
-    assert calls == [] and sweeps == [0]
+    found = minimum_weight(model.hull, p, lambda: collineations(g), model.hull_contains_rows)
+    assert found == 2 * g.q ** (g.n - 1)
+    assert calls == [(top, t, comb(k, t) * (p - 1) ** (t - 1)) for t in range(1, top + 1)]
+    assert sum(m for _, _, m in calls) == messages
+    assert sweeps == []
 
 
-@pytest.mark.parametrize("advantage, proved", [(52, True), (53, False)])
+@pytest.mark.parametrize("advantage, proved", [(1321, True), (1322, False)])
 def test_the_proof_advantage_is_where_the_choice_turns(monkeypatch, advantage, proved):
-    # PG(2,8)'s hull: 2,571,246 messages proved, in both estimates, against
-    # 2^27 message orbits; 52 times the proof fits in them, 53 times does not
-    model = build_model(GeometrySpec(make_field(2, 3), 2))
+    # PG(2,8)'s hull: 101,583 messages proved against 2^27 message orbits;
+    # 1321 times the proof fits in them, 1322 times does not
+    g = _geometry((2, 3, 2))
+    model = build_model(g)
     monkeypatch.setattr(analysis, "_PROOF_ADVANTAGE", advantage)
     calls = _spy_lightest_words(monkeypatch)
     sweeps = _spy_sweeps(monkeypatch)
-    assert minimum_weight(model.hull, 2) == 16
-    assert (sum(messages for _, messages in calls) == 2_571_246) == proved
+    assert minimum_weight(model.hull, 2, lambda: collineations(g)) == 16
+    assert (sum(m for _, _, m in calls) == 101_583) == proved
     assert sweeps == ([] if proved else [0])
 
 
 # each proof step that fails its check raises InconsistentProof, under python
-# -O as well: a systematic form, a weight's message count, the lightest word
+# -O as well: the symmetries, a weight's message count, the lightest word
 
 
-def test_minimum_weight_refuses_a_systematic_form_outside_the_code(monkeypatch):
-    model = build_model(PG23)
-    sweeps = _force_the_proof(monkeypatch)
-    eliminate = analysis.rref_mod_p
+def _transposition(n: int, i: int, j: int) -> np.ndarray:
+    perm = np.arange(n)
+    perm[[i, j]] = j, i
+    return perm
 
-    def leaving(mat, p):
-        form, pivots = eliminate(mat, p)
-        form[0, -1] = (form[0, -1] + 1) % p
-        return form, pivots
 
-    def short(mat, p):
-        form, pivots = eliminate(mat, p)
-        return form, pivots[:-1]
-
-    for tampered in (leaving, short):
-        monkeypatch.setattr(analysis, "rref_mod_p", tampered)
-        with pytest.raises(InconsistentProof, match="systematic form"):
-            minimum_weight(model.hull, 3, contains_rows=model.hull_contains_rows)
-        with pytest.raises(InconsistentProof, match="systematic form"):
-            minimum_weight(model.hull, 3)
+@pytest.mark.parametrize("params", [(2, 3, 2), (3, 1, 4)])
+def test_minimum_weight_refuses_symmetries_it_cannot_certify(monkeypatch, params):
+    p = params[0]
+    g = _geometry(params)
+    model = build_model(g)
+    n = g.num_points
+    group = collineations(g)
+    sweeps = _spy_sweeps(monkeypatch)
+    refused = [
+        # the transvections alone fix the points with x_1 = 0
+        (group[1:], "reach"),
+        # a transposition of two points is no collineation
+        (np.vstack([group, _transposition(n, 0, 1)]), "out of the code"),
+        (np.vstack([group, np.zeros(n, dtype=np.int64)]), "no permutations"),
+        (group[:, :-1], "no permutations"),
+    ]
+    for perms, message in refused:
+        for contains_rows in (None, model.hull_contains_rows):
+            with pytest.raises(InconsistentProof, match=message):
+                minimum_weight(model.hull, p, lambda: perms, contains_rows)
     assert sweeps == []
 
 
@@ -386,7 +432,7 @@ def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
     monkeypatch.setattr(kernels, "_combinations", dropping)
     sweeps = _force_the_proof(monkeypatch)
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
-        minimum_weight(build_model(PG23).hull, 3)
+        minimum_weight(build_model(PG23).hull, 3, lambda: collineations(PG23))
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
         run_suite((2, 3, 2), suites=["hull"])
     assert sweeps == []
@@ -410,8 +456,25 @@ def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatc
     for tampered in (lighter, outside):
         monkeypatch.setattr(kernels, "lightest_words", tampered)
         with pytest.raises(InconsistentProof, match="lightest word is no codeword"):
-            minimum_weight(model.hull, 2, contains_rows=model.hull_contains_rows)
+            minimum_weight(
+                model.hull, 2, lambda: collineations(PG24), contains_rows=model.hull_contains_rows
+            )
     assert sweeps == []
+
+
+def test_the_pg43_hull_proof_keeps_its_encodings_small():
+    # each weight class is encoded in chunks of about kernels._SPECTRUM_BYTES
+    # (512 KiB); encoded whole, PG(4,3)'s largest right half takes 2.3 MB
+    g = _geometry((3, 1, 4))
+    model = build_model(g)
+    group = collineations(g)
+    tracemalloc.start()
+    try:
+        assert minimum_weight(model.hull, 3, lambda: group, model.hull_contains_rows) == 54
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_spectrum_budget_gate():

@@ -22,6 +22,7 @@ from pgcodes.geometry import (
     GeometrySpec,
     Subspace,
     canonical_vectors,
+    collineations,
     enumerate_hyperplanes,
     enumerate_points,
     enumerate_subspaces,
@@ -517,3 +518,55 @@ def test_num_points_computes_theta_once_per_spec(monkeypatch):
     assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
     assert h.num_points == 13
     assert calls == [(2, 3), (2, 3)]
+
+
+# -- collineations -------------------------------------------------------------
+
+_COLLINEATION_GRID = [*DEFAULT_GRID, (3, 1, 4), (2, 2, 4), (3, 2, 3)]
+
+
+def _image_reference(g: GeometrySpec, coords, j: int) -> tuple:
+    """Point coords moved by collineation j, entry by entry on the field
+    tables: 0 is the coordinate cycle, 1 + i the transvection x_0 <- x_0 +
+    x^i x_1, with x^i the element of index p^i; scaled to a leading 1."""
+    fld = g.field
+    x = list(coords)
+    if j == 0:
+        x = x[-1:] + x[:-1]
+    else:
+        x[0] = int(fld.add_table[x[0], fld.mul_table[fld.p ** (j - 1), x[1]]])
+    lead = fld.inv_table[next(c for c in x if c)]
+    return tuple(int(fld.mul_table[lead, c]) for c in x)
+
+
+@pytest.mark.parametrize("params", _COLLINEATION_GRID)
+def test_collineations_move_hyperplanes_onto_hyperplanes_and_reach_every_point(params):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    perms = collineations(g)
+    assert perms.shape == (h + 1, g.num_points)
+    planes = hyperplane_point_indices(g)
+    rows = {tuple(row) for row in planes.tolist()}
+    for perm in perms:
+        assert sorted(perm.tolist()) == list(range(g.num_points))
+        assert {tuple(row) for row in np.sort(perm[planes], axis=1).tolist()} == rows
+    orbit, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(perm[i]) for perm in perms for i in frontier} - orbit
+        orbit |= frontier
+    assert orbit == set(range(g.num_points))
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2), (3, 1, 3), (2, 2, 2), (2, 3, 2)])
+def test_collineations_match_their_coordinate_maps(params):
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    index = {pt.coords: i for i, pt in enumerate(enumerate_points(g))}
+    expected = [
+        [index[_image_reference(g, pt.coords, j)] for pt in enumerate_points(g)]
+        for j in range(h + 1)
+    ]
+    assert collineations(g).tolist() == expected
+    # the transvections alone fix every point with x_1 = 0
+    fixed = point_array(g)[:, 1] == 0
+    assert (collineations(g)[1:, fixed] == np.flatnonzero(fixed)).all()

@@ -23,6 +23,7 @@ from pgcodes.blocking import PointSet, is_k_blocking, is_minimal
 from pgcodes.code import CodeModel, build_incidence_matrix, build_model, expected_dimension
 from pgcodes.geometry import (
     GeometrySpec,
+    collineations,
     enumerate_subspaces,
     global_point_indices,
     hyperplane_point_indices,
@@ -394,6 +395,8 @@ def _one_reduce_mask_per_order(g, mask, orders, rng):
 
 
 _EXHAUSTIVE_GRID = [params for params in DEFAULT_GRID if params != (2, 3, 2)]
+# the hulls whose minimum weight the hull suite proves rather than sweeps
+_PROVED_HULLS = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (2, 3, 2)]
 
 
 @pytest.mark.parametrize("params", _EXHAUSTIVE_GRID)
@@ -430,7 +433,7 @@ def _spy_sweeps(monkeypatch, model):
 def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
     # the spectrum, the weight suites and bbw share one generator sweep, which
     # collects every word only for a planar bbw within its budget; the hull
-    # suite sweeps the hull basis, counting only
+    # suite sweeps the hull basis, counting only, where it does not prove
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
     model = build_model(g)
@@ -446,14 +449,15 @@ def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
     monkeypatch.setattr(verify, "classify_words", counting)
     calls = _spy_sweeps(monkeypatch, model)
     run_suite(params)
-    assert calls == [(True, g.num_points if n == 2 else low), (False, 0)]
+    hull = [] if params in _PROVED_HULLS else [(False, 0)]
+    assert calls == [(True, g.num_points if n == 2 else low)] + hull
     # the weight suites classify the low words only, not every word bbw reads
     assert classified == [low_words]
     if n == 2:
         calls.clear()
         monkeypatch.setattr(verify, "BBW_BUDGET", messages - 1)
         run_suite(params)
-        assert calls == [(True, low), (False, 0)]
+        assert calls == [(True, low)] + hull
         calls.clear()
         monkeypatch.setattr(verify, "BBW_BUDGET", messages)
         assert run_suite(params, ["bbw"]).check("bbw").status == "pass"
@@ -462,40 +466,36 @@ def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
 
 @pytest.mark.parametrize("params", _EXHAUSTIVE_GRID + [(3, 1, 4), (2, 3, 2)])
 def test_the_hull_suite_sweeps_only_where_the_sweep_is_cheap(monkeypatch, params):
-    # PG(2,8)'s 2^27 hull messages are proved by information sets; every
-    # other hull here keeps its one counting sweep
+    # the hulls of PG(2,3), PG(3,3), PG(4,3) and PG(2,8) are proved under
+    # the collineations, which only a proof builds; every other hull here
+    # keeps its one counting sweep
     p, h, n = params
-    model = build_model(GeometrySpec(make_field(p, h), n))
+    g = GeometrySpec(make_field(p, h), n)
+    model = build_model(g)
     calls = _spy_sweeps(monkeypatch, model)
+    builds = []
+
+    def spy(geometry):
+        builds.append(geometry)
+        return collineations(geometry)
+
+    monkeypatch.setattr(verify, "collineations", spy)
     report = run_suite(params, suites=["hull"])
     assert report.check("hull").status == "pass"
-    assert calls == ([] if params == (2, 3, 2) else [(False, 0)])
-
-
-def test_a_proof_dearer_than_its_estimate_falls_back_to_the_sweep(monkeypatch):
-    # the choice before any elimination assumes full-rank sets; when the
-    # real fresh ranks make the proof too dear, minimum_weight sweeps
-    # without enumerating
-    model = build_model(GeometrySpec(make_field(2, 3), 2))
-
-    def one_set(basis, p, contains_rows):
-        return [(basis, np.arange(basis.shape[1]), basis.shape[0])]
-
-    monkeypatch.setattr(analysis, "_information_sets", one_set)
-    calls = _spy_sweeps(monkeypatch, model)
-    report = run_suite((2, 3, 2), suites=["hull"])
-    assert report.check("hull").details["hull_minimum_weight"] == 16
-    assert calls == [(False, 0)]
+    proved = params in _PROVED_HULLS
+    assert calls == ([] if proved else [(False, 0)])
+    assert builds == ([g] if proved else [])
 
 
 def test_the_hull_proof_adds_no_option():
     # run_suite takes what `pgcodes verify` takes, minimum_weight makes its
-    # own sweep-or-proof choice, and reduce_mask's warning names its caller
+    # own sweep-or-proof choice (its symmetries are the code's, not a
+    # setting), and reduce_mask's warning names its caller
     assert list(inspect.signature(run_suite).parameters) == [
         "params", "suites", "budget", "hull_budget", "seed", "mode", "search_iterations",
     ]
     assert list(inspect.signature(analysis.minimum_weight).parameters) == [
-        "basis", "p", "contains_rows",
+        "basis", "p", "symmetries", "contains_rows",
     ]
     assert list(inspect.signature(blocking.reduce_mask).parameters) == ["g", "mask", "k", "rng"]
     parser = build_parser()
@@ -508,8 +508,8 @@ def test_the_hull_proof_adds_no_option():
 
 
 # sha256 of the json, table and csv reports of the hull suite alone, captured
-# while every hull was swept: PG(2,8)'s is proved by information sets now,
-# and PG(2,5)'s stays skipped by hull_budget
+# while every hull was swept: the _PROVED_HULLS are proved under the
+# collineations now, and PG(2,5)'s stays skipped by hull_budget
 PINNED_HULL_REPORTS = {
     ((2, 1, 2), 0): (
         "8a3ff9481bd1fb8ee73dab22ca234c5f1ff0214f341c3c1b81462db84adb94db",
