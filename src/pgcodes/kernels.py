@@ -40,10 +40,14 @@ keeps one byte, or two, per entry.
 
 isd_rounds runs a whole batch of Lee-Brickell rounds at once in numpy:
 _systematize reduces a stack of column-permuted generators, one gather puts
-every round's columns back in the generator's order, and matrix products
-score every row pair, so only the pairs within the weight cap are ever
-built.  A batch of one round, with the identity permutation, scores one
-already permuted generator.
+every round's columns back in the generator's order and one more takes each
+round's non-pivot columns.  Rows of a reduced generator never meet on a
+pivot, so row pairs are scored on those columns alone.  Over F_2 one overlap
+product gives every pair's weight.  Over odd p the overlap and one product
+of quadratic characters bound the weight of every multiple u_i + c u_j from
+below, and only the pairs whose bound is within the weight cap are expanded
+over c, so only the words within the cap are ever built.  A batch of one
+round, with the identity permutation, scores one already permuted generator.
 
 _product_mod_p is the package's one mod-p matrix product, behind code,
 analysis, verify and geometry's GF(q) products: an exact float product on
@@ -408,7 +412,8 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
 # -- batched Lee-Brickell rounds ---------------------------------------------
 
 # a batch's stacked generators, and each scoring chunk's float32 copies (the
-# support and one indicator per nonzero value), stay near this many bytes
+# support and the quadratic character of its rounds' non-pivot entries, and
+# their k x k products), stay near this many bytes
 _BATCH_BYTES = 1 << 18
 # over odd p, a column where no free row of any item is nonzero looks this
 # many columns ahead for the next one where some item can pivot
@@ -540,41 +545,95 @@ def _eliminate_mod_p(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     return u, pivot_col
 
 
-def _low_weight_combinations(u: np.ndarray, p: int, max_weight: int):
+def _quadratic_character(p: int) -> np.ndarray:
+    """chi(x) for x in F_p, odd p, as float32: 0, +1 on squares, -1 beyond."""
+    chi = np.full(p, -1, dtype=np.float32)
+    chi[0] = 0
+    chi[np.arange(1, p) ** 2 % p] = 1
+    return chi
+
+
+def _low_weight_combinations(u: np.ndarray, a: np.ndarray, p: int, max_weight: int):
     """Rows and row pairs u_i + c*u_j (i < j) of weight <= max_weight.
 
-    Pair weights come from matrix products instead of building every
-    combination: wt(u_i + c*u_j) = wt_i + wt_j - |supp_i & supp_j| - z_c,
-    where z_c counts positions with u_i = -c*u_j != 0.  Over F_2, z_1 is the
-    whole overlap; for odd p it is a product of one-hot value indicators.
-    Only the pairs within max_weight are built.
+    u is a stack of reduced generators, and a[b, t, i] is row i of item b
+    on its t-th non-pivot column.  Rows never meet on a pivot, so with a_i
+    row i on the non-pivot columns, wt_i = wt(u_i) = 1 + wt(a_i) and
+    wt(u_i + c*u_j) = 2 + wt(a_i + c*a_j) = wt_i + wt_j - s - z_c, where
+    s = |S_i & S_j| and z_c counts the positions with a_i = -c*a_j.  Over
+    F_2, z_1 = s: one overlap product gives every pair weight.  Over odd p
+    the positions of S_i & S_j split by the quadratic character of
+    -a_i/a_j, and all those counted by one z_c lie in one class; with
+    Q = sum chi(a_i) chi(a_j), the classes hold (s + Q)/2 and (s - Q)/2
+    positions, so z_c <= (s + |Q|)/2, with equality for p = 3.  One +-1
+    product gives Q, and only the pairs that can reach max_weight under
+    that bound are expanded over c = 1..p-1, on their non-pivot entries.
+    Only the words within max_weight are built.
     """
-    b, k, n = u.shape
-    support = u != 0
-    weights = support.sum(axis=2)
-    flat = support.astype(np.float32)
-    shared = flat @ flat.transpose(0, 2, 1)
-    i_idx, j_idx = np.triu_indices(k, 1)
-    base = weights[:, i_idx] + weights[:, j_idx] - shared[:, i_idx, j_idx]
+    k = u.shape[1]
+    support = (a != 0).astype(np.float32)
+    weights = support.sum(axis=1) + 1
+    # entries are 0/1 and 0/+-1 over fewer than 2^24 columns: the products
+    # are exact in float32.  least[b, i, j] ends as the least weight that
+    # any multiple c can give the pair
+    least = support.transpose(0, 2, 1) @ support
     if p == 2:
-        pair_weights = (base - shared[:, i_idx, j_idx])[:, :, None]
+        least *= 2
     else:
-        values = np.arange(1, p)
-        onehot = (u[:, :, None, :] == values[:, None]).astype(np.float32).reshape(b, k, -1)
-        pair_weights = np.empty((b, i_idx.size, p - 1), dtype=np.float32)
-        for c in range(1, p):
-            # u_i = v meets u_j = -v/c, for each value v in the same order
-            partner = u[:, :, None, :] == ((-values * pow(c, p - 2, p)) % p)[:, None]
-            partner = partner.astype(np.float32).reshape(b, k, -1)
-            zeros = onehot @ partner.transpose(0, 2, 1)
-            pair_weights[:, :, c - 1] = base - zeros[:, i_idx, j_idx]
-    item, pair, coeff = np.nonzero(pair_weights <= max_weight)
-    i, j = i_idx[pair], j_idx[pair]
-    combos = u[item, i] + (coeff + 1).astype(u.dtype)[:, None] * u[item, j]
+        agree = _quadratic_character(p)[a]
+        agree = agree.transpose(0, 2, 1) @ agree
+        np.abs(agree, out=agree)
+        agree += least
+        agree *= 0.5
+        least += agree
+    np.subtract(weights[:, :, None], least, out=least)
+    least += weights[:, None, :]
+    item, i, j = np.nonzero((least <= max_weight) & np.triu(np.ones((k, k), dtype=bool), 1))
+    coeff = np.ones(item.size, dtype=u.dtype)
+    if p > 2:
+        # the exact weights of those pairs for every c, from their sums
+        # laid out (c, column, pair), so that counting adds contiguous rows
+        scales = np.arange(1, p, dtype=u.dtype)[:, None, None]
+        count = np.min_scalar_type(a.shape[1] + 2)
+        keep = [np.zeros((0, 2), dtype=np.intp)]
+        step = max(1, _BATCH_BYTES // (4 * (p - 1) * max(1, a.shape[1])))
+        for s in range(0, item.size, step):
+            pair = slice(s, s + step)
+            sums = scales * a[item[pair], :, j[pair]].T
+            sums += a[item[pair], :, i[pair]].T
+            light = (_mod_p(sums, p) != 0).sum(axis=1, dtype=count) + 2 <= max_weight
+            keep.append(np.argwhere(light.T) + [s, 1])
+        keep = np.concatenate(keep)
+        item, i, j, coeff = item[keep[:, 0]], i[keep[:, 0]], j[keep[:, 0]], keep[:, 1].astype(u.dtype)
+    combos = u[item, i] + coeff[:, None] * u[item, j]
     _mod_p(combos, p)
     single_item, single_row = np.nonzero(weights <= max_weight)
     words = np.concatenate([u[single_item, single_row], combos]).astype(np.uint8)
     return words, np.concatenate([single_item, item])
+
+
+def _round_columns(reduced: np.ndarray, pivots: np.ndarray, perms: np.ndarray):
+    """(restored, non_pivot) for a batch of reduced rounds: each round's rows
+    in the generator's column order, and a[b, t, i], row i of round b on its
+    t-th non-pivot column; ValueError if a round has a zero row.
+
+    Column t of round b is the generator's column perms[b, t], so column s
+    in the generator's order is column inverse[b, s] of its RREF.  Both
+    results are one gather of rows of the rounds' transposed columns,
+    offset by n per round.  The RREF and that transposed copy are freed on
+    return, before the scoring chunks are made.
+    """
+    b, k, n = reduced.shape
+    if (pivots == n).any():
+        raise ValueError(f"expected a generator of full row rank {k}")
+    free = np.ones((b, n), dtype=bool)
+    free[np.arange(b)[:, None], pivots] = False
+    inverse = np.empty_like(perms)
+    inverse[np.arange(b)[:, None], perms] = np.arange(n)
+    columns = reduced.transpose(0, 2, 1).reshape(b * n, k)
+    restored = columns[(inverse + np.arange(0, b * n, n)[:, None]).ravel()]
+    restored = np.ascontiguousarray(restored.reshape(b, n, k).transpose(0, 2, 1))
+    return restored, columns[np.flatnonzero(free)].reshape(b, n - k, k)
 
 
 def isd_rounds(
@@ -582,25 +641,27 @@ def isd_rounds(
 ):
     """Lee-Brickell rounds, one per row of perms, on a k x n generator.
 
-    Round b systematizes gen[:, perms[b]]; the whole batch is one
-    _systematize stack, bit-packed over F_2.  Returns (words, items): the
-    rows and row-pair combinations u_i + c*u_j (i < j, c != 0) of each
-    round's RREF with weight <= max_weight, in gen's own column order, and
-    the round index of every word.
+    The generator must have full row rank, as every CodeModel.generator
+    has; a round whose RREF has a zero row raises ValueError.  Round b
+    systematizes gen[:, perms[b]]; the whole batch is one _systematize
+    stack, bit-packed over F_2.  Returns (words, items): the rows and
+    row-pair combinations u_i + c*u_j (i < j, c != 0) of each round's RREF
+    with weight <= max_weight, in gen's own column order, and the round
+    index of every word.  Pairs are scored on each round's n - k non-pivot
+    columns (_low_weight_combinations), in chunks of rounds whose float32
+    copies stay near _BATCH_BYTES.
     """
-    reduced = _systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod)[0]
-    # column t of round b is gen's column perms[b, t]; weights do not depend
-    # on the column order, so restoring it first leaves the scores unchanged.
-    # Column s of round b is column inverse[b, s] of its RREF: one gather of
-    # the rounds' columns, offset by n per round.
-    b, k, n = reduced.shape
-    inverse = np.empty_like(perms)
-    inverse[np.arange(b)[:, None], perms] = np.arange(n)
-    columns = reduced.transpose(0, 2, 1).reshape(b * n, k)
-    restored = columns[(inverse + np.arange(0, b * n, n)[:, None]).ravel()]
-    restored = restored.reshape(b, n, k).transpose(0, 2, 1)
-    step = max(1, _BATCH_BYTES // (4 * p * k * n))
+    restored, non_pivot = _round_columns(
+        *_systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod), perms
+    )
+    b, k, n = restored.shape
+    # a round's scoring copies: its float32 support and characters, and
+    # about 18 bytes per row pair of k x k products and masks
+    step = max(1, _BATCH_BYTES // (8 * (n - k) * k + 18 * k * k))
     starts = range(0, b, step)
-    found = [_low_weight_combinations(restored[s : s + step], p, max_weight) for s in starts]
+    found = [
+        _low_weight_combinations(restored[s : s + step], non_pivot[s : s + step], p, max_weight)
+        for s in starts
+    ]
     words = np.concatenate([w for w, _ in found])
     return words, np.concatenate([items + s for s, (_, items) in zip(starts, found)])

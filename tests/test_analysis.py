@@ -808,12 +808,18 @@ def test_search_batches_do_not_change_the_found_set(monkeypatch, g, max_weight):
     assert keys == sorted(keys)
 
 
-# sha256 of the sorted-key JSON of low_weight_search results, captured from
-# the one-round-at-a-time search before rounds were batched
+# sha256 of the sorted-key JSON of low_weight_search results: the first
+# three captured from the one-round-at-a-time search before rounds were
+# batched, the others from the batched search while it still scored every
+# multiple c of every row pair over all n columns
 SEARCH_DIGESTS = [
     ((5, 1, 2), 300, 11, "29f4f9e221f862b37f52ffe2c952e4202e61e3f200e87655fbee6bfbfb91aee8"),
     ((7, 1, 2), 300, 12, "67a81b51811b298c20332ac07de9a4c1007f71fee04b98ec547b3ac26a7e1d8f"),
     ((2, 3, 2), 300, 13, "d40b93d63dc778d09f29cdc90ce2c841d26bb8086bc01062291ed4d92008509f"),
+    ((3, 1, 3), 1000, 14, "271a5ede7fba0abebf0f48c6c610807451c223c8b80e38bd64894c85f1cd8e68"),
+    ((3, 2, 2), 600, 15, "561cf65567816e9d6be231006cc768fefd67bde85162bd4c2ac3e2a678733a1c"),
+    ((5, 1, 3), 500, 16, "87410730f0e221feb7354652c33bb12dbdfc9e3b39f19a780fd7aff43c7b8772"),
+    ((11, 1, 2), 150, 17, "c69f73a6eaa948894b871c0bfc2ee9da2bedb283d73c357c3c73908c4600c0db"),
 ]
 
 

@@ -345,12 +345,29 @@ def _inverse_table(p):
     return np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
 
 
+def _lightest_pair_weight(reduced, p):
+    """The least weight of u_i + c*u_j (i < j, c != 0) over the rows of an RREF."""
+    rows = reduced.astype(np.int64)
+    return min(
+        int(np.count_nonzero((rows[i] + c * rows[j]) % p))
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+        for c in range(1, p)
+    )
+
+
 @pytest.mark.parametrize("chunk", [None, 2])
-@pytest.mark.parametrize("p,k,n", [(2, 6, 15), (3, 5, 13), (5, 4, 11), (7, 4, 10), (131, 3, 6)])
+@pytest.mark.parametrize(
+    "p,k,n",
+    [(2, 6, 15), (3, 5, 13), (5, 4, 11), (7, 4, 10), (11, 4, 10), (13, 4, 9), (17, 3, 8), (131, 3, 6)],
+)
 def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk):
+    # p = 11 and 13 are the last primes whose row sums stay bytes, p = 17 the
+    # first whose eliminated rows are uint16
     if chunk is not None:
-        # score the 7 rounds in chunks of 2, the last one short
-        monkeypatch.setattr(kernels, "_BATCH_BYTES", chunk * 4 * p * k * n)
+        # score the 7 rounds in chunks of 2, the last one short, and the
+        # pairs that pass the bound in short blocks
+        monkeypatch.setattr(kernels, "_BATCH_BYTES", chunk * (8 * (n - k) * k + 18 * k * k))
     rng = np.random.default_rng(p * 100 + k)
     # a zero column and a repeated column: items that meet them early get
     # pivots on different columns than items that do not
@@ -359,16 +376,60 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
     perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(6)])
     pivot_sets = {tuple(rref_mod_p_reference(rows[:, perm], p)[1]) for perm in perms}
     assert len(pivot_sets) > 1
-    for max_weight in (n // 2, n):
+    reduced = [rref_mod_p_reference(rows[:, perm], p) for perm in perms]
+    # each item's lightest pair weight, where a pair first passes the cap,
+    # and one below it, where none of that item's pairs may
+    lightest = {_lightest_pair_weight(r[: len(piv)], p) for r, piv in reduced}
+    caps = {n // 2, n} | lightest | {w - 1 for w in lightest}
+    for max_weight in sorted(caps):
         words, items = isd_rounds(rows, perms, p, max_weight, _inverse_table(p))
         assert words.dtype == np.uint8
         for b, perm in enumerate(perms):
-            reduced, pivots = rref_mod_p_reference(rows[:, perm], p)
-            candidates = brute_force_isd_candidates(reduced[: len(pivots)], p, max_weight)
+            r, piv = reduced[b]
+            candidates = brute_force_isd_candidates(r[: len(piv)], p, max_weight)
             # entry t of a permuted candidate belongs to column perm[t]
             expected = [tuple(w[t] for t in np.argsort(perm)) for w in candidates]
             got = [tuple(int(x) for x in w) for w in words[items == b]]
             assert sorted(got) == sorted(expected)
+
+
+@pytest.mark.parametrize("p,c", [(3, 1), (3, 2), (5, 2), (7, 3), (11, 7), (13, 12)])
+def test_isd_rounds_find_a_pair_that_meets_the_character_bound(p, c):
+    # rows 0 and 1 of an RREF with a_0 = -c * a_1 on every shared non-pivot
+    # column: every shared column counts in z_c, so z_c = s = (s + |Q|)/2
+    # and the bound on the pair's weight is its weight at c
+    rng = np.random.default_rng(p * c)
+    k, n = 3, 14
+    a1 = np.zeros(n - k, dtype=np.int64)
+    a1[:8] = rng.integers(1, p, 8)
+    a0 = (-c * a1) % p
+    a0[7], a0[8] = 0, 1
+    rows = np.zeros((k, n), dtype=np.uint8)
+    rows[:, :k] = np.eye(k, dtype=np.uint8)
+    rows[0, k:], rows[1, k:] = a0, a1
+    rows[2, k:] = rng.integers(1, p, n - k)
+    pair = tuple(int(x) for x in (rows[0].astype(np.int64) + c * rows[1]) % p)
+    # the pair is nonzero on its two pivots and on the one column that
+    # each of its rows holds alone
+    weight = sum(1 for x in pair if x)
+    assert weight == 4 and np.count_nonzero(rows, axis=1).min() == 9
+    assert _lightest_pair_weight(rows, p) == weight
+    identity = np.arange(n)[None]
+    words = isd_rounds(rows, identity, p, weight, _inverse_table(p))[0]
+    assert [tuple(int(x) for x in w) for w in words] == [pair]
+    assert isd_rounds(rows, identity, p, weight - 1, _inverse_table(p))[0].shape == (0, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_isd_rounds_refuse_a_generator_without_full_row_rank(p):
+    rng = np.random.default_rng(p)
+    rows = random_rank_rows(rng, 3, 10, p)
+    # the third row is the sum of the first two: every round's RREF has a
+    # zero row, whose pivot column would be n
+    deficient = np.vstack([rows[:2], (rows[0].astype(np.int64) + rows[1]) % p]).astype(np.uint8)
+    perms = np.array([np.arange(10), rng.permutation(10)])
+    with pytest.raises(ValueError, match="full row rank"):
+        isd_rounds(deficient, perms, p, 10, _inverse_table(p))
 
 
 def _gapped_matrices(p):
