@@ -51,9 +51,6 @@ from pgcodes.geometry import (
 from pgcodes.gf import make_field
 
 DEFAULT_BUDGET = 2**22
-# minimum_weight proves, rather than sweeps, only when the sweep's message
-# orbits outnumber the proof's estimated messages this many times over
-_PROOF_ADVANTAGE = 10
 
 
 class DimensionTooLow(ValueError):
@@ -436,16 +433,6 @@ def dual_weight_counts(hist, p: int, k: int) -> list[int]:
     return counts
 
 
-def _sweep(basis: np.ndarray, p: int, collect_limit: int):
-    """The sweep of every message of a reduced basis, checked and ordered:
-    (hist, words), where the histogram has passed the MacWilliams identities
-    (dual_weight_counts raises InconsistentSpectrum otherwise) and words,
-    every word of weight in [1, collect_limit], are sorted by _sort_words."""
-    hist, words = kernels.spectrum(basis, p, collect_limit)
-    dual_weight_counts(hist, p, basis.shape[0])
-    return hist, _sort_words(words)
-
-
 def enumerate_spectrum(
     model: CodeModel,
     budget: int = DEFAULT_BUDGET,
@@ -454,7 +441,9 @@ def enumerate_spectrum(
     """Full weight distribution by Gray-coded enumeration of all messages.
 
     Collects every nonzero word of weight <= collect_limit (default
-    2q^{n-1}), however many there are.
+    2q^{n-1}), however many there are, sorted by (weight, entries).  The
+    histogram must pass the MacWilliams identities (dual_weight_counts
+    raises InconsistentSpectrum otherwise).
     """
     g = model.geometry
     p = g.field.p
@@ -465,7 +454,8 @@ def enumerate_spectrum(
         )
     if collect_limit is None:
         collect_limit = 2 * g.q ** (g.n - 1)
-    hist, words = _sweep(model.generator, p, collect_limit)
+    hist, words = kernels.spectrum(model.generator, p, collect_limit)
+    dual_weight_counts(hist, p, model.dimension)
     counts = {int(w): int(c) for w, c in enumerate(hist) if c}
     return SpectrumReport(
         weight_counts=counts,
@@ -473,7 +463,7 @@ def enumerate_spectrum(
         budget=budget,
         messages=messages,
         collect_limit=collect_limit,
-        low_weight=words,
+        low_weight=_sort_words(words),
     )
 
 
@@ -523,26 +513,20 @@ def _certify_symmetries(perms: np.ndarray, basis: np.ndarray, contains_rows) -> 
 
 def minimum_weight(basis, p: int, symmetries, contains_rows=None):
     """The minimum weight of the code a reduced basis spans over F_p, or None
-    for a basis with no rows; proved from the basis's own information set
-    where that is much cheaper than the sweep, and read off the
-    MacWilliams-checked sweep otherwise.
+    for a basis with no rows, proved from the basis's own information set.
 
-    symmetries() returns the code's symmetries as an (m, n) array of point
-    permutations, row j mapping point i to point row[i], that generate a
-    group transitive on the points; it is called only when the proof is
-    chosen.  The basis is taken as kernels.spectrum takes it, and its
+    symmetries is an (m, n) array of point permutations of the code, row j
+    mapping point i to point row[i], that generate a group transitive on
+    the points.  The basis is taken as kernels.spectrum takes it, and its
     lightest row is the first word to beat.  The proof enumerates the
     messages of weight t = 1, 2, ... one per scalar orbit
     (kernels.lightest_words) until ceil((t + 1) n / k) reaches the lightest
-    word found, so it is chosen, before anything is built, when the sweep's
-    p^k / (p-1) message orbits reach _PROOF_ADVANTAGE times the messages up
-    to the top level that the lightest row allows.  contains_rows tests code
-    membership of word rows (default: the basis's row space).  The proof
-    checks its premise and each step, and raises InconsistentProof when one
-    fails: the symmetries must pass _certify_symmetries, every enumerated
-    weight must have its exact message count, and the lightest word,
-    rebuilt from its message digits, must have the claimed weight and lie in
-    the code.
+    word found.  contains_rows tests code membership of word rows (default:
+    the basis's row space).  The proof checks its premise and each step,
+    and raises InconsistentProof when one fails: the symmetries must pass
+    _certify_symmetries, every enumerated weight must have its exact
+    message count, and the lightest word, rebuilt from its message digits,
+    must have the claimed weight and lie in the code.
     """
     basis, free = kernels._reduced_basis(basis, p)
     k, n = basis.shape
@@ -552,15 +536,11 @@ def minimum_weight(basis, p: int, symmetries, contains_rows=None):
     if contains_rows is None:
         def contains_rows(words):
             return (kernels._product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
+    _certify_symmetries(np.asarray(symmetries), basis, contains_rows)
     weights = np.count_nonzero(basis, axis=1)
     best, word = int(weights.min()), basis[weights.argmin()]
     # level t runs while ceil(t n / k) < best, that is while t n <= (best - 1) k
     top = min(k, (best - 1) * k // n)
-    messages = sum(_orbit_messages(k, t, p) for t in range(1, top + 1))
-    if messages * _PROOF_ADVANTAGE >= p**k // (p - 1):
-        hist = _sweep(basis, p, 0)[0]
-        return int(np.flatnonzero(hist[1:])[0]) + 1
-    _certify_symmetries(np.asarray(symmetries()), basis, contains_rows)
     levels = kernels.lightest_words(basis, p, top)
     for t in range(1, top + 1):
         if -(-t * n // k) >= best:

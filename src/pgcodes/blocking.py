@@ -193,13 +193,13 @@ def _subspaces_through_points(g: GeometrySpec, dim: int) -> np.ndarray:
     return out
 
 
-def _reduction_start(g: GeometrySpec, mask, k: Optional[int], stacklevel: int) -> tuple:
+def _reduction_start(g: GeometrySpec, mask, k: Optional[int]) -> tuple:
     """What every removal order of one blocking mask starts from: the mask,
     each (n-k)-subspace's meet count and the sum of the point indices in
     its meet (as lists), the essential points (a set), the removable points
     in ascending order and the subspaces through each point.  Raises and
-    warns as reduce_mask does; stacklevel is the warning's, counted from
-    this function."""
+    warns as reduce_mask does; the warning names the line that called the
+    public function calling this one."""
     if k is None:
         k = g.n - 1
     _check_k(g, k)
@@ -216,7 +216,7 @@ def _reduction_start(g: GeometrySpec, mask, k: Optional[int], stacklevel: int) -
             f"uniqueness of the reduction is only guaranteed for k = n-1 "
             f"and |B| < q^(n-1) + theta_(n-1) = {bound}; got k={k}, |B|={size}",
             SizeGuaranteeViolated,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
     essential = set(sums[counts == 1].tolist())
     removable = [i for i in np.flatnonzero(current).tolist() if i not in essential]
@@ -258,7 +258,7 @@ def reduce_mask(
     The removable points are kept in ascending order, and each step removes
     the first of them or, given rng, the one at rng.integers(len(removable)).
     """
-    return _reduce_from(_reduction_start(g, mask, k, 3), rng)
+    return _reduce_from(_reduction_start(g, mask, k), rng)
 
 
 def reduce_mask_orders(
@@ -276,7 +276,7 @@ def reduce_mask_orders(
     once: NotBlocking is raised, and SizeGuaranteeViolated warned, once per
     call, not once per order.
     """
-    start = _reduction_start(g, mask, k, 3)
+    start = _reduction_start(g, mask, k)
     return [_reduce_from(start, None)] + [_reduce_from(start, rng) for _ in range(orders - 1)]
 
 
@@ -297,7 +297,7 @@ def reduce_to_minimal(
     pass a numpy Generator to randomize it.  This is reduce_mask on the
     set's mask.
     """
-    reduced = _reduce_from(_reduction_start(B.geometry, B.mask(), k, 3), rng)
+    reduced = _reduce_from(_reduction_start(B.geometry, B.mask(), k), rng)
     return PointSet(B.geometry, np.flatnonzero(reduced).tolist())
 
 

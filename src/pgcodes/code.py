@@ -59,12 +59,13 @@ def expected_dimension(g: GeometrySpec) -> int:
     return comb(p + g.n - 1, g.n) ** h + 1
 
 
-@lru_cache(maxsize=None)
 def build_incidence_matrix(g: GeometrySpec) -> np.ndarray:
-    """(theta_n, theta_n) 0/1 matrix; row i = incidence vector of hyperplane i."""
-    mat = incidence_bool(g).astype(np.uint8)
-    mat.setflags(write=False)
-    return mat
+    """(theta_n, theta_n) 0/1 matrix; row i = incidence vector of hyperplane i.
+
+    A read-only uint8 view of the cached incidence_bool(g), so one such
+    array per geometry is ever held.
+    """
+    return incidence_bool(g).view(np.uint8)
 
 
 def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -18,8 +18,9 @@ indicators, and a step is computed only for one top combination per scalar
 orbit {c x : c != 0}.  While n is small beside the tables, two steps share
 one product and one bincount, their weights packed as two base-(n+1) digits.
 It returns the weight histogram and every word of weight 1..collect_limit,
-with no cap on their number; analysis._sweep checks the one against the
-MacWilliams identities and sorts the other.
+with no cap on their number.  The package sweeps only the generator:
+analysis.enumerate_spectrum checks the histogram against the MacWilliams
+identities and sorts the words.
 
 lightest_words serves analysis.minimum_weight's Brouwer-Zimmermann proof
 with the same machinery: it enumerates the messages of one weight t at a
@@ -222,7 +223,8 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
     other input raises ValueError.  Returns (hist, words): hist[w] counts
     the messages whose word has weight w, and words holds every word of
     weight in [1, collect_limit], one per message.  The word order is
-    implementation-defined; analysis._sweep checks the histogram and sorts.
+    implementation-defined; analysis.enumerate_spectrum checks the histogram
+    and sorts.
 
     A word's entries on the pivot columns are its message digits, so its
     weight is its number of nonzero digits plus its weight on the n - k

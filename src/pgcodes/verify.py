@@ -10,8 +10,8 @@ one low-word value, _LowWords: the sweep's words up to weight 2q^(n-1) and
 its histogram, or the search's words and a tally of their weights,
 classified once.  bbw reads every word of the sweep.  The hull suite
 reads the hull's minimum weight off analysis.minimum_weight, which proves
-it from one information set under the geometry's collineations where that
-is much cheaper than sweeping the hull.
+it from one information set under the geometry's collineations; no hull
+is ever swept.
 Suites test whole word arrays: bbw asks about every (incidence word,
 external point) pair in one call, and restriction tests its sampled
 (subspace, word) pairs a dimension at a time.
@@ -477,8 +477,8 @@ def _run_second(g, model, low) -> CheckResult:
 
 
 def _run_hull(g, model, hull_budget) -> CheckResult:
-    """The hull's minimum weight against 2q^(n-1), skipped when its p^k
-    messages exceed hull_budget, whichever way it is found."""
+    """The hull's minimum weight against 2q^(n-1), proved under the
+    collineations, skipped when its p^k messages exceed hull_budget."""
     expected = 2 * g.q ** (g.n - 1)
     hull_dim = model.hull_dimension
     messages = g.field.p**hull_dim
@@ -490,9 +490,7 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
         }
         return CheckResult("hull", "skipped", details)
     # the hull is preserved by every collineation, as the code and its dual are
-    minw = minimum_weight(
-        model.hull, g.field.p, lambda: collineations(g), model.hull_contains_rows
-    )
+    minw = minimum_weight(model.hull, g.field.p, collineations(g), model.hull_contains_rows)
     details = {
         "hull_dimension": hull_dim,
         "hull_minimum_weight": minw,

@@ -163,7 +163,7 @@ def test_criterion_05_hull_minimum_weight_and_membership():
         nonzero = np.nonzero(hull_hist[1:])[0]
         assert int(nonzero[0]) + 1 == 16  # 2q^(n-1) for q = 8
         # the proof under the collineations gives the sweep's minimum
-        assert minimum_weight(model8.hull, 2, lambda: collineations(g8)) == int(nonzero[0]) + 1
+        assert minimum_weight(model8.hull, 2, collineations(g8)) == int(nonzero[0]) + 1
         report8 = enumerate_spectrum(model8, budget=2**28)
         assert min(w for w in report8.weight_counts if w) == 9
         # the collecting sweep's words, as they were before the proof existed

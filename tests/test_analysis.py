@@ -4,7 +4,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from pgcodes import analysis
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -170,7 +169,7 @@ def test_macwilliams_rejects_a_histogram_with_one_count_moved(g):
         dual_weight_counts(hist, g.field.p, model.dimension + 1)
 
 
-def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
+def test_spectrum_and_weight_suites_reject_a_tampered_histogram(monkeypatch):
     sweep = kernels.spectrum
 
     def tampered(rows, p, collect_limit):
@@ -183,12 +182,11 @@ def test_spectrum_and_hull_suite_reject_a_tampered_histogram(monkeypatch):
     monkeypatch.setattr(kernels, "spectrum", tampered)
     with pytest.raises(InconsistentSpectrum):
         enumerate_spectrum(build_model(PG23))
-    # PG(2,4)'s hull is swept, not proved
     with pytest.raises(InconsistentSpectrum):
-        run_suite((2, 2, 2), suites=["hull"])
+        run_suite((2, 2, 2), suites=["minweight"])
 
 
-def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch):
+def test_spectrum_and_weight_suites_reject_a_sweep_that_drops_a_message(monkeypatch):
     # the histogram then sums to p^k - 1; this must raise under python -O too
     sweep = kernels.spectrum
 
@@ -200,17 +198,14 @@ def test_spectrum_and_hull_suite_reject_a_sweep_that_drops_a_message(monkeypatch
     monkeypatch.setattr(kernels, "spectrum", dropping)
     with pytest.raises(InconsistentSpectrum):
         enumerate_spectrum(build_model(PG23))
-    # PG(2,4)'s hull is swept, not proved
     with pytest.raises(InconsistentSpectrum):
-        run_suite((2, 2, 2), suites=["hull"])
+        run_suite((2, 2, 2), suites=["minweight"])
 
 
 # -- minimum weight from one information set ----------------------------------
 
-# (2,2,4) is PG(4,4), whose hull is swept: its proof is only 8.7 times cheaper
+# the DEFAULT_GRID hulls, PG(4,3)'s and PG(4,4)'s
 _HULL_GRID = [t for t in DEFAULT_GRID if t != (2, 3, 2)] + [(2, 3, 2), (3, 1, 4), (2, 2, 4)]
-# the hulls minimum_weight proves rather than sweeps, at _PROOF_ADVANTAGE 10
-_PROVED_HULLS = [(3, 1, 2), (3, 1, 3), (2, 3, 2), (3, 1, 4)]
 
 
 def _geometry(params):
@@ -231,13 +226,6 @@ def _spy_sweeps(patch):
     return calls
 
 
-def _force_the_proof(patch):
-    """Make minimum_weight prove wherever it can, and spy on the sweeps it
-    must then never run."""
-    patch.setattr(analysis, "_PROOF_ADVANTAGE", 0)
-    return _spy_sweeps(patch)
-
-
 @pytest.mark.parametrize("params", _HULL_GRID)
 def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(monkeypatch, params):
     p = params[0]
@@ -245,11 +233,9 @@ def test_minimum_weight_equals_the_sweeps_minimum_on_every_hull_basis(monkeypatc
     model = build_model(g)
     hist = kernels.spectrum(model.hull, p, 0)[0]
     swept = int(np.flatnonzero(hist[1:])[0]) + 1
-    group = partial(collineations, g)
+    group = collineations(g)
+    # the proof never sweeps, however small the hull
     sweeps = _spy_sweeps(monkeypatch)
-    assert minimum_weight(model.hull, p, group) == swept
-    assert sweeps == ([] if params in _PROVED_HULLS else [0])
-    sweeps = _force_the_proof(monkeypatch)
     assert minimum_weight(model.hull, p, group) == swept
     assert minimum_weight(model.hull, p, group, contains_rows=model.hull_contains_rows) == swept
     assert sweeps == []
@@ -322,10 +308,9 @@ def test_minimum_weight_matches_brute_force_on_small_reduced_bases(case):
     weights = [w for w in brute_force_spectrum(rows, p) if w]
     expected = min(weights) if weights else None
     shift = ((np.arange(n) + 1) % n)[None]
-    assert minimum_weight(basis, p, lambda: shift) == expected
     with pytest.MonkeyPatch.context() as patch:
-        sweeps = _force_the_proof(patch)
-        assert minimum_weight(basis, p, lambda: shift) == expected
+        sweeps = _spy_sweeps(patch)
+        assert minimum_weight(basis, p, shift) == expected
     assert sweeps == []
 
 
@@ -354,38 +339,28 @@ def _spy_lightest_words(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("params, top, messages", [((2, 3, 2), 5, 101_583), ((3, 1, 4), 6, 221_173)])
+@pytest.mark.parametrize(
+    "params, top, messages",
+    [((2, 3, 2), 5, 101_583), ((3, 1, 4), 6, 221_173), ((2, 2, 4), 9, 3_850_755)],
+)
 def test_the_hull_proofs_enumerate_every_message_up_to_their_top_level(
     monkeypatch, params, top, messages
 ):
     # PG(2,8): k = 27, n = 73, and ceil(6 * 73 / 27) = 17 reaches 16 after
     # t = 5; PG(4,3): k = 15, n = 121, and ceil(7 * 121 / 15) = 57 reaches
-    # 54 after t = 6.  One message per scalar orbit of each weight
+    # 54 after t = 6; PG(4,4): k = 25, n = 341, and ceil(10 * 341 / 25) =
+    # 137 reaches 128 after t = 9.  One message per scalar orbit of each weight
     p = params[0]
     g = _geometry(params)
     model = build_model(g)
     k = model.hull.shape[0]
     calls = _spy_lightest_words(monkeypatch)
     sweeps = _spy_sweeps(monkeypatch)
-    found = minimum_weight(model.hull, p, lambda: collineations(g), model.hull_contains_rows)
+    found = minimum_weight(model.hull, p, collineations(g), model.hull_contains_rows)
     assert found == 2 * g.q ** (g.n - 1)
     assert calls == [(top, t, comb(k, t) * (p - 1) ** (t - 1)) for t in range(1, top + 1)]
     assert sum(m for _, _, m in calls) == messages
     assert sweeps == []
-
-
-@pytest.mark.parametrize("advantage, proved", [(1321, True), (1322, False)])
-def test_the_proof_advantage_is_where_the_choice_turns(monkeypatch, advantage, proved):
-    # PG(2,8)'s hull: 101,583 messages proved against 2^27 message orbits;
-    # 1321 times the proof fits in them, 1322 times does not
-    g = _geometry((2, 3, 2))
-    model = build_model(g)
-    monkeypatch.setattr(analysis, "_PROOF_ADVANTAGE", advantage)
-    calls = _spy_lightest_words(monkeypatch)
-    sweeps = _spy_sweeps(monkeypatch)
-    assert minimum_weight(model.hull, 2, lambda: collineations(g)) == 16
-    assert (sum(m for _, _, m in calls) == 101_583) == proved
-    assert sweeps == ([] if proved else [0])
 
 
 # each proof step that fails its check raises InconsistentProof, under python
@@ -417,7 +392,7 @@ def test_minimum_weight_refuses_symmetries_it_cannot_certify(monkeypatch, params
     for perms, message in refused:
         for contains_rows in (None, model.hull_contains_rows):
             with pytest.raises(InconsistentProof, match=message):
-                minimum_weight(model.hull, p, lambda: perms, contains_rows)
+                minimum_weight(model.hull, p, perms, contains_rows)
     assert sweeps == []
 
 
@@ -430,9 +405,9 @@ def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
         return np.delete(table, 1, axis=0) if len(table) > 1 else table
 
     monkeypatch.setattr(kernels, "_combinations", dropping)
-    sweeps = _force_the_proof(monkeypatch)
+    sweeps = _spy_sweeps(monkeypatch)
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
-        minimum_weight(build_model(PG23).hull, 3, lambda: collineations(PG23))
+        minimum_weight(build_model(PG23).hull, 3, collineations(PG23))
     with pytest.raises(InconsistentProof, match="messages of weight 1"):
         run_suite((2, 3, 2), suites=["hull"])
     assert sweeps == []
@@ -440,7 +415,7 @@ def test_minimum_weight_refuses_a_weight_that_loses_a_message(monkeypatch):
 
 def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatch):
     model = build_model(PG24)
-    sweeps = _force_the_proof(monkeypatch)
+    sweeps = _spy_sweeps(monkeypatch)
     enumerate_levels = kernels.lightest_words
 
     def lighter(rows, p, max_weight):
@@ -457,7 +432,7 @@ def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatc
         monkeypatch.setattr(kernels, "lightest_words", tampered)
         with pytest.raises(InconsistentProof, match="lightest word is no codeword"):
             minimum_weight(
-                model.hull, 2, lambda: collineations(PG24), contains_rows=model.hull_contains_rows
+                model.hull, 2, collineations(PG24), contains_rows=model.hull_contains_rows
             )
     assert sweeps == []
 
@@ -470,7 +445,7 @@ def test_the_pg43_hull_proof_keeps_its_encodings_small():
     group = collineations(g)
     tracemalloc.start()
     try:
-        assert minimum_weight(model.hull, 3, lambda: group, model.hull_contains_rows) == 54
+        assert minimum_weight(model.hull, 3, group, model.hull_contains_rows) == 54
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -395,8 +395,6 @@ def _one_reduce_mask_per_order(g, mask, orders, rng):
 
 
 _EXHAUSTIVE_GRID = [params for params in DEFAULT_GRID if params != (2, 3, 2)]
-# the hulls whose minimum weight the hull suite proves rather than sweeps
-_PROVED_HULLS = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (2, 3, 2)]
 
 
 @pytest.mark.parametrize("params", _EXHAUSTIVE_GRID)
@@ -433,7 +431,7 @@ def _spy_sweeps(monkeypatch, model):
 def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
     # the spectrum, the weight suites and bbw share one generator sweep, which
     # collects every word only for a planar bbw within its budget; the hull
-    # suite sweeps the hull basis, counting only, where it does not prove
+    # suite proves its minimum and sweeps nothing
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
     model = build_model(g)
@@ -449,26 +447,25 @@ def test_an_exhaustive_run_sweeps_the_generator_once(monkeypatch, params):
     monkeypatch.setattr(verify, "classify_words", counting)
     calls = _spy_sweeps(monkeypatch, model)
     run_suite(params)
-    hull = [] if params in _PROVED_HULLS else [(False, 0)]
-    assert calls == [(True, g.num_points if n == 2 else low)] + hull
+    assert calls == [(True, g.num_points if n == 2 else low)]
     # the weight suites classify the low words only, not every word bbw reads
     assert classified == [low_words]
     if n == 2:
         calls.clear()
         monkeypatch.setattr(verify, "BBW_BUDGET", messages - 1)
         run_suite(params)
-        assert calls == [(True, low)] + hull
+        assert calls == [(True, low)]
         calls.clear()
         monkeypatch.setattr(verify, "BBW_BUDGET", messages)
         assert run_suite(params, ["bbw"]).check("bbw").status == "pass"
         assert calls == [(True, g.num_points)]
 
 
-@pytest.mark.parametrize("params", _EXHAUSTIVE_GRID + [(3, 1, 4), (2, 3, 2)])
+@pytest.mark.parametrize("params", _EXHAUSTIVE_GRID + [(3, 1, 4), (2, 3, 2), (2, 2, 4)])
 def test_the_hull_suite_sweeps_only_where_the_sweep_is_cheap(monkeypatch, params):
-    # the hulls of PG(2,3), PG(3,3), PG(4,3) and PG(2,8) are proved under
-    # the collineations, which only a proof builds; every other hull here
-    # keeps its one counting sweep
+    # the hull suite sweeps no hull, however small: every hull here,
+    # PG(4,3)'s, PG(2,8)'s and PG(4,4)'s too, is proved under the
+    # collineations, built once
     p, h, n = params
     g = GeometrySpec(make_field(p, h), n)
     model = build_model(g)
@@ -482,15 +479,14 @@ def test_the_hull_suite_sweeps_only_where_the_sweep_is_cheap(monkeypatch, params
     monkeypatch.setattr(verify, "collineations", spy)
     report = run_suite(params, suites=["hull"])
     assert report.check("hull").status == "pass"
-    proved = params in _PROVED_HULLS
-    assert calls == ([] if proved else [(False, 0)])
-    assert builds == ([g] if proved else [])
+    assert calls == []
+    assert builds == [g]
 
 
 def test_the_hull_proof_adds_no_option():
-    # run_suite takes what `pgcodes verify` takes, minimum_weight makes its
-    # own sweep-or-proof choice (its symmetries are the code's, not a
-    # setting), and reduce_mask's warning names its caller
+    # run_suite takes what `pgcodes verify` takes, minimum_weight takes the
+    # code's symmetries (not a setting), and reduce_mask's warning names its
+    # caller
     assert list(inspect.signature(run_suite).parameters) == [
         "params", "suites", "budget", "hull_budget", "seed", "mode", "search_iterations",
     ]
@@ -507,8 +503,8 @@ def test_the_hull_proof_adds_no_option():
     }
 
 
-# sha256 of the json, table and csv reports of the hull suite alone, captured
-# while every hull was swept: the _PROVED_HULLS are proved under the
+# sha256 of the json, table and csv reports of the hull suite alone, each
+# captured while its hull was still swept: every hull is proved under the
 # collineations now, and PG(2,5)'s stays skipped by hull_budget
 PINNED_HULL_REPORTS = {
     ((2, 1, 2), 0): (
@@ -590,6 +586,10 @@ PINNED_HULL_REPORTS = {
     ((5, 1, 2), 3): (
         "7efe4dcce3ca0b9bcdbf11a16425cd1372b66d87659675a045eef12e56eb705a",
         "16fa46c30b44ba98012840ae89a67e33930fd2189f962e379641c9f9d7c8c91f",
+    ),
+    ((2, 2, 4), 0): (
+        "9d4762a0fae3d2e233d95af84d0d89d26b3fa809a45338b193df7a97932cec00",
+        "0b1b53c5d30e9e91e60ec7e62859d4f7541504f8612880d4a0d8efe243c47ecc",
     ),
 }
 # the csv of a hull run lists one check and its status
