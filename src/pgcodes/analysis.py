@@ -61,10 +61,6 @@ class BudgetExceeded(RuntimeError):
     """Exhaustive enumeration would exceed the message budget."""
 
 
-class NoInformationSetFound(RuntimeError):
-    """Could not systematize the generator on any sampled column set."""
-
-
 class InconsistentSpectrum(RuntimeError):
     """A sweep's result cannot be right: its weight histogram violates the
     MacWilliams identities."""
@@ -438,7 +434,7 @@ def enumerate_spectrum(
     budget: int = DEFAULT_BUDGET,
     collect_limit: int | None = None,
 ) -> SpectrumReport:
-    """Full weight distribution by Gray-coded enumeration of all messages.
+    """Full weight distribution by one kernels.spectrum sweep of all messages.
 
     Collects every nonzero word of weight <= collect_limit (default
     2q^{n-1}), however many there are, sorted by (weight, entries).  The
@@ -586,15 +582,13 @@ def low_weight_search(
     empty = np.zeros((0, npts), dtype=np.uint8)
     if max_weight == 0:
         return SearchResult(empty, empty, iterations, seed, max_weight)
-    if not model.generator[: model.dimension].any(axis=1).all():
-        raise NoInformationSetFound("generator has a zero row")
     inverse = make_field(p).inv_table
     rng = np.random.default_rng(seed)
     batch = kernels.isd_batch_size(model.dimension, npts)
     orbits = empty
     for start in range(0, iterations, batch):
         perms = rng.permuted(np.tile(np.arange(npts), (min(batch, iterations - start), 1)), axis=1)
-        rows = kernels.isd_rounds(model.generator, perms, p, max_weight, inverse)[0]
+        rows = kernels.isd_rounds(model.generator, perms, p, max_weight)[0]
         lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
         canon = kernels._mod_p(rows * inverse[lead][:, None].astype(np.uint16), p)
         orbits = np.concatenate([orbits, canon.astype(np.uint8)])

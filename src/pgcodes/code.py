@@ -29,7 +29,6 @@ from math import comb
 import numpy as np
 
 from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
-from pgcodes.gf import make_field
 from pgcodes.kernels import _exact_float, _product_mod_p, _systematize
 
 
@@ -81,7 +80,7 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     m = np.asarray(mat)
     if m.dtype != np.uint8 or (m.size and m.max() >= p):
         m = m.astype(np.int64) % p
-    reduced, pivots = _systematize(m[None], p, make_field(p).inv_table)
+    reduced, pivots = _systematize(m[None], p)
     return reduced[0].astype(np.uint8, copy=False), [c for c in pivots[0].tolist() if c < m.shape[1]]
 
 

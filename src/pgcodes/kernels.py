@@ -9,18 +9,16 @@ spectrum is a meet-in-the-middle sweep, one code path for every p.  It takes
 a reduced basis, as every basis of a code model is, and refuses any other
 input after one look at its shape (_rref_pivots): a word's entries on the
 pivot columns are its message digits, so only the other columns enter the
-products and the digit counts are added as constant columns.  Tables of all
-combinations of a suffix and a middle group of rows are built and encoded
-once, the remaining top rows are walked in mixed-radix Gray order, and a
-step's matrix product gives the weight of every (suffix, middle) sum.  Over
-F_2 the tables hold +-1 entries; over odd p they hold one-hot value
-indicators, and a step is computed only for one top combination per scalar
-orbit {c x : c != 0}.  While n is small beside the tables, two steps share
-one product and one bincount, their weights packed as two base-(n+1) digits.
-It returns the weight histogram and every word of weight 1..collect_limit,
-with no cap on their number.  The package sweeps only the generator:
-analysis.enumerate_spectrum checks the histogram against the MacWilliams
-identities and sorts the words.
+products and the digit counts are added as constant columns.  The tables of
+all combinations of the first k // 2 rows and of the others are built once,
+and a float32 product of their encodings gives the weight of every sum of a
+left and a right row in a block: one bincount per block counts them.  Over
+F_2 the encodings hold +-1/2 and +-1 entries; over odd p they hold one-hot
+value indicators.  One message per scalar orbit {c x : c != 0} is weighed,
+the one whose leading digit is 1.  It returns the weight histogram and
+every word of weight 1..collect_limit, with no cap on their number.  The
+package sweeps only the generator: analysis.enumerate_spectrum checks the
+histogram against the MacWilliams identities and sorts the words.
 
 lightest_words serves analysis.minimum_weight's Brouwer-Zimmermann proof
 with the same machinery: it enumerates the messages of one weight t at a
@@ -65,13 +63,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from pgcodes.gf import make_field
+
 # -- spectrum sweep ----------------------------------------------------------
 
-# the suffix table's float32 encoding and each step's float32 weight block
-# stay near this many bytes
+# a right chunk's float32 encoding and each float32 weight block stay near
+# this many bytes, and a left chunk's encoding near four times as many
 _SPECTRUM_BYTES = 1 << 19
-# the middle table holds at most this many rows, or p rows if p is larger
-_MIDDLE_ROWS = 256
 
 
 def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
@@ -125,20 +123,20 @@ def _combinations(rows: np.ndarray, p: int, max_digits: int | None = None) -> np
     return table.astype(np.uint8)
 
 
-def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
+def _encode(values: np.ndarray, p: int, right: bool = False) -> np.ndarray:
     """float32 rows whose products count the nonzeros of sums of two words.
 
-    Over F_2, entry x becomes x - 1/2 (middle: 1 - 2x), so a column adds 1/2
+    Over F_2, entry x becomes x - 1/2 (right: 1 - 2x), so a column adds 1/2
     to the product of u's and v's encodings where u + v is 1 and -1/2 where
     it is 0: the product is wt(u + v) - n/2.  Over odd p, entry x becomes the
-    p indicators -[x = t] (middle: [-x = t]), so a column adds -1 where
+    p indicators -[x = t] (right: [-x = t]), so a column adds -1 where
     u + v is 0: the product is wt(u + v) - n.  Those indicators are laid out
     target by target, column t n + c holding target t of column c: one
     comparison per target fills a contiguous block.
     """
     if p == 2:
         x = values.astype(np.float32)
-        if middle:
+        if right:
             x *= -2
             x += 1
         else:
@@ -146,8 +144,8 @@ def _encode(values: np.ndarray, p: int, middle: bool = False) -> np.ndarray:
         return x
     onehot = np.empty((len(values), p, values.shape[1]), dtype=np.float32)
     for t in range(p):
-        onehot[:, t] = values == ((-t) % p if middle else t)
-    if not middle:
+        onehot[:, t] = values == ((-t) % p if right else t)
+    if not right:
         np.negative(onehot, out=onehot)
     return onehot.reshape(len(values), -1)
 
@@ -189,30 +187,17 @@ def _reduced_basis(rows, p: int):
     return np.ascontiguousarray(rows, dtype=np.uint8), free
 
 
-def _orbit_steps(rows: np.ndarray, p: int):
-    """The top combinations a sweep computes, with their digit counts.
-
-    The combinations of the rows are walked in mixed-radix Gray order, and
-    the zero combination and every one whose leading nonzero digit is 1
-    are yielded: one per scalar orbit {c x : c != 0}.  Over F_2 that is
-    every combination.
-    """
-    # uint16: two entries below 251 add up to more than a byte holds
-    cur = np.zeros(rows.shape[1], dtype=np.uint16)
-    digits = [0] * len(rows)
-    for t in range(p ** len(rows)):
-        if t:
-            # step t adds row j, where j counts the trailing (p - 1) digits
-            # of t - 1 in base p
-            x, j = t - 1, 0
-            while x % p == p - 1:
-                x //= p
-                j += 1
-            cur = (cur + rows[j]) % p
-            digits[j] = (digits[j] + 1) % p
-        nonzero = [d for d in digits if d]
-        if not nonzero or nonzero[-1] == 1:
-            yield cur, len(nonzero)
+def _digits_and_units(table: np.ndarray, free: np.ndarray):
+    """(digits, unit) for combinations of rows of a reduced basis: each one's
+    number of nonzero message digits, its nonzero entries on the pivot
+    columns, and whether its leading digit, its first nonzero entry, is 1."""
+    nonzero = table != 0
+    # the zero combination leads with no digit, as does every one of a
+    # basis with no columns
+    unit = np.zeros(len(table), dtype=bool)
+    if table.shape[1]:
+        unit = table[np.arange(len(table)), nonzero.argmax(axis=1)] == 1
+    return nonzero[:, ~free].sum(axis=1), unit
 
 
 def spectrum(rows: np.ndarray, p: int, collect_limit: int):
@@ -228,110 +213,68 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
 
     A word's entries on the pivot columns are its message digits, so its
     weight is its number of nonzero digits plus its weight on the n - k
-    other columns, and only those columns enter the products.  The rows
-    are split into a suffix and a middle group, whose tables of all
-    combinations are built and encoded once, and top rows, walked by
-    _orbit_steps.  A step's matrix product gives the weight of every
-    (suffix, middle) sum plus the step's top combination.  For odd p only
-    one step per scalar orbit is computed: c times its block is the block
-    of its c-th multiple, with the same weights, so it is counted p - 1
-    times and its collected words are expanded by c = 1..p-1.  Two steps
-    share one product while the block has at least (n+1)^2 entries: their
-    step codes combine as (n+1) C_a + C_b, so an entry is (n+1) w_a + w_b,
-    and one bincount over (n+1)^2 bins counts both.
+    other columns, and only those columns enter the products.  A message is
+    a sum u + v of a combination u of the first k // 2 rows and one v of
+    the others, and the two tables of all such combinations are built by
+    _combinations.  One message per scalar orbit {c x : c != 0} is swept:
+    a left row whose leading digit is 1 with any right row, or the zero
+    left row with a right row whose leading digit is 1.  Left rows encode
+    as [code(u), digits(u), 1] and right rows as [code(v), 1, digits(v)
+    plus the offset of _encode], so a float32 product of the two gives the
+    weight of every u + v of its block.  Each block is counted p - 1 times,
+    the zero message once, and over odd p its collected words are expanded
+    by c = 1..p-1.
     """
     rows, free = _reduced_basis(rows, p)
     k, n = rows.shape
+    left, right = _combinations(rows[: k // 2], p), _combinations(rows[k // 2 :], p)
+    left_digits, left_units = _digits_and_units(left, free)
+    right_digits, right_units = _digits_and_units(right, free)
     n_free = int(free.sum())
-    width = n_free * (1 if p == 2 else p)
-    middle = min(k, 1)
-    while middle < k and p ** (middle + 1) <= _MIDDLE_ROWS:
-        middle += 1
-    suffix = 0
-    while suffix < k - middle and p ** (suffix + 1) * 4 * max(width + 2, p**middle) <= _SPECTRUM_BYTES:
-        suffix += 1
-    top = k - middle - suffix
-    suffix_values = _combinations(rows[top + middle :], p)
-    middle_values = _combinations(rows[top : top + middle], p)
-    # suffix rows [code(u), n_free (or n_free / 2) + digits(u), 1] times
-    # middle columns [middle code(v + cur), 1, digits(v) + digits(cur)]
-    # give the weight of u + v + cur
+    # the product of the codes is wt - n_free / 2 over F_2, wt - n_free over
+    # odd p
     offset = n_free / 2 if p == 2 else n_free
-    suffix_code = np.hstack(
-        [
-            _encode(suffix_values[:, free], p),
-            (offset + (suffix_values[:, ~free] != 0).sum(axis=1))[:, None],
-            np.ones((len(suffix_values), 1)),
-        ]
-    ).astype(np.float32)
-    middle_code = np.ascontiguousarray(_encode(middle_values[:, free], p, middle=True).T)
-    middle_digits = (middle_values[:, ~free] != 0).sum(axis=1)
-    # over odd p, row (t, col) of the middle code is [-v = t], and
-    # [-(v + c) = t] = [-v = t + c]: a shift is a gather of rows
-    columns = np.arange(n_free)
-    targets = np.arange(p)[:, None]
 
-    def encode_step(cur, ndigits, out):
-        cur_free = cur[free]
-        if p == 2:
-            np.multiply(middle_code, (1 - 2 * cur_free.astype(np.float32))[:, None], out=out[:width])
-        else:
-            shift = ((targets + cur_free) % p * n_free + columns).ravel()
-            np.take(middle_code, shift, axis=0, out=out[:width], mode="clip")
-        out[width] = 1
-        out[width + 1] = middle_digits + ndigits
+    def encode(values, digits, is_right):
+        code = _encode(values[:, free], p, right=is_right)
+        ones = np.ones((len(values), 1), dtype=np.float32)
+        digits = digits[:, None].astype(np.float32) + (offset if is_right else 0)
+        return np.hstack([code, ones, digits] if is_right else [code, digits, ones])
 
-    step_code = np.empty((width + 2, len(middle_values)), dtype=np.float32)
-    spare = np.empty_like(step_code)
-    block = np.empty((len(suffix_values), len(middle_values)), dtype=np.float32)
-    # two steps share a product while its (n + 1)^2 bins are no more than
-    # the block's entries, of which there are at most _SPECTRUM_BYTES / 4
-    # = 2^17.  Then n < 362, and the partial sums of a shared product, at
-    # most (n + 2) 2n in absolute value (2n for one step's), are exact in
-    # float32, which holds multiples of 1/2 exactly below 2^23
-    base = n + 1
-    per_product = 2 if base * base <= block.size else 1
+    chunk = max(1, _SPECTRUM_BYTES // (4 * (n_free * (1 if p == 2 else p) + 2)))
     hist = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    # each weight of a step stands for these multiples of its word (c = 1
-    # alone at the zero top combination)
-    multiples = [np.arange(1, m, dtype=np.uint16) for m in (2, p)]
-    steps = list(_orbit_steps(rows[:top], p))
-    for first in range(0, len(steps), per_product):
-        group = steps[first : first + per_product]
-        encode_step(*group[-1], step_code)
-        if len(group) == 2:
-            # the first step's weight is the high digit in base n + 1
-            encode_step(*group[0], spare)
-            spare *= base
-            step_code += spare
-        np.matmul(suffix_code, step_code, out=block)
-        counts = np.bincount(block.ravel().astype(np.intp), minlength=base ** len(group))
-        counts = counts.reshape(-1, base)
-        lane_counts = [counts.sum(axis=1), counts.sum(axis=0)][-len(group) :]
-        for (cur, ndigits), lane in zip(group, lane_counts):
-            hist += lane * multiples[ndigits > 0].size
-        if collect_limit < 1:
-            continue
-        # the block holds whole numbers, so float32 arithmetic on it is exact
-        lane_weights = [block]
-        if len(group) == 2:
-            high = block // base
-            block -= base * high
-            lane_weights.insert(0, high)
-        for (cur, ndigits), lane in zip(group, lane_weights):
-            scales = multiples[ndigits > 0]
-            i, j = np.nonzero((lane > 0) & (lane <= collect_limit))
-            if i.size:
-                # entries stay below 3p and p^2, within uint16
-                hits = middle_values[j].astype(np.uint16)
-                hits += suffix_values[i]
-                hits += cur
-                found = _mod_p(hits, p)[None]
-                if scales.size > 1:
-                    found = _mod_p(scales[:, None, None] * found, p)
-                chunks.append(found.reshape(-1, n).astype(np.uint8))
-    words = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.uint8)
+    hist[0] = 1
+    collected = []
+    scales = np.arange(1, p, dtype=np.uint16)[:, None, None]
+    # the zero combination is row 0 of a table
+    everything, zero = np.arange(len(right)), np.zeros(1, dtype=np.intp)
+    for a, b in [(np.flatnonzero(left_units), everything), (zero, np.flatnonzero(right_units))]:
+        # a few chunks of left rows are encoded at a time, and the right
+        # table once for each of them
+        for a_start in range(0, len(a), 4 * chunk):
+            a_rows = a[a_start : a_start + 4 * chunk]
+            a_code = encode(left[a_rows], left_digits[a_rows], False)
+            for b_start in range(0, len(b), chunk):
+                b_rows = b[b_start : b_start + chunk]
+                b_code = encode(right[b_rows], right_digits[b_rows], True).T
+                step = max(1, _SPECTRUM_BYTES // (4 * len(b_rows)))
+                for start in range(0, len(a_rows), step):
+                    block = a_code[start : start + step] @ b_code
+                    hist += np.bincount(block.ravel().astype(np.intp), minlength=n + 1) * (p - 1)
+                    if collect_limit < 1:
+                        continue
+                    # every message here is nonzero, of weight at least 1; flat
+                    # indices, as np.nonzero of a 2-d mask is many times slower
+                    i, j = np.divmod(np.flatnonzero(block <= collect_limit), block.shape[1])
+                    if i.size:
+                        # sums stay below 2p and multiples below p^2, within uint16
+                        found = left[a_rows[start + i]].astype(np.uint16)
+                        found += right[b_rows[j]]
+                        found = _mod_p(found, p)[None]
+                        if p > 2:
+                            found = _mod_p(scales * found, p)
+                        collected.append(found.reshape(-1, n).astype(np.uint8))
+    words = np.concatenate(collected) if collected else np.zeros((0, n), dtype=np.uint8)
     return hist, words
 
 
@@ -341,13 +284,7 @@ def _digit_groups(rows: np.ndarray, p: int, max_digits: int, free: np.ndarray):
     digits are table[starts[d]:starts[d + 1]] and those of them whose
     leading digit is 1 are table[starts[d]:units[d]]."""
     table = _combinations(rows, p, max_digits)
-    nonzero = table != 0
-    # the zero combination leads with no digit, as does every one of a
-    # basis with no columns
-    unit = np.zeros(len(table), dtype=bool)
-    if table.shape[1]:
-        unit = table[np.arange(len(table)), nonzero.argmax(axis=1)] == 1
-    digits = nonzero[:, ~free].sum(axis=1)
+    digits, unit = _digits_and_units(table, free)
     order = np.lexsort((~unit, digits))
     starts = np.searchsorted(digits[order], np.arange(max_digits + 2))
     return table[order], starts, starts[:-1] + np.bincount(digits[unit], minlength=max_digits + 1)
@@ -397,7 +334,7 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
             b = right[right_starts[t - w] : right_units[t] if w == 0 else right_starts[t - w + 1]]
             messages += len(a) * len(b)
             for b_start in range(0, len(b), chunk):
-                b_code = _encode(b[b_start : b_start + chunk, :n_free], p, middle=True)
+                b_code = _encode(b[b_start : b_start + chunk, :n_free], p, right=True)
                 step = max(1, _SPECTRUM_BYTES // (4 * max(width, len(b_code))))
                 for start in range(0, len(a), step):
                     block = _encode(a[start : start + step, :n_free], p) @ b_code.T
@@ -430,7 +367,7 @@ def isd_batch_size(k: int, n: int) -> int:
     return max(1, _BATCH_BYTES // (k * n))
 
 
-def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
+def _systematize(gens: np.ndarray, p: int):
     """RREF of every item of a (B, k, n) stack in one batched Gauss-Jordan pass.
 
     This is the package's mod-p eliminator: code.rref_mod_p is its one-item
@@ -452,7 +389,7 @@ def _systematize(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     if p == 2:
         u, pivot_col = _eliminate_f2(gens)
     else:
-        u, pivot_col = _eliminate_mod_p(gens, p, inv_mod)
+        u, pivot_col = _eliminate_mod_p(gens, p)
     items = np.arange(len(u))[:, None]
     order = np.argsort(pivot_col, axis=1, kind="stable")
     return u[items, order], pivot_col[items, order]
@@ -503,7 +440,7 @@ def _eliminate_f2(gens: np.ndarray):
     return np.unpackbits(rows, axis=2, count=n, bitorder="little"), pivot_col
 
 
-def _eliminate_mod_p(gens: np.ndarray, p: int, inv_mod: np.ndarray):
+def _eliminate_mod_p(gens: np.ndarray, p: int):
     """_systematize's pass over odd p on bytes.
 
     A step rewrites only the rows that are nonzero in the pivot column for
@@ -515,7 +452,7 @@ def _eliminate_mod_p(gens: np.ndarray, p: int, inv_mod: np.ndarray):
     b, k, n = gens.shape
     dtype = np.uint8 if p * p <= 256 else np.uint16
     u = gens.astype(dtype)
-    inv = inv_mod.astype(dtype)
+    inv = make_field(p).inv_table.astype(dtype)
     free = np.ones((b, k), dtype=bool)
     pivot_col = np.full((b, k), n)
     items = np.arange(b)
@@ -638,9 +575,7 @@ def _round_columns(reduced: np.ndarray, pivots: np.ndarray, perms: np.ndarray):
     return restored, columns[np.flatnonzero(free)].reshape(b, n - k, k)
 
 
-def isd_rounds(
-    gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int, inv_mod: np.ndarray
-):
+def isd_rounds(gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int):
     """Lee-Brickell rounds, one per row of perms, on a k x n generator.
 
     The generator must have full row rank, as every CodeModel.generator
@@ -654,7 +589,7 @@ def isd_rounds(
     copies stay near _BATCH_BYTES.
     """
     restored, non_pivot = _round_columns(
-        *_systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p, inv_mod), perms
+        *_systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p), perms
     )
     b, k, n = restored.shape
     # a round's scoring copies: its float32 support and characters, and

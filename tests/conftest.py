@@ -21,6 +21,6 @@ def warm_kernels():
     kernels.spectrum(rows3, 3, 4)
     list(kernels.lightest_words(rows2, 2, 2))
     list(kernels.lightest_words(rows3, 3, 2))
-    kernels.isd_rounds(rows2, np.arange(4)[None], 2, 4, np.array([0, 1], dtype=np.uint8))
-    kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4, np.array([0, 1, 2], dtype=np.uint8))
+    kernels.isd_rounds(rows2, np.arange(4)[None], 2, 4)
+    kernels.isd_rounds(rows3, np.arange(4)[None], 3, 4)
     yield

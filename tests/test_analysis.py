@@ -752,13 +752,12 @@ def _one_round_at_a_time(model, max_weight, iterations, seed):
     permutation of the generator's columns."""
     g = model.geometry
     p, npts = g.field.p, g.num_points
-    inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     rng = np.random.default_rng(seed)
     found = set()
     for _ in range(iterations):
         perm = rng.permutation(npts)
         permuted = np.ascontiguousarray(model.generator[:, perm])
-        rows = kernels.isd_rounds(permuted, np.arange(npts)[None], p, max_weight, inv)[0]
+        rows = kernels.isd_rounds(permuted, np.arange(npts)[None], p, max_weight)[0]
         back = np.empty_like(rows)
         back[:, perm] = rows
         for row in back.astype(np.int64):

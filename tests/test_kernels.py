@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgcodes import kernels
+from pgcodes.analysis import _sort_words
 from pgcodes.code import build_model
 from pgcodes.geometry import GeometrySpec
 from pgcodes.gf import make_field
@@ -96,22 +97,23 @@ def _rank_deficient_rows(p):
     return (np.vstack([rows, 2 * rows[0] + rows[1]]) % p).astype(np.uint8)
 
 
+# a zero budget leaves right chunks and blocks of a single row, and left
+# chunks of four rows
 @pytest.mark.parametrize("kind", ["random", "deficient", "every-word"])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
-    # one middle row and no suffix, so the top rows number k - 1 >= 2 and
-    # the walk computes one step per scalar orbit of top combinations
+    # one message per scalar orbit is swept, counted p - 1 times and its
+    # collected words expanded to every multiple
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
-    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
     if kind == "random":
         rows = random_basis(np.random.default_rng(7 * p), {3: 5, 5: 4, 7: 3}[p], 10, p)
     elif kind == "deficient":
         basis, pivots = rref_mod_p_reference(_rank_deficient_rows(p), p)
         rows = basis[: len(pivots)]
     else:
-        # every top step with a leading digit of 1 holds words for all p - 1
-        # of its multiples, and every one of them is collected
-        rows = random_basis(np.random.default_rng(p), 4, 9, p)
+        # every word is collected, each of the p - 1 multiples of an orbit;
+        # six rows for p = 3 give the left half 13 unit rows, in four chunks
+        rows = random_basis(np.random.default_rng(p), 6 if p == 3 else 4, 9, p)
     k, n = rows.shape
     limit = n if kind == "every-word" else n - 2
     hist, words = spectrum(rows, p, limit)
@@ -122,36 +124,36 @@ def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
         assert words.shape == (p**k - 1, n)
 
 
-# table sizes that leave two top rows and a block of 128 (p = 2) or 81
-# (p = 3) entries: two steps share a product while (n + 1)^2 fits in it
-@pytest.mark.parametrize(
-    "p,k,n,shared", [(2, 9, 10, True), (2, 9, 11, False), (3, 6, 8, True), (3, 6, 9, False)]
-)
-def test_spectrum_on_both_sides_of_the_shared_product_bound(monkeypatch, p, k, n, shared):
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 768)
-    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 32)
+@pytest.mark.parametrize("p,k,n", [(2, 9, 10), (2, 9, 11), (3, 6, 8), (3, 6, 9)])
+def test_spectrum_weighs_each_orbit_once_across_short_chunks(monkeypatch, p, k, n):
     rows = random_basis(np.random.default_rng(n + p), k, n, p)
-    bins = []
+    # right chunks of three rows, left chunks of twelve (the last one short)
+    # and blocks of a few rows: each half splits into several chunks
+    width = (n - k) * (1 if p == 2 else p) + 2
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 12 * width)
+    blocks = []
     bincount = np.bincount
 
     def counting(x, minlength):
-        bins.append(minlength)
+        blocks.append(x.size)
         return bincount(x, minlength=minlength)
 
     monkeypatch.setattr(np, "bincount", counting)
     hist, words = spectrum(rows, p, n)
-    assert ((n + 1) ** 2 in bins) == shared
+    # every nonzero message's orbit is one entry of one block
+    assert len(blocks) > 2 and sum(blocks) == (p**k - 1) // (p - 1)
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     assert Counter(tuple(int(x) for x in w) for w in words) == Counter(_words_up_to(rows, p, n))
 
 
 def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
-    # one middle row and no suffix leave two top rows, so the walk adds a
-    # top row to a combination that already holds it: 130 + 130 must reduce
-    # to 129 mod 131, not wrap past a byte
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
-    monkeypatch.setattr(kernels, "_MIDDLE_ROWS", 1)
-    p, limit = 131, 3
+    # one left row and two right rows: a block holds the one left row whose
+    # leading digit is 1, and the 131^2 right rows split into 18 chunks.
+    # The words of weight 4 include row 0 + row 1, whose left and right rows
+    # are both 130 in column 3: 260 must reduce to 129 mod 131, not wrap
+    # past a byte
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 1 << 20)
+    p, limit = 131, 4
     rows = np.array([[1, 0, 0, 130, 7], [0, 1, 0, 130, 130], [0, 0, 1, 5, 1]], dtype=np.uint8)
     hist, words = spectrum(rows, p, limit)
     # every message at once: 131^3 words of 5 entries
@@ -219,19 +221,17 @@ def _sweeps(draw):
     # the sweep takes a reduced basis: the RREF without its zero rows
     basis, pivots = rref_mod_p_reference(np.array(rows, dtype=np.int64).reshape(k, n), p)
     limit = draw(st.integers(-1, n + 1))
-    # table sizes down to a single middle row and an empty suffix, so that
-    # small k already walks top rows in Gray order
-    sizes = draw(st.sampled_from([(0, 1), (1 << 10, 1), (1 << 12, 8), (1 << 20, 256)]))
-    return p, basis[: len(pivots)], limit, sizes
+    # table budgets down to chunks and blocks of a single row
+    budget = draw(st.sampled_from([0, 1 << 10, 1 << 12, 1 << 20]))
+    return p, basis[: len(pivots)], limit, budget
 
 
 @settings(max_examples=150, deadline=None)
 @given(_sweeps())
 def test_spectrum_matches_oracles_on_random_generators(sweep):
-    p, rows, limit, (budget, middle_rows) = sweep
+    p, rows, limit, budget = sweep
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
-        mp.setattr(kernels, "_MIDDLE_ROWS", middle_rows)
         hist, words = spectrum(rows, p, limit)
     expected = brute_force_spectrum(rows, p)
     assert hist.shape == (rows.shape[1] + 1,)
@@ -269,7 +269,7 @@ def test_rref_pivots_tests_a_stack_as_each_of_its_items(data):
 @settings(max_examples=100, deadline=None)
 @given(_sweeps())
 def test_lightest_words_match_the_messages_of_each_weight(sweep):
-    p, rows, _, (budget, _) = sweep
+    p, rows, _, budget = sweep
     k = rows.shape[0]
     expected = brute_force_lightest_by_message_weight(rows, p)
     with pytest.MonkeyPatch.context() as mp:
@@ -308,6 +308,29 @@ def test_hull_histogram_matches_pinned_digest(p, h, n):
     assert hashlib.sha256(hist.tobytes()).hexdigest() == HULL_DIGESTS[(p, h, n)]
 
 
+# word counts and sha256 of the int64 histogram and the words sorted as
+# enumerate_spectrum sorts them, for the generator sweeps that `pgcodes code
+# spectrum` runs with --budget 43046721 (PG(4,3), 3^16 messages) and
+# 67108864 (PG(4,4), 2^26); pinned from the Gray-walk sweep that the two half
+# tables replaced
+GENERATOR_DIGESTS = {
+    (3, 1, 4): (14762, "1f4b57f27d1c7079d37567c056e09abf1022f2f3bd29a22c144c5aff5b155a80"),
+    (2, 2, 4): (58311, "4ec3b0538e3025f292fa706803795a8d01ab6a0906b5f5ea6823a6f614b81d8a"),
+}
+
+
+@pytest.mark.parametrize("p,h,n", sorted(GENERATOR_DIGESTS))
+def test_generator_sweep_matches_pinned_digest(p, h, n):
+    g = GeometrySpec(make_field(p, h), n)
+    model = build_model(g)
+    hist, words = spectrum(model.generator, p, 2 * g.q ** (n - 1))
+    count, digest = GENERATOR_DIGESTS[(p, h, n)]
+    assert hist.dtype == np.int64 and words.shape == (count, g.num_points)
+    assert int(hist.sum()) == p**model.dimension
+    low = np.ascontiguousarray(_sort_words(words))
+    assert hashlib.sha256(hist.tobytes() + low.tobytes()).hexdigest() == digest
+
+
 def _check_isd_output(rows, p, max_weight, found):
     from pgcodes.code import p_rank
 
@@ -323,10 +346,9 @@ def _check_isd_output(rows, p, max_weight, found):
 def test_isd_round_finds_only_codewords(p, k, n):
     rng = np.random.default_rng(p + k)
     rows = random_rank_rows(rng, k, n, p)
-    inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
     perm = rng.permutation(n)
     permuted = rows[:, perm]
-    found = isd_rounds(permuted, np.arange(n)[None], p, n, inv)[0]
+    found = isd_rounds(permuted, np.arange(n)[None], p, n)[0]
     _check_isd_output(permuted, p, n, found)
     # with max_weight = n every single-row word appears
     assert found.shape[0] >= k
@@ -336,13 +358,8 @@ def test_isd_round_finds_only_codewords(p, k, n):
 def test_isd_round_respects_max_weight(p):
     rng = np.random.default_rng(31 * p)
     rows = random_rank_rows(rng, 5, 12, p)
-    inv = np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
-    found = isd_rounds(rows, np.arange(12)[None], p, 3, inv)[0]
+    found = isd_rounds(rows, np.arange(12)[None], p, 3)[0]
     _check_isd_output(rows, p, 3, found)
-
-
-def _inverse_table(p):
-    return np.array([pow(a, p - 2, p) if a else 0 for a in range(p)], dtype=np.uint8)
 
 
 def _lightest_pair_weight(reduced, p):
@@ -382,7 +399,7 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
     lightest = {_lightest_pair_weight(r[: len(piv)], p) for r, piv in reduced}
     caps = {n // 2, n} | lightest | {w - 1 for w in lightest}
     for max_weight in sorted(caps):
-        words, items = isd_rounds(rows, perms, p, max_weight, _inverse_table(p))
+        words, items = isd_rounds(rows, perms, p, max_weight)
         assert words.dtype == np.uint8
         for b, perm in enumerate(perms):
             r, piv = reduced[b]
@@ -415,9 +432,9 @@ def test_isd_rounds_find_a_pair_that_meets_the_character_bound(p, c):
     assert weight == 4 and np.count_nonzero(rows, axis=1).min() == 9
     assert _lightest_pair_weight(rows, p) == weight
     identity = np.arange(n)[None]
-    words = isd_rounds(rows, identity, p, weight, _inverse_table(p))[0]
+    words = isd_rounds(rows, identity, p, weight)[0]
     assert [tuple(int(x) for x in w) for w in words] == [pair]
-    assert isd_rounds(rows, identity, p, weight - 1, _inverse_table(p))[0].shape == (0, n)
+    assert isd_rounds(rows, identity, p, weight - 1)[0].shape == (0, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -429,7 +446,7 @@ def test_isd_rounds_refuse_a_generator_without_full_row_rank(p):
     deficient = np.vstack([rows[:2], (rows[0].astype(np.int64) + rows[1]) % p]).astype(np.uint8)
     perms = np.array([np.arange(10), rng.permutation(10)])
     with pytest.raises(ValueError, match="full row rank"):
-        isd_rounds(deficient, perms, p, 10, _inverse_table(p))
+        isd_rounds(deficient, perms, p, 10)
 
 
 def _gapped_matrices(p):
@@ -479,15 +496,14 @@ def _check_against_reference(mats, reduced, pivots, p, name):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 251])
 def test_systematize_skips_empty_columns_as_the_reference_does(p):
-    inv = make_field(p).inv_table
     cases = _gapped_matrices(p)
     for name, mat in cases:
-        reduced, pivots = kernels._systematize(mat[None].astype(np.uint8), p, inv)
+        reduced, pivots = kernels._systematize(mat[None].astype(np.uint8), p)
         _check_against_reference([mat], reduced, pivots, p, name)
     # one stack: each item pivots in columns that the others must skip
     mat = cases[0][1]
     stack = [mat, mat[:, ::-1], np.roll(mat, kernels._LOOKAHEAD // 2, axis=1), 0 * mat]
-    reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), p, inv)
+    reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), p)
     _check_against_reference(stack, reduced, pivots, p, "stack")
 
 
@@ -505,10 +521,9 @@ def test_systematize_over_f2_matches_the_reference_at_word_boundaries(n):
     # words, more rows than columns, and items of different ranks (a zero
     # item among them) in one stack
     rng = np.random.default_rng(n)
-    inv = make_field(2).inv_table
     for k in (3, n + 2):
         stack = _binary_items(rng, k, n)
-        reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), 2, inv)
+        reduced, pivots = kernels._systematize(np.array(stack, dtype=np.uint8), 2)
         assert reduced.dtype == np.uint8
         _check_against_reference(stack, reduced, pivots, 2, f"k={k}")
 
@@ -520,7 +535,7 @@ def test_systematize_over_f2_matches_the_reference_on_random_stacks(data):
     n = data.draw(st.one_of(st.integers(0, 9), st.integers(60, 68), st.integers(126, 130)))
     bits = data.draw(st.lists(st.booleans(), min_size=b * k * n, max_size=b * k * n))
     stack = np.array(bits, dtype=np.uint8).reshape(b, k, n)
-    reduced, pivots = kernels._systematize(stack, 2, make_field(2).inv_table)
+    reduced, pivots = kernels._systematize(stack, 2)
     _check_against_reference(stack, reduced, pivots, 2, "random")
 
 
