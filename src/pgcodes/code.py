@@ -145,8 +145,21 @@ def weight(w: np.ndarray) -> int:
     return int(np.count_nonzero(w))
 
 
+def _whole_numbers(values) -> np.ndarray:
+    """values as an integer or boolean array; ValueError, not a truncation,
+    for an entry that is no whole number (NaN casts to some integer)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr
+    with np.errstate(invalid="ignore"):
+        whole = arr.astype(np.int64)
+    if not np.array_equal(whole, arr):
+        raise ValueError("entries must be whole numbers")
+    return whole
+
+
 def as_word(g: GeometrySpec, w) -> np.ndarray:
-    arr = np.asarray(w, dtype=np.int64)
+    arr = _whole_numbers(w)
     if arr.ndim != 1 or arr.shape[0] != g.num_points:
         raise LengthMismatch(f"expected length {g.num_points}, got shape {arr.shape}")
     p = g.field.p
@@ -157,11 +170,9 @@ def as_word(g: GeometrySpec, w) -> np.ndarray:
 
 def as_words(g: GeometrySpec, words) -> np.ndarray:
     """An (m, theta_n) word array as uint8, validated like as_word."""
-    arr = np.asarray(words)
+    arr = _whole_numbers(words)
     if arr.ndim != 2 or arr.shape[1] != g.num_points:
         raise LengthMismatch(f"expected rows of length {g.num_points}, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.int64)
     p = g.field.p
     if arr.size and (arr.min() < 0 or arr.max() >= p):
         raise ValueError(f"entries must lie in [0, {p})")

@@ -190,8 +190,8 @@ def as_point_index(g: GeometrySpec, point) -> int:
             raise GeometryMismatch("point from a different geometry")
         return point.index
     idx = int(point)
-    if not 0 <= idx < g.num_points:
-        raise GeometryMismatch(f"point index {idx} out of range")
+    if idx != point or not 0 <= idx < g.num_points:
+        raise GeometryMismatch(f"point index {point!r} is not a whole number in [0, {g.num_points})")
     return idx
 
 

@@ -5,26 +5,22 @@ generator), the enumeration of low-weight messages behind a minimum-weight
 proof, and the randomized information-set rounds of the low-weight search.
 All are plain numpy whose inner work is float32 matrix products.
 
-spectrum is a meet-in-the-middle sweep, one code path for every p.  It takes
-a reduced basis, as every basis of a code model is, and refuses any other
-input after one look at its shape (_rref_pivots): a word's entries on the
-pivot columns are its message digits, so only the other columns enter the
-products and the digit counts are added as constant columns.  The tables of
-all combinations of the first k // 2 rows and of the others are built once,
-and a float32 product of their encodings gives the weight of every sum of a
-left and a right row in a block: one bincount per block counts them.  Over
-F_2 the encodings hold +-1/2 and +-1 entries; over odd p they hold one-hot
-value indicators.  One message per scalar orbit {c x : c != 0} is weighed,
-the one whose leading digit is 1.  It returns the weight histogram and
-every word of weight 1..collect_limit, with no cap on their number.  The
-package sweeps only the generator: analysis.enumerate_spectrum checks the
-histogram against the MacWilliams identities and sorts the words.
-
+spectrum and lightest_words are meet-in-the-middle enumerations on one
+table builder and one block loop.  Both take a reduced basis, whose words'
+entries on the pivot columns are their message digits, so only the other
+columns enter the products.  _half_tables makes the combinations of the
+first k // 2 rows and of the others, grouped by digit count with the rows
+whose leading digit is 1 first.  _blocks encodes chunks of two sets of
+such rows (_encode: +-1/2 and +-1 entries over F_2, one-hot value
+indicators over odd p) and yields their float32 products, the weights of
+the sums on the non-pivot columns.  One message per scalar orbit
+{c x : c != 0} is weighed, the one whose leading digit is 1.  spectrum
+adds the digit counts to each block, bincounts it and collects the words
+of weight 1..collect_limit; analysis.enumerate_spectrum checks the
+histogram by the MacWilliams identities and sorts the words.
 lightest_words serves analysis.minimum_weight's Brouwer-Zimmermann proof
-with the same machinery: it enumerates the messages of one weight t at a
-time, one per scalar orbit, from two half tables built by _combinations
-with at most t digits and encoded by _encode, one product per split of t
-between the halves, and yields the lightest word of each weight.
+with the argmin of each block of each split of a weight t between the
+halves' groups.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
@@ -67,8 +63,8 @@ from pgcodes.gf import make_field
 
 # -- spectrum sweep ----------------------------------------------------------
 
-# a right chunk's float32 encoding and each float32 weight block stay near
-# this many bytes, and a left chunk's encoding near four times as many
+# in _blocks, a chunk's float32 encoding and each float32 block stay near
+# this many bytes, and the held part's encoding near four times as many
 _SPECTRUM_BYTES = 1 << 19
 
 
@@ -104,10 +100,9 @@ def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _mod_p(sums, p).astype(np.uint8, copy=False)
 
 
-def _combinations(rows: np.ndarray, p: int, max_digits: int | None = None) -> np.ndarray:
-    """All p^m combinations sum_i c_i rows[i] mod p of m rows, as uint8 rows;
-    with max_digits, only those with at most that many nonzero c_i, in the
-    same order."""
+def _combinations(rows: np.ndarray, p: int, max_digits: int) -> np.ndarray:
+    """The combinations sum_i c_i rows[i] mod p of m rows with at most
+    max_digits nonzero c_i, as uint8 rows, in the order of all p^m of them."""
     n = rows.shape[1]
     # c * row + entry stays below p (p - 1) + 1: a byte holds it up to p = 13,
     # and 2^16 up to p = 251
@@ -115,10 +110,10 @@ def _combinations(rows: np.ndarray, p: int, max_digits: int | None = None) -> np
     table = np.zeros((1, n), dtype=dtype)
     digits = np.zeros(1, dtype=np.intp)
     coeffs = np.arange(p, dtype=dtype)[:, None, None]
-    for row in rows:
+    for i, row in enumerate(rows):
         table = _mod_p(table + coeffs * row.astype(dtype), p).reshape(p * len(table), n)
-        if max_digits is not None:
-            digits = (digits + (coeffs.ravel() != 0)[:, None]).ravel()
+        digits = (digits + (coeffs.ravel() != 0)[:, None]).ravel()
+        if i >= max_digits:  # only now can a combination exceed the cap
             table, digits = table[digits <= max_digits], digits[digits <= max_digits]
     return table.astype(np.uint8)
 
@@ -187,17 +182,60 @@ def _reduced_basis(rows, p: int):
     return np.ascontiguousarray(rows, dtype=np.uint8), free
 
 
-def _digits_and_units(table: np.ndarray, free: np.ndarray):
-    """(digits, unit) for combinations of rows of a reduced basis: each one's
-    number of nonzero message digits, its nonzero entries on the pivot
-    columns, and whether its leading digit, its first nonzero entry, is 1."""
-    nonzero = table != 0
-    # the zero combination leads with no digit, as does every one of a
-    # basis with no columns
-    unit = np.zeros(len(table), dtype=bool)
-    if table.shape[1]:
-        unit = table[np.arange(len(table)), nonzero.argmax(axis=1)] == 1
-    return nonzero[:, ~free].sum(axis=1), unit
+def _half_tables(rows: np.ndarray, p: int, free: np.ndarray, max_digits: int):
+    """(columns, left, right) for a reduced basis and its non-pivot mask.
+
+    left and right are the combinations (_combinations) with at most
+    max_digits nonzero message digits of the first k // 2 rows and of the
+    others, each as (table, starts, units): the rows with d digits are
+    table[starts[d]:starts[d + 1]], those whose leading digit (the word's
+    first nonzero entry) is 1 first, up to units[d].  Table column i is the
+    basis's column columns[i]: the non-pivot columns first, so that _encode
+    reads rows, several times faster than a selection of columns.
+    """
+    columns = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+    rows, n_free = rows[:, columns], len(columns) - len(rows)
+    halves = []
+    for part in (rows[: len(rows) // 2], rows[len(rows) // 2 :]):
+        table = _combinations(part, p, max_digits)
+        # the pivot entries are the digits; the zero combination leads with
+        # none, as does every one of a basis with no rows
+        nonzero = table[:, n_free:] != 0
+        unit = np.zeros(len(table), dtype=bool)
+        if nonzero.shape[1]:
+            unit = table[np.arange(len(table)), n_free + nonzero.argmax(axis=1)] == 1
+        digits = nonzero.sum(axis=1)
+        order = np.lexsort((~unit, digits))
+        starts = np.searchsorted(digits[order], np.arange(max_digits + 2))
+        units = starts[:-1] + np.bincount(digits[unit], minlength=max_digits + 1)
+        halves.append((table[order], starts, units))
+    return columns, *halves
+
+
+def _blocks(a: np.ndarray, b: np.ndarray, p: int, n_free: int):
+    """Yields (i, j, block) over all of a x b: block[r, s] is the float32
+    product of the encodings (_encode) of a[i + r] and b[j + s] on their
+    first n_free columns, their sum's weight there less n_free / 2 over F_2
+    and less n_free over odd p.
+
+    Chunks of rows are encoded to about _SPECTRUM_BYTES.  The smaller of a
+    and b is held four chunks at a time and the other encoded chunk by chunk
+    once per held part, so once in all when the smaller fits in one part.
+    Each block stays near _SPECTRUM_BYTES.
+    """
+    chunk = max(1, _SPECTRUM_BYTES // (4 * max(1, n_free * (1 if p == 2 else p))))
+    hold_a = len(a) <= len(b)
+    held, other = (a, b) if hold_a else (b, a)
+    for h in range(0, len(held), 4 * chunk):
+        held_code = _encode(held[h : h + 4 * chunk, :n_free], p, right=not hold_a)
+        for o in range(0, len(other), chunk):
+            other_code = _encode(other[o : o + chunk, :n_free], p, right=hold_a)
+            step = max(1, _SPECTRUM_BYTES // (4 * len(other_code)))
+            for s in range(0, len(held_code), step):
+                if hold_a:
+                    yield h + s, o, held_code[s : s + step] @ other_code.T
+                else:
+                    yield o, h + s, other_code @ held_code[s : s + step].T
 
 
 def spectrum(rows: np.ndarray, p: int, collect_limit: int):
@@ -211,83 +249,52 @@ def spectrum(rows: np.ndarray, p: int, collect_limit: int):
     implementation-defined; analysis.enumerate_spectrum checks the histogram
     and sorts.
 
-    A word's entries on the pivot columns are its message digits, so its
-    weight is its number of nonzero digits plus its weight on the n - k
-    other columns, and only those columns enter the products.  A message is
-    a sum u + v of a combination u of the first k // 2 rows and one v of
-    the others, and the two tables of all such combinations are built by
-    _combinations.  One message per scalar orbit {c x : c != 0} is swept:
-    a left row whose leading digit is 1 with any right row, or the zero
-    left row with a right row whose leading digit is 1.  Left rows encode
-    as [code(u), digits(u), 1] and right rows as [code(v), 1, digits(v)
-    plus the offset of _encode], so a float32 product of the two gives the
-    weight of every u + v of its block.  Each block is counted p - 1 times,
-    the zero message once, and over odd p its collected words are expanded
-    by c = 1..p-1.
+    A message is a sum u + v of a left and a right row of _half_tables, and
+    its weight is its entry in a block of _blocks plus that block's offset
+    and the two rows' digit counts.  One message per scalar orbit
+    {c x : c != 0} is swept: a left row whose leading digit is 1 with any
+    right row, or the zero left row with a right row whose leading digit is
+    1.  Each block is counted p - 1 times, the zero message once, and over
+    odd p its collected words are expanded by c = 1..p-1.
     """
     rows, free = _reduced_basis(rows, p)
     k, n = rows.shape
-    left, right = _combinations(rows[: k // 2], p), _combinations(rows[k // 2 :], p)
-    left_digits, left_units = _digits_and_units(left, free)
-    right_digits, right_units = _digits_and_units(right, free)
-    n_free = int(free.sum())
-    # the product of the codes is wt - n_free / 2 over F_2, wt - n_free over
-    # odd p
-    offset = n_free / 2 if p == 2 else n_free
-
-    def encode(values, digits, is_right):
-        code = _encode(values[:, free], p, right=is_right)
-        ones = np.ones((len(values), 1), dtype=np.float32)
-        digits = digits[:, None].astype(np.float32) + (offset if is_right else 0)
-        return np.hstack([code, ones, digits] if is_right else [code, digits, ones])
-
-    chunk = max(1, _SPECTRUM_BYTES // (4 * (n_free * (1 if p == 2 else p) + 2)))
+    columns, *tables = _half_tables(rows, p, free, k)
+    halves = []
+    for table, starts, units in tables:
+        digits = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        # the rows in the basis's column order, for the collected words
+        words = np.take(table, np.argsort(columns), axis=1)
+        unit = np.arange(len(table)) < units[digits]
+        halves.append((table, words, digits.astype(np.float32), unit))
+    (left, left_words, left_digits, left_unit), (right, right_words, right_digits, right_unit) = halves
+    # the products are wt - (n - k) / 2 over F_2 and wt - (n - k) over odd p
+    left_digits += (n - k) / 2 if p == 2 else n - k
     hist = np.zeros(n + 1, dtype=np.int64)
     hist[0] = 1
-    collected = []
+    collected = [np.zeros((0, n), dtype=np.uint8)]
     scales = np.arange(1, p, dtype=np.uint16)[:, None, None]
     # the zero combination is row 0 of a table
-    everything, zero = np.arange(len(right)), np.zeros(1, dtype=np.intp)
-    for a, b in [(np.flatnonzero(left_units), everything), (zero, np.flatnonzero(right_units))]:
-        # a few chunks of left rows are encoded at a time, and the right
-        # table once for each of them
-        for a_start in range(0, len(a), 4 * chunk):
-            a_rows = a[a_start : a_start + 4 * chunk]
-            a_code = encode(left[a_rows], left_digits[a_rows], False)
-            for b_start in range(0, len(b), chunk):
-                b_rows = b[b_start : b_start + chunk]
-                b_code = encode(right[b_rows], right_digits[b_rows], True).T
-                step = max(1, _SPECTRUM_BYTES // (4 * len(b_rows)))
-                for start in range(0, len(a_rows), step):
-                    block = a_code[start : start + step] @ b_code
-                    hist += np.bincount(block.ravel().astype(np.intp), minlength=n + 1) * (p - 1)
-                    if collect_limit < 1:
-                        continue
-                    # every message here is nonzero, of weight at least 1; flat
-                    # indices, as np.nonzero of a 2-d mask is many times slower
-                    i, j = np.divmod(np.flatnonzero(block <= collect_limit), block.shape[1])
-                    if i.size:
-                        # sums stay below 2p and multiples below p^2, within uint16
-                        found = left[a_rows[start + i]].astype(np.uint16)
-                        found += right[b_rows[j]]
-                        found = _mod_p(found, p)[None]
-                        if p > 2:
-                            found = _mod_p(scales * found, p)
-                        collected.append(found.reshape(-1, n).astype(np.uint8))
-    words = np.concatenate(collected) if collected else np.zeros((0, n), dtype=np.uint8)
-    return hist, words
-
-
-def _digit_groups(rows: np.ndarray, p: int, max_digits: int, free: np.ndarray):
-    """The combinations of rows of a reduced basis with at most max_digits
-    nonzero digits, grouped: (table, starts, units), where the rows with d
-    digits are table[starts[d]:starts[d + 1]] and those of them whose
-    leading digit is 1 are table[starts[d]:units[d]]."""
-    table = _combinations(rows, p, max_digits)
-    digits, unit = _digits_and_units(table, free)
-    order = np.lexsort((~unit, digits))
-    starts = np.searchsorted(digits[order], np.arange(max_digits + 2))
-    return table[order], starts, starts[:-1] + np.bincount(digits[unit], minlength=max_digits + 1)
+    for a, b in [(left_unit, slice(None)), ([0], right_unit)]:
+        a_words, a_digits, b_words, b_digits = left_words[a], left_digits[a], right_words[b], right_digits[b]
+        for i, j, block in _blocks(left[a], right[b], p, n - k):
+            block += a_digits[i : i + len(block), None]
+            block += b_digits[j : j + block.shape[1]]
+            hist += np.bincount(block.ravel().astype(np.intp), minlength=n + 1) * (p - 1)
+            if collect_limit < 1:
+                continue
+            # every message here is nonzero, of weight at least 1; flat
+            # indices, as np.nonzero of a 2-d mask is many times slower
+            r, s = np.divmod(np.flatnonzero(block <= collect_limit), block.shape[1])
+            if r.size:
+                # sums stay below 2p and multiples below p^2, within uint16
+                found = a_words[i + r].astype(np.uint16)
+                found += b_words[j + s]
+                found = _mod_p(found, p)[None]
+                if p > 2:
+                    found = _mod_p(scales * found, p)
+                collected.append(found.reshape(-1, n).astype(np.uint8))
+    return hist, np.concatenate(collected)
 
 
 def lightest_words(rows: np.ndarray, p: int, max_weight: int):
@@ -299,52 +306,33 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
     (messages, weight, word) for each t, the number of messages enumerated,
     which is C(k, t)(p-1)^(t-1) when none is lost, and the least weight of
     their words, with one word of that weight (None and None when there is
-    no message).
-
-    A message of weight t puts w digits on the first k // 2 rows and t - w
-    on the others.  The combinations of each half with at most max_weight
-    nonzero digits are built once (_combinations) and grouped by their digit
-    count; one message per orbit is kept, the one whose leading digit, the
-    first nonzero entry of its word, is 1.  Each weight class (w, t - w) is
-    then float32 products of the two groups' encodings (_encode), which
-    give the weight on the non-pivot columns of every sum; the t pivot
-    columns add t.  The tables stay uint8 and each class is encoded in
-    chunks as it is multiplied, so that each chunk's encoding and each
-    product block stay near _SPECTRUM_BYTES.
+    no message).  A message of weight t has w digits in the left half table
+    and t - w in the right one (_half_tables), and its leading digit is 1.
+    Each split (w, t - w) is the blocks (_blocks) of the two groups, and
+    each block's least entry, plus its offset and t, is its lightest word.
     """
     rows, free = _reduced_basis(rows, p)
-    k = rows.shape[0]
+    k, n = rows.shape
     half = k // 2
-    left, left_starts, left_units = _digit_groups(rows[:half], p, max_weight, free)
-    right, right_starts, right_units = _digit_groups(rows[half:], p, max_weight, free)
-    # the non-pivot columns first, so that _encode reads rows of them, which
-    # is several times faster than reading a selection of columns
-    columns = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
-    left, right = left[:, columns], right[:, columns]
-    n_free = int(free.sum())
-    width = n_free * (1 if p == 2 else p)
-    chunk = max(1, _SPECTRUM_BYTES // (4 * max(width, 1)))
-    # the product is wt - n_free / 2 over F_2 and wt - n_free over odd p
-    offset = n_free / (2 if p == 2 else 1)
+    halves = _half_tables(rows, p, free, max_weight)
+    columns, (left, left_starts, left_units), (right, right_starts, right_units) = halves
+    # the product is wt - (n - k) / 2 over F_2 and wt - (n - k) over odd p
+    offset = (n - k) / (2 if p == 2 else 1)
     for t in range(1, max_weight + 1):
         messages, weight, word = 0, None, None
         for w in range(max(0, t - (k - half)), min(t, half) + 1):
-            # the leading digit is the first half's unless it has none
+            # the leading digit is the left half's unless it has none
             a = left[left_starts[w] : left_units[w] if w else left_starts[1]]
             b = right[right_starts[t - w] : right_units[t] if w == 0 else right_starts[t - w + 1]]
             messages += len(a) * len(b)
-            for b_start in range(0, len(b), chunk):
-                b_code = _encode(b[b_start : b_start + chunk, :n_free], p, right=True)
-                step = max(1, _SPECTRUM_BYTES // (4 * max(width, len(b_code))))
-                for start in range(0, len(a), step):
-                    block = _encode(a[start : start + step, :n_free], p) @ b_code.T
-                    i, j = np.unravel_index(block.argmin(), block.shape)
-                    lightest = t + int(block[i, j] + offset)
-                    if weight is None or lightest < weight:
-                        # entries stay below 2p, within uint16
-                        found = a[start + i].astype(np.uint16) + b[b_start + j]
-                        weight, word = lightest, np.empty(len(columns), dtype=np.uint8)
-                        word[columns] = _mod_p(found, p)
+            for i, j, block in _blocks(a, b, p, n - k):
+                r, s = np.unravel_index(block.argmin(), block.shape)
+                lightest = t + int(block[r, s] + offset)
+                if weight is None or lightest < weight:
+                    # entries stay below 2p, within uint16
+                    found = a[i + r].astype(np.uint16) + b[j + s]
+                    weight, word = lightest, np.empty(n, dtype=np.uint8)
+                    word[columns] = _mod_p(found, p)
         yield messages, weight, word
 
 

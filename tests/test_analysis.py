@@ -472,6 +472,12 @@ def test_classify_zero_word():
     assert classify_word(build_model(PG23), zero_word(PG23)).kind is WordKind.ZERO
 
 
+def test_classify_word_refuses_entries_that_are_not_whole_numbers():
+    # truncated to the zero word, these would classify as ZERO
+    with pytest.raises(ValueError, match="whole numbers"):
+        classify_word(build_model(PG22), [0.5] * 7)
+
+
 def test_classify_hyperplane_multiples():
     model = build_model(PG23)
     for i in (0, 5, 12):

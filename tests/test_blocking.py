@@ -92,6 +92,9 @@ def test_pointset_rejects_foreign_points():
     for bad in (-1, PG22.num_points):
         with pytest.raises(GeometryMismatch):
             PointSet(PG22, [bad])
+    # truncated, these would be the points 0, 1 and 2
+    with pytest.raises(GeometryMismatch, match="whole number"):
+        PointSet(PG22, [0.5, 1.9, 2])
 
 
 def test_pointset_serialization_is_sorted_coordinates():

@@ -463,6 +463,37 @@ def test_as_word_validation():
     assert w.dtype == np.uint8
 
 
+# each would be truncated to a word of the code: the zero word, or one it
+# contains
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda model: as_word(model.geometry, [0.5] * 7),
+        lambda model: model.contains([0.5] * 7),
+        lambda model: model.hull_contains([0.9] * 7),
+        lambda model: model.dual_contains([1.5] + [0] * 6),
+        lambda model: as_word(model.geometry, [np.nan] * 7),
+    ],
+    ids=["as_word", "contains", "hull_contains", "dual_contains", "nan"],
+)
+def test_as_word_refuses_entries_that_are_not_whole_numbers(check):
+    with pytest.raises(ValueError, match="whole numbers"):
+        check(build_model(PG22))
+
+
+def test_as_words_refuses_entries_that_are_not_whole_numbers():
+    model = build_model(PG22)
+    words = np.zeros((2, 7))
+    words[1, 3] = 0.25
+    with pytest.raises(ValueError, match="whole numbers"):
+        code.as_words(PG22, words)
+    with pytest.raises(ValueError, match="whole numbers"):
+        model.contains_rows(words)
+    # whole numbers of any dtype, and booleans, pass as before
+    words[1, 3] = 1.0
+    assert code.as_words(PG22, words).tolist() == code.as_words(PG22, words.astype(bool)).tolist()
+
+
 def test_scalar_product_with_subspace_vectors_is_constant_per_word():
     # sampled form of the constancy property; the verify suite is exhaustive.
     # The constant depends on the codeword: incidence rows and j give 1,

@@ -153,6 +153,14 @@ def test_incident_rejects_mixed_geometries():
         incident(PG22.point((1, 0, 0)), PG23.hyperplane((1, 0, 0)))
 
 
+def test_as_point_index_refuses_an_index_that_is_not_a_whole_number():
+    for point in (0.5, 1.9, np.float64(2.5)):
+        with pytest.raises(GeometryMismatch, match="whole number"):
+            geometry.as_point_index(PG22, point)
+    # whole numbers and booleans pass as before
+    assert [geometry.as_point_index(PG22, x) for x in (2, np.int64(3), 4.0, True)] == [2, 3, 4, 1]
+
+
 @pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])
 def test_every_hyperplane_has_theta_n_minus_1_points(g):
     counts = incidence_bool(g).sum(axis=1)

@@ -97,11 +97,11 @@ def _rank_deficient_rows(p):
     return (np.vstack([rows, 2 * rows[0] + rows[1]]) % p).astype(np.uint8)
 
 
-# a zero budget leaves right chunks and blocks of a single row, and left
-# chunks of four rows
+# a zero budget leaves streamed chunks and blocks of a single row, and held
+# parts of four rows
 @pytest.mark.parametrize("kind", ["random", "deficient", "every-word"])
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
+def test_odd_p_sweep_in_single_row_chunks_matches_oracles(monkeypatch, p, kind):
     # one message per scalar orbit is swept, counted p - 1 times and its
     # collected words expanded to every multiple
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
@@ -112,7 +112,8 @@ def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
         rows = basis[: len(pivots)]
     else:
         # every word is collected, each of the p - 1 multiples of an orbit;
-        # six rows for p = 3 give the left half 13 unit rows, in four chunks
+        # six rows for p = 3 give the left half 13 unit rows, held in four
+        # parts against the 27 right rows
         rows = random_basis(np.random.default_rng(p), 6 if p == 3 else 4, 9, p)
     k, n = rows.shape
     limit = n if kind == "every-word" else n - 2
@@ -127,31 +128,31 @@ def test_odd_p_orbit_walk_matches_oracles(monkeypatch, p, kind):
 @pytest.mark.parametrize("p,k,n", [(2, 9, 10), (2, 9, 11), (3, 6, 8), (3, 6, 9)])
 def test_spectrum_weighs_each_orbit_once_across_short_chunks(monkeypatch, p, k, n):
     rows = random_basis(np.random.default_rng(n + p), k, n, p)
-    # right chunks of three rows, left chunks of twelve (the last one short)
-    # and blocks of a few rows: each half splits into several chunks
-    width = (n - k) * (1 if p == 2 else p) + 2
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 12 * width)
+    # streamed chunks of three rows, held parts of twelve (the last one
+    # short) and blocks of a few rows: each half splits into several chunks
+    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 12 * (n - k) * (1 if p == 2 else p))
     blocks = []
-    bincount = np.bincount
+    product_blocks = kernels._blocks
 
-    def counting(x, minlength):
-        blocks.append(x.size)
-        return bincount(x, minlength=minlength)
+    def counting(*args):
+        for i, j, block in product_blocks(*args):
+            blocks.append(block.size)
+            yield i, j, block
 
-    monkeypatch.setattr(np, "bincount", counting)
+    monkeypatch.setattr(kernels, "_blocks", counting)
     hist, words = spectrum(rows, p, n)
-    # every nonzero message's orbit is one entry of one block
+    # every nonzero message's orbit is one entry of one histogram block
     assert len(blocks) > 2 and sum(blocks) == (p**k - 1) // (p - 1)
     assert _hist_as_counter(hist) == brute_force_spectrum(rows, p)
     assert Counter(tuple(int(x) for x in w) for w in words) == Counter(_words_up_to(rows, p, n))
 
 
-def test_orbit_walk_does_not_wrap_for_large_p(monkeypatch):
-    # one left row and two right rows: a block holds the one left row whose
-    # leading digit is 1, and the 131^2 right rows split into 18 chunks.
-    # The words of weight 4 include row 0 + row 1, whose left and right rows
-    # are both 130 in column 3: 260 must reduce to 129 mod 131, not wrap
-    # past a byte
+def test_sweep_sums_do_not_wrap_for_large_p(monkeypatch):
+    # one left row and two right rows: the held part is the one left row
+    # whose leading digit is 1, and the 131^2 right rows stream in 18 chunks
+    # of 1,000.  The words of weight 4 include row 0 + row 1, whose left and
+    # right rows are both 130 in column 3: 260 must reduce to 129 mod 131,
+    # not wrap past a byte
     monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 1 << 20)
     p, limit = 131, 4
     rows = np.array([[1, 0, 0, 130, 7], [0, 1, 0, 130, 130], [0, 0, 1, 5, 1]], dtype=np.uint8)
@@ -287,9 +288,43 @@ def test_lightest_words_match_the_messages_of_each_weight(sweep):
 @pytest.mark.parametrize("p,k,limit", [(2, 6, 2), (3, 4, 3), (5, 3, 0), (7, 2, 2)])
 def test_combinations_with_a_digit_cap_keep_the_full_tables_order(p, k, limit):
     rows = np.eye(k, dtype=np.uint8)
-    full = kernels._combinations(rows, p)
+    full = kernels._combinations(rows, p, k)
     capped = kernels._combinations(rows, p, limit)
     assert np.array_equal(capped, full[np.count_nonzero(full, axis=1) <= limit])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_half_tables_group_each_halfs_combinations_by_digit_count(data):
+    # both enumerators read their message ranges off this layout: a group's
+    # bounds, its unit rows first, and the non-pivot columns first
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    k, n = data.draw(st.integers(0, 5 if p < 5 else 4)), data.draw(st.integers(0, 8))
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=k * n, max_size=k * n))
+    basis, pivots = rref_mod_p_reference(np.array(values, dtype=np.int64).reshape(k, n), p)
+    rows = basis[: len(pivots)].astype(np.uint8)
+    cap = data.draw(st.integers(0, len(rows) + 1))
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    columns, *halves = kernels._half_tables(rows, p, free, cap)
+    n_free = int(free.sum())
+    assert sorted(columns.tolist()) == list(range(n))
+    assert set(columns[:n_free].tolist()) == set(np.flatnonzero(free).tolist())
+    assert columns[n_free:].tolist() == pivots
+    half = len(rows) // 2
+    for part, (table, starts, units) in zip([rows[:half], rows[half:]], halves):
+        words = np.empty_like(table)
+        words[:, columns] = table
+        expected = kernels._combinations(part, p, cap)
+        assert Counter(map(tuple, words.tolist())) == Counter(map(tuple, expected.tolist()))
+        assert len(starts) == cap + 2 and starts[0] == 0 and starts[-1] == len(table)
+        digits = np.count_nonzero(words[:, pivots], axis=1)
+        for d in range(cap + 1):
+            assert starts[d] <= units[d] <= starts[d + 1]
+            assert (digits[starts[d] : starts[d + 1]] == d).all()
+            leads = [int(w[np.flatnonzero(w)[0]]) if w.any() else 0 for w in words[starts[d] : starts[d + 1]]]
+            assert leads == sorted(leads, key=lambda lead: lead != 1)
+            assert leads.count(1) == units[d] - starts[d]
 
 
 # sha256 of the int64 hull weight histograms, pinned from the byte-wise and
