@@ -19,14 +19,12 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
 from pgcodes import kernels
 from pgcodes.code import (
     CodeModel,
-    LengthMismatch,
     as_word,
     as_words,
     build_model,
@@ -38,13 +36,15 @@ from pgcodes.geometry import (
     Hyperplane,
     ProjPoint,
     Subspace,
+    as_mask,
     as_point_index,
-    enumerate_points,
     enumerate_subspaces,
     global_point_indices,
     incidence_bool,
     line_through_pairs,
     point_array,
+    point_mask,
+    points_at,
     subspace_point_indices,
     _subspace_from_rows,
 )
@@ -190,8 +190,7 @@ def support(w: np.ndarray) -> np.ndarray:
 
 
 def support_points(g: GeometrySpec, w) -> list[ProjPoint]:
-    pts = enumerate_points(g)
-    return [pts[int(i)] for i in support(as_word(g, w))]
+    return points_at(g, support(as_word(g, w)))
 
 
 def restrict(w, s: Subspace) -> np.ndarray:
@@ -603,18 +602,8 @@ def low_weight_search(
 # -- subspace traces ---------------------------------------------------------
 
 
-def _as_index_set(g: GeometrySpec, points) -> np.ndarray:
-    """Coerce ProjPoints / indices / mask to a sorted unique index array."""
-    if isinstance(points, np.ndarray) and points.dtype == bool:
-        if points.shape != (g.num_points,):
-            raise ValueError("mask length does not match the geometry")
-        return np.nonzero(points)[0].astype(np.int32)
-    return np.array(sorted({as_point_index(g, pt) for pt in points}), dtype=np.int32)
-
-
-def _ambient_subspace_from_indices(g: GeometrySpec, idx: Iterable[int]) -> Subspace:
-    rows = point_array(g)[np.asarray(list(idx), dtype=np.int64)]
-    return _subspace_from_rows(g, rows)
+def _ambient_subspace_from_indices(g: GeometrySpec, idx) -> Subspace:
+    return _subspace_from_rows(g, point_array(g)[list(idx)])
 
 
 def classify_subspace_traces(
@@ -633,8 +622,7 @@ def classify_subspace_traces(
     """
     if not 1 <= h <= g.n - 1:
         raise DimensionOutOfRange(f"h must be in [1, {g.n - 1}], got {h}")
-    mask = np.zeros(g.num_points, dtype=bool)
-    mask[_as_index_set(g, points)] = True
+    mask = point_mask(g, points)
     space_pts = subspace_point_indices(g, h)
     traces = mask[space_pts]
     inc = incidence_bool(GeometrySpec(g.field, h)) if h > 1 else np.eye(g.q + 1, dtype=bool)
@@ -694,17 +682,15 @@ def _tangent_block(g: GeometrySpec, sets: np.ndarray):
 
 
 def tangent_collinear_rows(g: GeometrySpec, inside) -> np.ndarray:
-    """(m, theta_n) answers for an (m, theta_n) boolean array of planar point
-    sets: are the tangent points of set w seen from point Q collinear?
+    """(m, theta_n) answers for an (m, theta_n) 0/1 mask array of planar
+    point sets: are the tangent points of set w seen from point Q collinear?
 
     Entries at points Q of the set itself are True: every line through Q
     then meets the set twice, so there are no tangent points.
     """
     if g.n != 2:
         raise DimensionOutOfRange("tangent collinearity is a planar check")
-    sets = np.asarray(inside, dtype=bool)
-    if sets.ndim != 2 or sets.shape[1] != g.num_points:
-        raise LengthMismatch(f"expected rows of length {g.num_points}, got shape {sets.shape}")
+    sets = as_mask(g, inside, 2)
     ok = np.empty(sets.shape, dtype=bool)
     for rows in row_blocks(sets.shape[0], g.num_points**2):
         sizes, top, _ = _tangent_block(g, sets[rows])
@@ -723,13 +709,11 @@ def tangent_collinearity(model: CodeModel, points, q_point) -> tuple[bool, Subsp
     g = model.geometry
     if g.n != 2:
         raise DimensionOutOfRange("tangent collinearity is a planar check")
-    xidx = _as_index_set(g, points)
+    mask = point_mask(g, points)
     qi = as_point_index(g, q_point)
-    if qi in xidx.tolist():
+    if mask[qi]:
         raise QInX(f"point index {qi} lies in the set")
-    mask = np.zeros(g.num_points, dtype=bool)
-    mask[xidx] = True
-    if not model.contains(mask.astype(np.uint8)):
+    if not model.contains(mask.view(np.uint8)):
         raise NotInCode("the set's incidence vector is not a codeword")
     size, top, best = (a[0, qi] for a in _tangent_block(g, mask[None]))
     if size < 2:

@@ -22,6 +22,7 @@ share one start.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -34,9 +35,11 @@ from .geometry import (
     Hyperplane,
     ProjPoint,
     Subspace,
-    as_point_index,
-    enumerate_points,
-    hyperplane_point_indices,
+    as_mask,
+    as_rows,
+    incidence_bool,
+    point_mask,
+    points_at,
     subspace_point_indices,
     theta,
     _as_subspaces,
@@ -60,42 +63,34 @@ class SizeGuaranteeViolated(UserWarning):
     """Reduction ran outside the regime where the result is provably unique."""
 
 
+@dataclass(frozen=True, slots=True)
 class PointSet:
     """An immutable set of points of one projective geometry.
 
-    Accepts projective points or their global indices.  Iteration and
-    serialization follow the global point order.
+    Accepts a boolean mask of theta_n entries, or projective points and
+    their global indices, repeats allowed (geometry.point_mask).  Iteration
+    and serialization follow the global point order.  Equal and hashed as
+    the pair (geometry, indices).
     """
 
-    __slots__ = ("geometry", "indices")
+    geometry: GeometrySpec
+    indices: tuple[int, ...]
 
     def __init__(self, geometry: GeometrySpec, points: Iterable) -> None:
         object.__setattr__(self, "geometry", geometry)
-        seen = {as_point_index(geometry, item) for item in points}
-        object.__setattr__(self, "indices", tuple(sorted(seen)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
+        indices = np.flatnonzero(point_mask(geometry, points)).tolist()
+        object.__setattr__(self, "indices", tuple(indices))
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self) -> Iterator[ProjPoint]:
-        pts = enumerate_points(self.geometry)
-        return iter([pts[i] for i in self.indices])
+        return iter(points_at(self.geometry, self.indices))
 
     def __contains__(self, item) -> bool:
         if isinstance(item, ProjPoint):
-            return item.geometry == self.geometry and item.index in set(self.indices)
-        return int(item) in set(self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return self.geometry == other.geometry and self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash((self.geometry, self.indices))
+            return item.geometry == self.geometry and item.index in self.indices
+        return item in self.indices
 
     def __repr__(self) -> str:
         return f"PointSet({self.geometry!r}, {len(self.indices)} points)"
@@ -107,27 +102,22 @@ class PointSet:
     @classmethod
     def from_word(cls, geometry: GeometrySpec, word: np.ndarray) -> "PointSet":
         """Point set supported by the nonzero coordinates of a word."""
-        return cls(geometry, np.nonzero(np.asarray(word))[0].tolist())
+        return cls(geometry, as_rows(geometry, word, geometry.field.p, 1) != 0)
 
     def word(self) -> np.ndarray:
-        out = np.zeros(self.geometry.num_points, dtype=np.uint8)
-        out[list(self.indices)] = 1
-        return out
+        return self.mask().view(np.uint8)
 
     def mask(self) -> np.ndarray:
-        out = np.zeros(self.geometry.num_points, dtype=bool)
-        out[list(self.indices)] = True
-        return out
+        return point_mask(self.geometry, self.indices)
 
     def without(self, index: int) -> "PointSet":
-        if index not in set(self.indices):
+        if index not in self.indices:
             raise PointNotInSet(f"point {index} is not in the set")
         return PointSet(self.geometry, [i for i in self.indices if i != index])
 
     def to_json_list(self) -> list:
         """Sorted coordinate vectors, each entry a field element index."""
-        pts = enumerate_points(self.geometry)
-        return [list(pts[i].coords) for i in self.indices]
+        return [list(pt.coords) for pt in self]
 
 
 def _check_k(g: GeometrySpec, k: int) -> None:
@@ -138,7 +128,8 @@ def _check_k(g: GeometrySpec, k: int) -> None:
 def _meets(g: GeometrySpec, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each (n-k)-subspace's meet with a (theta_n,) boolean mask, in table
     order: its number of points in the set and the sum of their indices,
-    which is the one point where the number is 1."""
+    which is the one point where the number is 1.  Checks k first."""
+    _check_k(g, k)
     table = subspace_point_indices(g, g.n - k)
     hit = mask[table]
     return hit.sum(axis=1), np.where(hit, table, 0).sum(axis=1)
@@ -146,7 +137,6 @@ def _meets(g: GeometrySpec, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
 
 def is_k_blocking(B: PointSet, k: int) -> bool:
     """True iff every (n-k)-subspace contains a point of B."""
-    _check_k(B.geometry, k)
     return bool(_meets(B.geometry, B.mask(), k)[0].all())
 
 
@@ -161,7 +151,6 @@ def tangent_spaces(B: PointSet, k: int, P: ProjPoint) -> list[Subspace]:
 
 
 def _essential_indices(B: PointSet, k: int) -> set[int]:
-    _check_k(B.geometry, k)
     counts, sums = _meets(B.geometry, B.mask(), k)
     if not counts.all():
         raise NotBlocking("essential points are defined for blocking sets only")
@@ -173,8 +162,7 @@ def essential_points(B: PointSet, k: int) -> set[ProjPoint]:
 
     B is minimal exactly when every point is essential.
     """
-    pts = enumerate_points(B.geometry)
-    return {pts[i] for i in _essential_indices(B, k)}
+    return set(points_at(B.geometry, sorted(_essential_indices(B, k))))
 
 
 def is_minimal(B: PointSet, k: int) -> bool:
@@ -202,10 +190,7 @@ def _reduction_start(g: GeometrySpec, mask, k: Optional[int]) -> tuple:
     public function calling this one."""
     if k is None:
         k = g.n - 1
-    _check_k(g, k)
-    current = np.array(mask, dtype=bool)
-    if current.shape != (g.num_points,):
-        raise GeometryMismatch(f"expected a mask of {g.num_points} points, got {current.shape}")
+    current = as_mask(g, mask, 1)
     counts, sums = _meets(g, current, k)
     if not counts.all():
         raise NotBlocking("reduction requires a k-blocking input")
@@ -253,7 +238,8 @@ def reduce_mask(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """The mask core of reduce_to_minimal: a new (theta_n,) boolean mask of
-    the minimal k-blocking subset it reaches from the points of mask.
+    the minimal k-blocking subset it reaches from the points of mask, a
+    (theta_n,) array of entries 0 or 1, boolean or integer.
 
     The removable points are kept in ascending order, and each step removes
     the first of them or, given rng, the one at rng.integers(len(removable)).
@@ -307,7 +293,5 @@ def symmetric_difference(H1: Hyperplane, H2: Hyperplane) -> PointSet:
         raise GeometryMismatch("hyperplanes from different geometries")
     if H1 == H2:
         raise EqualHyperplanes("symmetric difference requires distinct hyperplanes")
-    rows = hyperplane_point_indices(H1.geometry)
-    a = set(rows[H1.index].tolist())
-    b = set(rows[H2.index].tolist())
-    return PointSet(H1.geometry, a ^ b)
+    inc = incidence_bool(H1.geometry)
+    return PointSet(H1.geometry, inc[H1.index] ^ inc[H2.index])

@@ -31,6 +31,7 @@ from .analysis import (
 from .blocking import NotBlocking, PointSet, reduce_to_minimal
 from .verify import (
     DEFAULT_HULL_BUDGET,
+    DEFAULT_SEARCH_ITERATIONS,
     SUITES,
     InfeasibleParams,
     emit_report,
@@ -136,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET)
     verify.add_argument("--hull-budget", type=_at_least(1), default=DEFAULT_HULL_BUDGET)
     verify.add_argument(
-        "--iterations", type=_at_least(1), default=100_000, help="search rounds in search mode"
+        "--iterations",
+        type=_at_least(1),
+        default=DEFAULT_SEARCH_ITERATIONS,
+        help="search rounds in search mode",
     )
     verify.set_defaults(func=cmd_verify)
 

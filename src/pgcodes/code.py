@@ -1,9 +1,10 @@
 """The code of points and hyperplanes: row space of the incidence matrix.
 
 Words are plain numpy uint8 vectors of length theta_n over F_p, indexed by
-the global point order.  The incidence matrix has hyperplane rows in the
-same order, so it is symmetric.  All linear algebra here is mod p (the
-prime subfield), not mod q.
+the global point order, and enter through geometry.as_rows (as_word,
+as_words), whose LengthMismatch is re-exported here.  The incidence matrix
+has hyperplane rows in the same order, so it is symmetric.  All linear
+algebra here is mod p (the prime subfield), not mod q.
 
 A model build runs three eliminations: the incidence matrix, its k-row
 generator right to left, and the k x k Gram matrix right to left; nothing
@@ -28,7 +29,14 @@ from math import comb
 
 import numpy as np
 
-from pgcodes.geometry import GeometrySpec, as_point_index, incidence_bool, theta
+from pgcodes.geometry import (
+    GeometrySpec,
+    LengthMismatch,
+    _whole_numbers,
+    as_rows,
+    incidence_bool,
+    point_mask,
+)
 from pgcodes.kernels import _exact_float, _product_mod_p, _systematize
 
 
@@ -42,10 +50,6 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     at least one, so callers see a block even when there are no rows."""
     step = max(1, BLOCK_BYTES // (4 * width))
     return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
-
-
-class LengthMismatch(ValueError):
-    """Word length does not match the geometry."""
 
 
 class DimensionMismatch(AssertionError):
@@ -135,51 +139,27 @@ def all_one_word(g: GeometrySpec) -> np.ndarray:
 
 
 def incidence_vector(g: GeometrySpec, points) -> np.ndarray:
-    """0/1 word supported exactly on the given points (ProjPoint or index)."""
-    w = zero_word(g)
-    w[[as_point_index(g, pt) for pt in points]] = 1
-    return w
+    """0/1 word supported exactly on a point set: a boolean mask, or
+    ProjPoints and indices (geometry.point_mask)."""
+    return point_mask(g, points).view(np.uint8)
 
 
 def weight(w: np.ndarray) -> int:
     return int(np.count_nonzero(w))
 
 
-def _whole_numbers(values) -> np.ndarray:
-    """values as an integer or boolean array; ValueError, not a truncation,
-    for an entry that is no whole number (NaN casts to some integer)."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "biu":
-        return arr
-    with np.errstate(invalid="ignore"):
-        whole = arr.astype(np.int64)
-    if not np.array_equal(whole, arr):
-        raise ValueError("entries must be whole numbers")
-    return whole
+def as_words(g: GeometrySpec, words) -> np.ndarray:
+    """An (m, theta_n) word array as uint8, entries whole numbers in [0, p)."""
+    return as_rows(g, words, g.field.p, 2)
 
 
 def as_word(g: GeometrySpec, w) -> np.ndarray:
-    arr = _whole_numbers(w)
-    if arr.ndim != 1 or arr.shape[0] != g.num_points:
-        raise LengthMismatch(f"expected length {g.num_points}, got shape {arr.shape}")
-    p = g.field.p
-    if (arr < 0).any() or (arr >= p).any():
-        raise ValueError(f"entries must lie in [0, {p})")
-    return arr.astype(np.uint8)
+    """One word of length theta_n: the one-row case of as_words."""
+    return as_rows(g, w, g.field.p, 1)
 
 
-def as_words(g: GeometrySpec, words) -> np.ndarray:
-    """An (m, theta_n) word array as uint8, validated like as_word."""
-    arr = _whole_numbers(words)
-    if arr.ndim != 2 or arr.shape[1] != g.num_points:
-        raise LengthMismatch(f"expected rows of length {g.num_points}, got shape {arr.shape}")
-    p = g.field.p
-    if arr.size and (arr.min() < 0 or arr.max() >= p):
-        raise ValueError(f"entries must lie in [0, {p})")
-    return arr.astype(np.uint8, copy=False)
-
-
-def inner_product(a: np.ndarray, b: np.ndarray, p: int) -> int:
+def inner_product(a, b, p: int) -> int:
+    a, b = _whole_numbers(a), _whole_numbers(b)
     if a.shape != b.shape:
         raise LengthMismatch(f"length mismatch: {a.shape} vs {b.shape}")
     return int(np.dot(a.astype(np.int64), b.astype(np.int64)) % p)

@@ -21,6 +21,11 @@ Conventions fixed once and relied on everywhere:
   - hyperplane i has dual coordinates equal to point i's coordinates, so
     the incidence matrix is symmetric.
 
+Points, point sets, masks and words enter the package here: as_point_index
+(a ProjPoint or a whole-number index), point_mask (a boolean mask, or
+ProjPoints and indices), and as_rows and as_mask (word and mask arrays).
+points_at turns indices back into ProjPoints.
+
 The incidence matrix and the subspace tables come from GF(q) matrix
 products (fq_matmul), and each is one exact product over F_p on BLAS
 (kernels._product_mod_p, which code also uses): GF(q) is F_p^h, and
@@ -42,6 +47,10 @@ from pgcodes.kernels import _exact_float, _product_mod_p, _rref_pivots
 
 class GeometryMismatch(ValueError):
     """Objects from different geometries combined."""
+
+
+class LengthMismatch(GeometryMismatch):
+    """A word or mask whose shape does not fit the geometry."""
 
 
 class EqualPoints(ValueError):
@@ -108,29 +117,19 @@ class GeometrySpec:
 
 
 def _coerce_canonical(coords, g: GeometrySpec) -> tuple[int, ...]:
-    """Accept indices or FieldElements, scale so the first nonzero is 1."""
-    idx = []
+    """Accept whole-number element indices or FieldElements, scale so the
+    first nonzero is 1; _check_canonical then checks the length and zero."""
+    fld, idx = g.field, []
     for c in coords:
         if isinstance(c, FieldElement):
-            if c.field != g.field:
+            if c.field != fld:
                 raise GeometryMismatch("coordinate from a different field")
-            idx.append(c.index)
-        else:
-            v = int(c)
-            if not 0 <= v < g.field.q:
-                raise ValueError(f"element index {v} outside [0, {g.field.q})")
-            idx.append(v)
-    if len(idx) != g.n + 1:
-        raise DimensionOutOfRange(f"expected {g.n + 1} coordinates, got {len(idx)}")
-    vec = np.array(idx, dtype=np.uint8)
-    nz = np.nonzero(vec)[0]
-    if nz.size == 0:
-        raise ValueError("zero vector does not represent a projective point")
-    lead = int(vec[nz[0]])
-    if lead != 1:
-        fld = g.field
-        vec = fld.mul_table[fld.inv_table[lead], vec]
-    return tuple(int(x) for x in vec)
+            c = c.index
+        if int(c) != c or not 0 <= c < fld.q:
+            raise ValueError(f"element index {c!r} is not a whole number in [0, {fld.q})")
+        idx.append(int(c))
+    lead = next((c for c in idx if c), 1)
+    return tuple(fld.mul_table[fld.inv_table[lead], idx].tolist())
 
 
 def _check_canonical(coords: tuple[int, ...], g: GeometrySpec) -> None:
@@ -193,6 +192,50 @@ def as_point_index(g: GeometrySpec, point) -> int:
     if idx != point or not 0 <= idx < g.num_points:
         raise GeometryMismatch(f"point index {point!r} is not a whole number in [0, {g.num_points})")
     return idx
+
+
+def point_mask(g: GeometrySpec, points) -> np.ndarray:
+    """The (theta_n,) boolean mask of a point set.  A boolean array is the
+    mask itself and must have theta_n entries; anything else is an iterable
+    of ProjPoints of g or whole-number indices, repeats allowed."""
+    if getattr(points, "dtype", None) == bool:
+        return as_mask(g, points, 1)
+    mask = np.zeros(g.num_points, dtype=bool)
+    mask[[as_point_index(g, pt) for pt in points]] = True
+    return mask
+
+
+def _whole_numbers(values) -> np.ndarray:
+    """values as an integer or boolean array; ValueError, not a truncation,
+    for an entry that is no whole number (NaN casts to some integer)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr
+    with np.errstate(invalid="ignore"):
+        whole = arr.astype(np.int64)
+    if not np.array_equal(whole, arr):
+        raise ValueError("entries must be whole numbers")
+    return whole
+
+
+def as_rows(g: GeometrySpec, values, bound: int, ndim: int) -> np.ndarray:
+    """values as a uint8 array of ndim axes, the last of theta_n entries,
+    each a whole number in [0, bound) (p for words, 2 for masks; booleans
+    always are); LengthMismatch for another shape, ValueError for another entry."""
+    arr = _whole_numbers(values)
+    if arr.ndim != ndim or arr.shape[-1:] != (g.num_points,):
+        raise LengthMismatch(
+            f"expected {ndim} axes, the last of length {g.num_points}, got shape {arr.shape}"
+        )
+    if arr.dtype != bool and arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise ValueError(f"entries must lie in [0, {bound})")
+    return arr.astype(np.uint8, copy=False)
+
+
+def as_mask(g: GeometrySpec, mask, ndim: int) -> np.ndarray:
+    """A mask of ndim axes (one set, or a stack of sets when ndim is 2) with
+    entries 0 or 1, as bool."""
+    return as_rows(g, mask, 2, ndim).view(bool)
 
 
 @dataclass(frozen=True)
@@ -380,8 +423,13 @@ def point_indices(g: GeometrySpec, vecs) -> np.ndarray:
     return value - lead + (lead - 1) // (q - 1)
 
 
+def points_at(g: GeometrySpec, indices) -> list[ProjPoint]:
+    """The points at global indices in [0, theta_n), in the order given."""
+    return [ProjPoint(g, tuple(row)) for row in point_array(g)[list(indices)].tolist()]
+
+
 def enumerate_points(g: GeometrySpec) -> list[ProjPoint]:
-    return [ProjPoint(g, tuple(int(x) for x in row)) for row in point_array(g)]
+    return points_at(g, range(g.num_points))
 
 
 def enumerate_hyperplanes(g: GeometrySpec) -> list[Hyperplane]:

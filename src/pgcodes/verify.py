@@ -39,8 +39,9 @@ from . import kernels
 from .gf import make_field
 from .geometry import (
     GeometrySpec,
+    _whole_numbers,
     collineations,
-    hyperplane_point_indices,
+    incidence_bool,
     subspace_point_indices,
     theta,
 )
@@ -67,6 +68,7 @@ from .analysis import (
 from .blocking import reduce_mask_orders
 
 DEFAULT_HULL_BUDGET = 2**28
+DEFAULT_SEARCH_ITERATIONS = 100_000
 BBW_BUDGET = 2**20
 RESTRICTION_SAMPLES = 1000
 BLOCKING_TRIALS = 20
@@ -305,15 +307,15 @@ def run_suite(
     hull_budget: int = DEFAULT_HULL_BUDGET,
     seed: int = 0,
     mode: str = "auto",
-    search_iterations: int = 100_000,
+    search_iterations: int = DEFAULT_SEARCH_ITERATIONS,
 ) -> VerificationReport:
-    """Run the selected check suites for one parameter triple (p, h, n).
+    """Run the selected check suites for one triple (p, h, n) of whole numbers.
 
     The options are those of `pgcodes verify`.  BBW_BUDGET,
     RESTRICTION_SAMPLES, BLOCKING_TRIALS and BLOCKING_ORDERS are read here,
     at the call.
     """
-    p, h, n = (int(x) for x in params)
+    p, h, n = _whole_numbers(list(params)).tolist()
     if suites is None:
         chosen = list(SUITES)
     else:
@@ -503,19 +505,18 @@ def _run_hull(g, model, hull_budget) -> CheckResult:
 def _run_properties(g, model, rng) -> CheckResult:
     p = g.field.p
     subs = _subspace_words(g)
-    a = build_incidence_matrix(g)
-    # difference of any two subspace vectors orthogonal to every row of A
-    against_code = kernels._product_mod_p(a, subs.T, p)
-    item1 = bool((against_code == against_code[:, :1]).all())
     sample = np.concatenate(
         [
             model.generator,
-            a,
+            build_incidence_matrix(g),
             np.ones((1, g.num_points), dtype=np.uint8),
             _random_codewords(model, rng, 32),
         ]
     )
     pairing = kernels._product_mod_p(sample, subs.T, p)
+    # difference of any two subspace vectors orthogonal to every incidence row
+    against_code = pairing[len(model.generator) :][: g.num_points]
+    item1 = bool((against_code == against_code[:, :1]).all())
     item2 = bool((pairing == pairing[:, :1]).all())
     in_hull = model.hull_contains_rows(sample)
     item3 = bool((in_hull == (pairing[:, 0] == 0)).all())
@@ -620,13 +621,11 @@ def _run_blocking(g, low, rng, trials, orders) -> CheckResult:
     small_words = low.words[(low.weights > 0) & (low.weights < high)]
     bad = [_word_witness(r) for r in small_words[_small_word_faults(g, small_words)]]
     # order-independent reduction of hyperplane supersets below the bound
-    hyp_rows = hyperplane_point_indices(g)
     bound_extras = g.q ** (g.n - 1) - 1
     disagreements = []
     for _ in range(trials):
         h_idx = int(rng.integers(g.num_points))
-        base = np.zeros(g.num_points, dtype=bool)
-        base[hyp_rows[h_idx]] = True
+        base = incidence_bool(g)[h_idx]
         off = np.flatnonzero(~base)
         n_extra = int(rng.integers(1, min(bound_extras, off.size) + 1))
         superset = base.copy()

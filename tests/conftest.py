@@ -5,12 +5,28 @@ the first batched search round, over F_2 and over odd p, pay numpy's and
 BLAS's set-up cost (thread pool start, first-touch allocations); warming
 here keeps the runtime-bounded acceptance checks honest about steady-state
 speed.
+
+Hypothesis imports its failure-patch writer, and through it libcst, each
+time a property test fails, and that first import warns
+(mypy_extensions.TypedDict is deprecated).  Under filterwarnings = error the
+warning ended the whole session with INTERNALERROR, so the module is
+imported once here with DeprecationWarning ignored; later imports find it
+loaded.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from pgcodes import kernels
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # a Hypothesis without it, or without libcst
+        pass
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1040,6 +1040,32 @@ def test_tangent_collinear_rows_matches_the_scalar_reference(g):
     assert tangent_collinear_rows(g, sets[:0]).shape == (0, g.num_points)
 
 
+@pytest.mark.parametrize("bad", [0.5, 2])
+def test_tangent_collinear_rows_refuses_mask_entries_other_than_0_and_1(bad):
+    # cast to bool, either entry would be taken as a member of the set
+    sets = np.zeros((2, PG23.num_points))
+    sets[:, subspace_point_indices(PG23, 1)[0]] = 1
+    ints = sets.astype(np.uint8)
+    sets[1, np.flatnonzero(sets[1] == 0)[0]] = bad
+    with pytest.raises(ValueError):
+        tangent_collinear_rows(PG23, sets)
+    assert tangent_collinear_rows(PG23, ints).tolist() == tangent_collinear_rows(PG23, ints != 0).tolist()
+
+
+def test_point_set_arguments_read_a_boolean_mask_as_its_points():
+    model = build_model(PG23)
+    line = subspace_point_indices(PG23, 1)[4].tolist()
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[line] = True
+    outside = next(i for i in range(PG23.num_points) if i not in line)
+    assert tangent_collinearity(model, mask, outside) == tangent_collinearity(model, line, outside)
+    with pytest.raises(QInX):
+        tangent_collinearity(model, mask, line[0])
+    assert classify_subspace_traces(PG23, mask, 1) == classify_subspace_traces(PG23, line + line, 1)
+    with pytest.raises(LengthMismatch):
+        classify_subspace_traces(PG23, mask[:-1], 1)
+
+
 def test_tangent_collinear_rows_rejects_bad_input():
     with pytest.raises(DimensionOutOfRange):
         tangent_collinear_rows(PG32, np.zeros((1, PG32.num_points), dtype=bool))

@@ -11,6 +11,7 @@ from pgcodes.geometry import (
     DimensionOutOfRange,
     GeometryMismatch,
     GeometrySpec,
+    LengthMismatch,
     enumerate_points,
     enumerate_subspaces,
     global_point_indices,
@@ -95,6 +96,30 @@ def test_pointset_rejects_foreign_points():
     # truncated, these would be the points 0, 1 and 2
     with pytest.raises(GeometryMismatch, match="whole number"):
         PointSet(PG22, [0.5, 1.9, 2])
+
+
+def test_pointset_reads_a_boolean_mask_as_its_points():
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[[3, 8]] = True
+    # read as indices, the mask would be the point set {0, 1}
+    assert PointSet(PG23, mask).indices == (3, 8)
+    assert PointSet(PG23, mask) == PointSet(PG23, [8, 3, 3])
+    with pytest.raises(LengthMismatch):
+        PointSet(PG23, mask[:-1])
+    # a word's support makes the set, and its entries are checked as a word's
+    assert PointSet.from_word(PG23, mask.astype(np.uint8) * 2) == PointSet(PG23, mask)
+    with pytest.raises(ValueError, match="whole numbers"):
+        PointSet.from_word(PG23, mask * 0.5)
+    with pytest.raises(LengthMismatch):
+        PointSet.from_word(PG23, mask[:-1])
+
+
+def test_pointset_membership_does_not_truncate():
+    s = PointSet(PG23, [0, 5])
+    assert 5 in s and np.int64(5) in s and 5.0 in s
+    assert 0.5 not in s and 5.5 not in s
+    with pytest.raises(PointNotInSet):
+        s.without(0.5)
 
 
 def test_pointset_serialization_is_sorted_coordinates():
@@ -242,10 +267,10 @@ def test_is_minimal_requires_blocking_and_valid_k():
 def test_is_minimal_builds_no_point_objects(monkeypatch):
     import pgcodes.blocking as blocking
 
-    def refuse(g):
+    def refuse(g, indices):
         raise AssertionError("is_minimal enumerated the points")
 
-    monkeypatch.setattr(blocking, "enumerate_points", refuse)
+    monkeypatch.setattr(blocking, "points_at", refuse)
     assert is_minimal(line_set(PG23, 1), 1)
     line = line_set(PG23, 0)
     extra = next(i for i in range(13) if i not in line.indices)
@@ -317,6 +342,30 @@ def test_size_warning_points_at_the_caller():
     with pytest.warns(SizeGuaranteeViolated) as record:
         reduce_mask_orders(PG22, s.mask(), 3, np.random.default_rng(0))
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("bad", [0.5, 2])
+def test_reduction_masks_refuse_entries_other_than_0_and_1(bad):
+    # cast to bool, either entry would be taken as a member of the set
+    mask = PointSet(PG23, hyperplane_point_indices(PG23)[0].tolist()).mask().astype(float)
+    mask[np.flatnonzero(mask == 0)[0]] = bad
+    with pytest.raises(ValueError):
+        reduce_mask(PG23, mask)
+    with pytest.raises(ValueError):
+        reduce_mask_orders(PG23, mask, 3, np.random.default_rng(0))
+
+
+def test_integer_masks_reduce_as_boolean_masks_do():
+    line = hyperplane_point_indices(PG23)[0].tolist()
+    extra = next(i for i in range(PG23.num_points) if i not in line)
+    mask = PointSet(PG23, line + [extra]).mask()
+    for ints in (mask.astype(np.uint8), mask.astype(np.int64), mask.astype(float)):
+        assert reduce_mask(PG23, ints).tolist() == reduce_mask(PG23, mask).tolist()
+        got = reduce_mask_orders(PG23, ints, 3, np.random.default_rng(4))
+        want = reduce_mask_orders(PG23, mask, 3, np.random.default_rng(4))
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
+    with pytest.raises(LengthMismatch):
+        reduce_mask(PG23, mask[:-1].astype(np.uint8))
 
 
 def test_reduce_mask_rejects_before_warning():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes import code, kernels
+from pgcodes import code, geometry, kernels
 from pgcodes.gf import make_field
 from pgcodes.geometry import (
     GeometryMismatch,
@@ -452,6 +452,28 @@ def test_inner_product_examples():
     assert inner_product(v, zero_word(PG23), 3) == 0
     with pytest.raises(LengthMismatch):
         inner_product(v, np.zeros(5, dtype=np.uint8), 3)
+
+
+def test_inner_product_refuses_entries_that_are_not_whole_numbers():
+    # truncated, [0.5, 1] . [2, 1] would read 0 * 2 + 1 * 1 = 1 mod 3
+    with pytest.raises(ValueError, match="whole numbers"):
+        inner_product(np.array([0.5, 1]), np.array([2, 1]), 3)
+    with pytest.raises(ValueError, match="whole numbers"):
+        inner_product([2, 1], [0.5, 1], 3)
+    assert inner_product(np.array([2.0, 1.0]), [2, 1], 3) == 2
+
+
+def test_incidence_vector_reads_a_boolean_mask_as_its_points():
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[[4, 9, 12]] = True
+    # read as indices, the mask would be the point set {0, 1}
+    assert np.flatnonzero(incidence_vector(PG23, mask)).tolist() == [4, 9, 12]
+    assert incidence_vector(PG23, mask).dtype == np.uint8
+    assert incidence_vector(PG23, [12, 4, 9, 4]).tolist() == incidence_vector(PG23, mask).tolist()
+    with pytest.raises(LengthMismatch):
+        incidence_vector(PG23, mask[:-1])
+    assert code.LengthMismatch is geometry.LengthMismatch
+    assert issubclass(LengthMismatch, GeometryMismatch)
 
 
 def test_as_word_validation():

@@ -161,6 +161,39 @@ def test_as_point_index_refuses_an_index_that_is_not_a_whole_number():
     assert [geometry.as_point_index(PG22, x) for x in (2, np.int64(3), 4.0, True)] == [2, 3, 4, 1]
 
 
+def test_point_mask_reads_the_three_forms_of_a_point_set():
+    pts = geometry.enumerate_points(PG23)
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[[3, 8, 12]] = True
+    forms = ([12, 3, 8, 3], [pts[8], 12, pts[3]], iter([8, 12, 3]), mask)
+    for form in forms:
+        got = geometry.point_mask(PG23, form)
+        assert got.dtype == bool and np.flatnonzero(got).tolist() == [3, 8, 12]
+    # a boolean array is the mask itself, so a wrong length is a length error
+    with pytest.raises(geometry.LengthMismatch):
+        geometry.point_mask(PG23, mask[:-1])
+    assert issubclass(geometry.LengthMismatch, GeometryMismatch)
+    assert not geometry.point_mask(PG23, []).any()
+
+
+def test_points_at_returns_the_points_at_the_given_indices_in_order():
+    pts = geometry.enumerate_points(PG23)
+    assert [p.index for p in pts] == list(range(PG23.num_points))
+    assert geometry.points_at(PG23, [12, 0, 7, 7]) == [pts[12], pts[0], pts[7], pts[7]]
+    assert [p.index for p in geometry.points_at(PG23, np.array([5, 1]))] == [5, 1]
+    assert geometry.points_at(PG23, []) == []
+
+
+def test_point_coordinates_refuse_entries_that_are_not_whole_numbers():
+    # truncated, (0.5, 1, 0) would be the point (0, 1, 0)
+    for coords in ((0.5, 1, 0), (1, 2.5, 0), (1, 0, 3)):
+        with pytest.raises(ValueError, match="whole number"):
+            PG23.point(coords)
+        with pytest.raises(ValueError, match="whole number"):
+            PG23.hyperplane(coords)
+    assert PG23.point((2.0, np.int64(1), 0)).coords == (1, 2, 0)
+
+
 @pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])
 def test_every_hyperplane_has_theta_n_minus_1_points(g):
     counts = incidence_bool(g).sum(axis=1)

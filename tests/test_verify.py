@@ -140,6 +140,44 @@ def test_unknown_suite_and_mode_rejected():
         run_suite((2, 1, 2), mode="fast")
 
 
+@pytest.mark.parametrize("params", [(2, 1, 2.5), (2.9, 1, 2), (2, 1.5, 2)])
+def test_run_suite_refuses_params_that_are_not_whole_numbers(params):
+    # truncated, each of these would run PG(2,2) and pass
+    with pytest.raises(ValueError, match="whole numbers"):
+        run_suite(params, ["dimension"])
+
+
+def test_run_suite_reads_whole_numbers_of_any_type():
+    want = emit_report(run_suite((2, 1, 2), ["dimension"]))
+    assert emit_report(run_suite([2.0, np.int64(1), np.uint8(2)], ["dimension"])) == want
+
+
+def test_search_rounds_have_one_default():
+    default = inspect.signature(run_suite).parameters["search_iterations"].default
+    assert default == verify.DEFAULT_SEARCH_ITERATIONS == 100_000
+    args = build_parser().parse_args(["verify", "--p", "2", "--n", "2", "--all"])
+    assert args.iterations == verify.DEFAULT_SEARCH_ITERATIONS
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_properties_reads_differences_in_dual_off_the_incidence_rows(monkeypatch, row):
+    # one tampered incidence row, the first or the last, must show in
+    # differences_in_dual: a single point's word pairs to 1 with the lines
+    # through it and to 0 with the others
+    g = GeometrySpec(make_field(3), 2)
+    model = build_model(g)
+    honest = verify._run_properties(g, model, np.random.default_rng(0))
+    assert honest.status == "pass"
+    tampered = build_incidence_matrix(g).copy()
+    tampered[row] = 0
+    tampered[row, 0] = 1
+    monkeypatch.setattr(verify, "build_incidence_matrix", lambda geometry: tampered)
+    details = verify._run_properties(g, model, np.random.default_rng(0)).details
+    assert details["differences_in_dual"] is False
+    assert details["pairing_constant"] is False
+    assert details["sample_words"] == honest.details["sample_words"]
+
+
 def test_suite_subset_runs_in_canonical_order():
     r = run_suite((3, 1, 2), suites=["hull", "dimension"])
     assert [c.name for c in r.checks] == ["dimension", "hull"]
