@@ -23,13 +23,7 @@ from math import comb
 import numpy as np
 
 from pgcodes import kernels
-from pgcodes.code import (
-    CodeModel,
-    as_word,
-    as_words,
-    build_model,
-    row_blocks,
-)
+from pgcodes.code import CodeModel, as_word, as_words, build_model
 from pgcodes.geometry import (
     DimensionOutOfRange,
     GeometrySpec,
@@ -333,7 +327,8 @@ def classify_words(model: CodeModel, words) -> WordClassifications:
     """
     g = model.geometry
     arr = as_words(g, words)
-    parts = [_classify_block(g, arr[rows]) for rows in row_blocks(*arr.shape)]
+    blocks = kernels.row_blocks(arr.shape[0], 4 * arr.shape[1])
+    parts = [_classify_block(g, arr[rows]) for rows in blocks]
     return WordClassifications(g, *(np.concatenate(col) for col in zip(*parts)))
 
 
@@ -564,12 +559,12 @@ def low_weight_search(
 
     Each round permutes the columns at random, re-systematizes, and keeps
     codewords spanned by at most two rows of the systematized generator.
-    Rounds run in batches of kernels.isd_batch_size; one rng.permuted call
-    draws a batch's permutations, the same permutations in the same order,
-    and the same generator state, as one rng.permutation per round.  Finds
-    are deduplicated exactly as canonical (leading entry 1) scalar-orbit
-    representatives, and words holds every scalar multiple of them.  Not
-    guaranteed complete.
+    Rounds run in batches of kernels.row_blocks, k x theta_n bytes a round;
+    one rng.permuted call draws a batch's permutations, the same
+    permutations in the same order, and the same generator state, as one
+    rng.permutation per round.  Finds are deduplicated exactly as canonical
+    (leading entry 1) scalar-orbit representatives, and words holds every
+    scalar multiple of them.  Not guaranteed complete.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -583,10 +578,9 @@ def low_weight_search(
         return SearchResult(empty, empty, iterations, seed, max_weight)
     inverse = make_field(p).inv_table
     rng = np.random.default_rng(seed)
-    batch = kernels.isd_batch_size(model.dimension, npts)
     orbits = empty
-    for start in range(0, iterations, batch):
-        perms = rng.permuted(np.tile(np.arange(npts), (min(batch, iterations - start), 1)), axis=1)
+    for batch in kernels.row_blocks(iterations, model.dimension * npts):
+        perms = rng.permuted(np.tile(np.arange(npts), (batch.stop - batch.start, 1)), axis=1)
         rows = kernels.isd_rounds(model.generator, perms, p, max_weight)[0]
         lead = rows[np.arange(rows.shape[0]), (rows != 0).argmax(axis=1)]
         canon = kernels._mod_p(rows * inverse[lead][:, None].astype(np.uint16), p)
@@ -692,7 +686,7 @@ def tangent_collinear_rows(g: GeometrySpec, inside) -> np.ndarray:
         raise DimensionOutOfRange("tangent collinearity is a planar check")
     sets = as_mask(g, inside, 2)
     ok = np.empty(sets.shape, dtype=bool)
-    for rows in row_blocks(sets.shape[0], g.num_points**2):
+    for rows in kernels.row_blocks(sets.shape[0], 4 * g.num_points**2):
         sizes, top, _ = _tangent_block(g, sets[rows])
         ok[rows] = (sizes < 2) | (top == sizes)
     return ok

@@ -90,7 +90,8 @@ class PointSet:
     def __contains__(self, item) -> bool:
         if isinstance(item, ProjPoint):
             return item.geometry == self.geometry and item.index in self.indices
-        return item in self.indices
+        # a boolean is no point index: True is not point 1
+        return not isinstance(item, (bool, np.bool_)) and item in self.indices
 
     def __repr__(self) -> str:
         return f"PointSet({self.geometry!r}, {len(self.indices)} points)"
@@ -111,7 +112,7 @@ class PointSet:
         return point_mask(self.geometry, self.indices)
 
     def without(self, index: int) -> "PointSet":
-        if index not in self.indices:
+        if isinstance(index, ProjPoint) or index not in self:
             raise PointNotInSet(f"point {index} is not in the set")
         return PointSet(self.geometry, [i for i in self.indices if i != index])
 

@@ -37,19 +37,7 @@ from pgcodes.geometry import (
     incidence_bool,
     point_mask,
 )
-from pgcodes.kernels import _exact_float, _product_mod_p, _systematize
-
-
-# whole-array word tests run in row blocks whose float32 copy stays near this
-# size, which bounds their temporaries to a few times as much
-BLOCK_BYTES = 1 << 18
-
-
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices of rows whose float32 copies of the given width fit BLOCK_BYTES;
-    at least one, so callers see a block even when there are no rows."""
-    step = max(1, BLOCK_BYTES // (4 * width))
-    return [slice(start, start + step) for start in range(0, max(rows, 1), step)]
+from pgcodes.kernels import _exact_float, _product_mod_p, _systematize, row_blocks
 
 
 class DimensionMismatch(AssertionError):
@@ -216,7 +204,8 @@ class CodeModel:
         arr = as_words(g, words)
         columns = tests.T.astype(_exact_float(g.num_points, p))
         inside = np.empty(arr.shape[0], dtype=bool)
-        for rows in row_blocks(arr.shape[0], g.num_points):
+        # a block's float32 copy; its temporaries are a few times as much
+        for rows in row_blocks(arr.shape[0], 4 * g.num_points):
             inside[rows] = ~_product_mod_p(arr[rows], columns, p).any(axis=1)
         return inside
 

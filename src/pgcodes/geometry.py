@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from pgcodes.gf import FieldElement, FieldSpec
-from pgcodes.kernels import _exact_float, _product_mod_p, _rref_pivots
+from pgcodes.kernels import _exact_float, _product_mod_p, _rref_pivots, row_blocks
 
 
 class GeometryMismatch(ValueError):
@@ -183,11 +183,15 @@ class Hyperplane:
 
 
 def as_point_index(g: GeometrySpec, point) -> int:
-    """The global index of a ProjPoint of g or of an int in [0, theta_n)."""
+    """The global index of a ProjPoint of g or of an int in [0, theta_n); a
+    boolean is no index, so a list of booleans is refused, not read as the
+    points 0 and 1."""
     if isinstance(point, ProjPoint):
         if point.geometry != g:
             raise GeometryMismatch("point from a different geometry")
         return point.index
+    if isinstance(point, (bool, np.bool_)):
+        raise GeometryMismatch(f"point index {point!r} is a boolean, not a whole number")
     idx = int(point)
     if idx != point or not 0 <= idx < g.num_points:
         raise GeometryMismatch(f"point index {point!r} is not a whole number in [0, {g.num_points})")
@@ -267,14 +271,10 @@ class Subspace:
 # -- F_q linear algebra on index-coded arrays --------------------------------
 
 
-# fq_matmul takes the rows of a in blocks whose float product over F_p has
-# about this many entries, so that the block and its reduction stay in cache
-_PRODUCT_ENTRIES = 1 << 16
-
-
 def fq_matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Matrix product over GF(q) on element-index arrays, broadcast over
-    leading axes like a @ b.
+    """Matrix product over GF(q) on element-index arrays: an (m, inner)
+    matrix a times b, an (inner, cols) matrix or a (..., inner, cols) stack
+    of them, as a @ b; ValueError when a is not a matrix.
 
     GF(q) is F_p^h, and multiplication by an element is an h x h matrix over
     F_p (FieldSpec.mul_matrices), so the product is one exact product over
@@ -285,41 +285,30 @@ def fq_matmul(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     element indices by Horner's rule (every partial value is below q, so
     bytes hold it).
 
-    The leading axes of a join the rows and those of b the columns, so a
-    stack of right operands is laid side by side in one product; the pairs
-    of items that the broadcast takes are then picked out, and where a and
-    b are stacked along the same axis every pair of their items is
-    multiplied.  The rows of a are taken in blocks of about
-    _PRODUCT_ENTRIES product entries, which bounds the float temporaries.
+    A stack of right operands is laid side by side in one product.  The
+    rows of a are taken in kernels.row_blocks, whose float products over
+    F_p stay near kernels.BLOCK_BYTES.
     """
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix on the left, got shape {a.shape}")
     p, h = field.p, field.h
-    (m, inner), cols = a.shape[-2:], b.shape[-1]
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    lead_a = (1,) * (len(lead) + 2 - a.ndim) + a.shape[:-2]
-    lead_b = (1,) * (len(lead) + 2 - b.ndim) + b.shape[:-2]
+    (m, inner), (lead, cols) = a.shape, (b.shape[:-2], b.shape[-1])
     exact = _exact_float(h * inner, p)
-    rows = a.reshape(math.prod(lead_a) * m, inner)
-    left = field.mul_matrices[rows].transpose(0, 2, 3, 1).reshape(len(rows) * h, h * inner)
+    left = field.mul_matrices[a].transpose(0, 2, 3, 1).reshape(m * h, h * inner)
     left = left.astype(exact)
-    stack = b.reshape(math.prod(lead_b), inner, cols).transpose(1, 0, 2)
+    stack = b.reshape(math.prod(lead), inner, cols).transpose(1, 0, 2)
     right = field.digit_table.T.astype(exact)[:, stack].reshape(h * inner, stack[0].size)
     width = right.shape[1]
-    out = np.empty((len(rows), width), dtype=np.uint8)
-    step = max(1, _PRODUCT_ENTRIES // max(h * width, 1))
-    for start in range(0, len(rows), step):
-        digits = _product_mod_p(left[start * h : (start + step) * h], right, p)
+    out = np.empty((m, width), dtype=np.uint8)
+    for rows in row_blocks(m, 4 * h * width):
+        digits = _product_mod_p(left[rows.start * h : rows.stop * h], right, p)
         digits = digits.reshape(len(digits) // h, h, width)
         index = digits[:, h - 1]
         for i in range(h - 2, -1, -1):
             index = index * p + digits[:, i]
-        out[start : start + step] = index
-    out = out.reshape(lead_a + (m,) + lead_b + (cols,))
-    # output item L takes item L_i of each stacked axis i, and item 0 of an
-    # axis of length 1
-    grid = np.indices(lead, sparse=True)
-    pick_a = tuple(g * (n > 1) for g, n in zip(grid, lead_a))
-    pick_b = tuple(g * (n > 1) for g, n in zip(grid, lead_b))
-    return out[pick_a + (slice(None),) + pick_b + (slice(None),)]
+        out[rows] = index
+    # column (l, s) of out is column s of item l of the stack
+    return np.moveaxis(out.reshape(m, *lead, cols), 0, -2)
 
 
 def rref_fq(mat: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, list[int]]:
@@ -424,8 +413,17 @@ def point_indices(g: GeometrySpec, vecs) -> np.ndarray:
 
 
 def points_at(g: GeometrySpec, indices) -> list[ProjPoint]:
-    """The points at global indices in [0, theta_n), in the order given."""
-    return [ProjPoint(g, tuple(row)) for row in point_array(g)[list(indices)].tolist()]
+    """The points at global indices in [0, theta_n), in the order given;
+    GeometryMismatch for any other index, a boolean among them."""
+    idx = np.asarray(list(indices))
+    if idx.size and (
+        idx.dtype.kind not in "iuf"
+        or not np.array_equal(idx, np.floor(idx))
+        or idx.min() < 0
+        or idx.max() >= g.num_points
+    ):
+        raise GeometryMismatch(f"point indices must be whole numbers in [0, {g.num_points})")
+    return [ProjPoint(g, tuple(row)) for row in point_array(g)[idx.astype(np.intp)].tolist()]
 
 
 def enumerate_points(g: GeometrySpec) -> list[ProjPoint]:

@@ -53,6 +53,10 @@ Every float32 product here is a sum of small integers, or of halves, whose
 partial sums stay below 2^23 (2^24 in _product_mod_p, which switches to
 float64 beyond), so it is exact whatever order BLAS sums in, and results do
 not depend on threading.
+
+BLOCK_BYTES is the package's one working-set size: every chunked product
+takes its row blocks from row_blocks, and _blocks sizes its chunks from
+twice as much.  Every product is exact, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -61,11 +65,20 @@ import numpy as np
 
 from pgcodes.gf import make_field
 
-# -- spectrum sweep ----------------------------------------------------------
+# a row block's working copies stay near this many bytes, so that the block
+# and its temporaries stay in cache
+BLOCK_BYTES = 1 << 18
 
-# in _blocks, a chunk's float32 encoding and each float32 block stay near
-# this many bytes, and the held part's encoding near four times as many
-_SPECTRUM_BYTES = 1 << 19
+
+def row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices of range(rows) whose rows, of row_bytes bytes each, fit
+    BLOCK_BYTES; at least one, so callers see a block even when there are no
+    rows."""
+    step = max(1, BLOCK_BYTES // max(1, row_bytes))
+    return [slice(start, min(start + step, rows)) for start in range(0, max(rows, 1), step)]
+
+
+# -- spectrum sweep ----------------------------------------------------------
 
 
 def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
@@ -218,19 +231,20 @@ def _blocks(a: np.ndarray, b: np.ndarray, p: int, n_free: int):
     first n_free columns, their sum's weight there less n_free / 2 over F_2
     and less n_free over odd p.
 
-    Chunks of rows are encoded to about _SPECTRUM_BYTES.  The smaller of a
+    Chunks of rows are encoded to about 2 * BLOCK_BYTES.  The smaller of a
     and b is held four chunks at a time and the other encoded chunk by chunk
     once per held part, so once in all when the smaller fits in one part.
-    Each block stays near _SPECTRUM_BYTES.
+    Each block stays near 2 * BLOCK_BYTES.
     """
-    chunk = max(1, _SPECTRUM_BYTES // (4 * max(1, n_free * (1 if p == 2 else p))))
+    budget = 2 * BLOCK_BYTES
+    chunk = max(1, budget // (4 * max(1, n_free * (1 if p == 2 else p))))
     hold_a = len(a) <= len(b)
     held, other = (a, b) if hold_a else (b, a)
     for h in range(0, len(held), 4 * chunk):
         held_code = _encode(held[h : h + 4 * chunk, :n_free], p, right=not hold_a)
         for o in range(0, len(other), chunk):
             other_code = _encode(other[o : o + chunk, :n_free], p, right=hold_a)
-            step = max(1, _SPECTRUM_BYTES // (4 * len(other_code)))
+            step = max(1, budget // (4 * len(other_code)))
             for s in range(0, len(held_code), step):
                 if hold_a:
                     yield h + s, o, held_code[s : s + step] @ other_code.T
@@ -338,21 +352,12 @@ def lightest_words(rows: np.ndarray, p: int, max_weight: int):
 
 # -- batched Lee-Brickell rounds ---------------------------------------------
 
-# a batch's stacked generators, and each scoring chunk's float32 copies (the
-# support and the quadratic character of its rounds' non-pivot entries, and
-# their k x k products), stay near this many bytes
-_BATCH_BYTES = 1 << 18
 # over odd p, a column where no free row of any item is nonzero looks this
 # many columns ahead for the next one where some item can pivot
 _LOOKAHEAD = 64
 # over F_2, rows are packed 64 columns to a little-endian word: column c is
 # bit c % 64 of word c // 64, and _WORD_BITS[c % 64] selects it
 _WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-
-def isd_batch_size(k: int, n: int) -> int:
-    """Rounds per isd_rounds call for a k x n generator."""
-    return max(1, _BATCH_BYTES // (k * n))
 
 
 def _systematize(gens: np.ndarray, p: int):
@@ -522,14 +527,12 @@ def _low_weight_combinations(u: np.ndarray, a: np.ndarray, p: int, max_weight: i
         # laid out (c, column, pair), so that counting adds contiguous rows
         scales = np.arange(1, p, dtype=u.dtype)[:, None, None]
         count = np.min_scalar_type(a.shape[1] + 2)
-        keep = [np.zeros((0, 2), dtype=np.intp)]
-        step = max(1, _BATCH_BYTES // (4 * (p - 1) * max(1, a.shape[1])))
-        for s in range(0, item.size, step):
-            pair = slice(s, s + step)
+        keep = []
+        for pair in row_blocks(item.size, 4 * (p - 1) * a.shape[1]):
             sums = scales * a[item[pair], :, j[pair]].T
             sums += a[item[pair], :, i[pair]].T
             light = (_mod_p(sums, p) != 0).sum(axis=1, dtype=count) + 2 <= max_weight
-            keep.append(np.argwhere(light.T) + [s, 1])
+            keep.append(np.argwhere(light.T) + [pair.start, 1])
         keep = np.concatenate(keep)
         item, i, j, coeff = item[keep[:, 0]], i[keep[:, 0]], j[keep[:, 0]], keep[:, 1].astype(u.dtype)
     combos = u[item, i] + coeff[:, None] * u[item, j]
@@ -573,8 +576,8 @@ def isd_rounds(gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int):
     row-pair combinations u_i + c*u_j (i < j, c != 0) of each round's RREF
     with weight <= max_weight, in gen's own column order, and the round
     index of every word.  Pairs are scored on each round's n - k non-pivot
-    columns (_low_weight_combinations), in chunks of rounds whose float32
-    copies stay near _BATCH_BYTES.
+    columns (_low_weight_combinations), in row_blocks of rounds whose
+    float32 copies stay near BLOCK_BYTES.
     """
     restored, non_pivot = _round_columns(
         *_systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p), perms
@@ -582,11 +585,10 @@ def isd_rounds(gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int):
     b, k, n = restored.shape
     # a round's scoring copies: its float32 support and characters, and
     # about 18 bytes per row pair of k x k products and masks
-    step = max(1, _BATCH_BYTES // (8 * (n - k) * k + 18 * k * k))
-    starts = range(0, b, step)
+    chunks = row_blocks(b, 8 * (n - k) * k + 18 * k * k)
     found = [
-        _low_weight_combinations(restored[s : s + step], non_pivot[s : s + step], p, max_weight)
-        for s in starts
+        _low_weight_combinations(restored[rounds], non_pivot[rounds], p, max_weight)
+        for rounds in chunks
     ]
     words = np.concatenate([w for w, _ in found])
-    return words, np.concatenate([items + s for s, (_, items) in zip(starts, found)])
+    return words, np.concatenate([items + c.start for c, (_, items) in zip(chunks, found)])

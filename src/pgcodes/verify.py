@@ -50,7 +50,6 @@ from .code import (
     build_incidence_matrix,
     build_model,
     expected_dimension,
-    row_blocks,
     weight,
 )
 from .analysis import (
@@ -555,11 +554,8 @@ def _run_restriction(g, model, low, rng, samples) -> CheckResult:
     for i, table in enumerate(tables):
         picked = which == i
         pts = table[local[picked]]
-        full = words[wi[picked]]
-        restricted = np.take_along_axis(full, pts, axis=1)
-        closure = build_model(GeometrySpec(g.field, i + 2)).contains_rows(restricted)
-        supp_ok = ((restricted != 0) == np.take_along_axis(full != 0, pts, axis=1)).all(axis=1)
-        failed[picked] = ~(closure & supp_ok)
+        restricted = np.take_along_axis(words[wi[picked]], pts, axis=1)
+        failed[picked] = ~build_model(GeometrySpec(g.field, i + 2)).contains_rows(restricted)
     bad = [
         {
             "word": _word_witness(words[w]),
@@ -603,7 +599,7 @@ def _small_word_faults(g, words) -> np.ndarray:
     lines = _line_columns(g)
     p = g.field.p
     faults = np.empty(len(words), dtype=bool)
-    for rows in row_blocks(len(words), lines.shape[1]):
+    for rows in kernels.row_blocks(len(words), 4 * lines.shape[1]):
         block = words[rows]
         inside = block != 0
         meets = inside.astype(np.float32) @ lines

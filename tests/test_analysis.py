@@ -438,7 +438,7 @@ def test_minimum_weight_refuses_a_lightest_word_that_does_not_rebuild(monkeypatc
 
 
 def test_the_pg43_hull_proof_keeps_its_encodings_small():
-    # each weight class is encoded in chunks of about kernels._SPECTRUM_BYTES
+    # each weight class is encoded in chunks of about 2 * kernels.BLOCK_BYTES
     # (512 KiB); encoded whole, PG(4,3)'s largest right half takes 2.3 MB
     g = _geometry((3, 1, 4))
     model = build_model(g)
@@ -777,8 +777,16 @@ def test_search_batches_do_not_change_the_found_set(monkeypatch, g, max_weight):
     model = build_model(g)
     default = low_weight_search(model, max_weight, 40, seed=4)
     # batches of 7 do not divide 40 rounds: the last batch has 5
-    monkeypatch.setattr("pgcodes.kernels.isd_batch_size", lambda k, n: 7)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 7 * model.dimension * g.num_points)
+    batches, rounds = [], kernels.isd_rounds
+
+    def counting(gen, perms, *args):
+        batches.append(len(perms))
+        return rounds(gen, perms, *args)
+
+    monkeypatch.setattr(kernels, "isd_rounds", counting)
     small = low_weight_search(model, max_weight, 40, seed=4)
+    assert batches == [7] * 5 + [5]
     assert np.array_equal(default.words, small.words)
     assert np.array_equal(default.orbit_representatives, small.orbit_representatives)
     assert {tuple(int(x) for x in w) for w in small.words} == _one_round_at_a_time(

@@ -122,6 +122,21 @@ def test_pointset_membership_does_not_truncate():
         s.without(0.5)
 
 
+def test_pointset_takes_no_boolean_for_point_1():
+    s = PointSet(PG23, [1, 5])
+    assert True not in s and np.bool_(True) not in s and 1 in s
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(PointNotInSet):
+            s.without(flag)
+    assert PointSet(PG23, [0, 1]).without(1).indices == (0,)
+    # a list of booleans was read as the points 0 and 1; a numpy mask is its points
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[[3, 8]] = True
+    with pytest.raises(GeometryMismatch):
+        PointSet(PG23, mask.tolist())
+    assert PointSet(PG23, mask).indices == (3, 8)
+
+
 def test_pointset_serialization_is_sorted_coordinates():
     s = PointSet(PG22, [3, 0])
     assert s.to_json_list() == [[0, 0, 1], [1, 0, 0]]

@@ -415,7 +415,7 @@ def test_contains_rows_matches_contains_and_a_rank_oracle(g, monkeypatch):
         rank = python_rank_mod_p(np.vstack([model.generator, w]), p)
         assert (rank == model.dimension) == expected
     # blocks of three rows give the same answers
-    monkeypatch.setattr(code, "BLOCK_BYTES", 4 * npts * 3)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 4 * npts * 3)
     assert model.contains_rows(words).tolist() == inside.tolist()
     assert model.contains_rows(np.zeros((0, npts), dtype=np.uint8)).shape == (0,)
     with pytest.raises(LengthMismatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes import geometry
+from pgcodes import geometry, kernels
 from pgcodes.gf import is_prime, make_field
 from pgcodes.geometry import (
     DimensionOutOfRange,
@@ -157,8 +157,21 @@ def test_as_point_index_refuses_an_index_that_is_not_a_whole_number():
     for point in (0.5, 1.9, np.float64(2.5)):
         with pytest.raises(GeometryMismatch, match="whole number"):
             geometry.as_point_index(PG22, point)
-    # whole numbers and booleans pass as before
-    assert [geometry.as_point_index(PG22, x) for x in (2, np.int64(3), 4.0, True)] == [2, 3, 4, 1]
+    assert [geometry.as_point_index(PG22, x) for x in (2, np.int64(3), 4.0)] == [2, 3, 4]
+    # a boolean is no index: True would be point 1
+    for point in (True, False, np.bool_(True)):
+        with pytest.raises(GeometryMismatch, match="boolean"):
+            geometry.as_point_index(PG22, point)
+
+
+def test_a_list_of_booleans_is_refused_not_read_as_points_0_and_1():
+    mask = np.zeros(PG23.num_points, dtype=bool)
+    mask[[3, 8]] = True
+    for form in (mask.tolist(), list(mask)):
+        with pytest.raises(GeometryMismatch, match="boolean"):
+            geometry.point_mask(PG23, form)
+    # the numpy mask is still read as its points
+    assert np.flatnonzero(geometry.point_mask(PG23, mask)).tolist() == [3, 8]
 
 
 def test_point_mask_reads_the_three_forms_of_a_point_set():
@@ -182,6 +195,14 @@ def test_points_at_returns_the_points_at_the_given_indices_in_order():
     assert geometry.points_at(PG23, [12, 0, 7, 7]) == [pts[12], pts[0], pts[7], pts[7]]
     assert [p.index for p in geometry.points_at(PG23, np.array([5, 1]))] == [5, 1]
     assert geometry.points_at(PG23, []) == []
+    assert geometry.points_at(PG23, [3.0]) == [pts[3]]
+
+
+def test_points_at_refuses_indices_outside_the_geometry():
+    # read as numpy indices, -1 would be the last point and True point 1
+    for indices in ([-1], [PG23.num_points], [0, 0.5], [True, False], np.array([2, 13]), [float("nan")]):
+        with pytest.raises(GeometryMismatch, match="whole numbers in"):
+            geometry.points_at(PG23, indices)
 
 
 def test_point_coordinates_refuse_entries_that_are_not_whole_numbers():
@@ -439,7 +460,7 @@ def test_subspace_tables_match_the_loop_reference(p, h, n):
 def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
     if block is not None:
         # many row blocks, the last one short, written through strided views
-        monkeypatch.setattr(geometry, "_PRODUCT_ENTRIES", block)
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", 4 * block)
     fld = make_field(p, h)
     q = fld.q
     rng = np.random.default_rng(q)
@@ -454,11 +475,8 @@ def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
         (elements(9, 4), elements(4, 11)),
         # as _spanned_vectors passes them: canonical vectors against a stack of bases
         (canonical_vectors(fld, 2), bases),
-        (elements(3, 1, 5, 2), bases),
         # products and running sums at the top element
         (top, top[1:].T),
-        # a stack of left operands against one right operand
-        (elements(3, 4, 5), elements(5, 6)),
         # no rows, and no columns
         (elements(0, 4), elements(4, 3)),
         (elements(4, 3), elements(3, 0)),
@@ -470,6 +488,9 @@ def test_fq_matmul_matches_the_entrywise_reference(monkeypatch, p, h, block):
         got, want = fq_matmul(a, b, fld), fq_matmul_reference(a, b, fld)
         assert got.dtype == np.uint8 and got.shape == want.shape
         assert np.array_equal(got, want)
+    # the left operand is one matrix
+    with pytest.raises(ValueError, match="matrix on the left"):
+        fq_matmul(elements(3, 4, 5), elements(5, 6), fld)
 
 
 # every PG(n, q) with q <= 256 and at most 10^5 points

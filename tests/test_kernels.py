@@ -19,7 +19,7 @@ from pgcodes.analysis import _sort_words
 from pgcodes.code import build_model
 from pgcodes.geometry import GeometrySpec
 from pgcodes.gf import make_field
-from pgcodes.kernels import isd_batch_size, isd_rounds, spectrum
+from pgcodes.kernels import isd_rounds, row_blocks, spectrum
 
 from helpers import (
     brute_force_isd_candidates,
@@ -104,7 +104,7 @@ def _rank_deficient_rows(p):
 def test_odd_p_sweep_in_single_row_chunks_matches_oracles(monkeypatch, p, kind):
     # one message per scalar orbit is swept, counted p - 1 times and its
     # collected words expanded to every multiple
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 0)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 0)
     if kind == "random":
         rows = random_basis(np.random.default_rng(7 * p), {3: 5, 5: 4, 7: 3}[p], 10, p)
     elif kind == "deficient":
@@ -130,7 +130,7 @@ def test_spectrum_weighs_each_orbit_once_across_short_chunks(monkeypatch, p, k, 
     rows = random_basis(np.random.default_rng(n + p), k, n, p)
     # streamed chunks of three rows, held parts of twelve (the last one
     # short) and blocks of a few rows: each half splits into several chunks
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 12 * (n - k) * (1 if p == 2 else p))
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 6 * (n - k) * (1 if p == 2 else p))
     blocks = []
     product_blocks = kernels._blocks
 
@@ -153,7 +153,7 @@ def test_sweep_sums_do_not_wrap_for_large_p(monkeypatch):
     # of 1,000.  The words of weight 4 include row 0 + row 1, whose left and
     # right rows are both 130 in column 3: 260 must reduce to 129 mod 131,
     # not wrap past a byte
-    monkeypatch.setattr(kernels, "_SPECTRUM_BYTES", 1 << 20)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 1 << 19)
     p, limit = 131, 4
     rows = np.array([[1, 0, 0, 130, 7], [0, 1, 0, 130, 130], [0, 0, 1, 5, 1]], dtype=np.uint8)
     hist, words = spectrum(rows, p, limit)
@@ -232,7 +232,7 @@ def _sweeps(draw):
 def test_spectrum_matches_oracles_on_random_generators(sweep):
     p, rows, limit, budget = sweep
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
+        mp.setattr(kernels, "BLOCK_BYTES", budget // 2)
         hist, words = spectrum(rows, p, limit)
     expected = brute_force_spectrum(rows, p)
     assert hist.shape == (rows.shape[1] + 1,)
@@ -275,7 +275,7 @@ def test_lightest_words_match_the_messages_of_each_weight(sweep):
     expected = brute_force_lightest_by_message_weight(rows, p)
     with pytest.MonkeyPatch.context() as mp:
         # small blocks split a weight class into several products
-        mp.setattr(kernels, "_SPECTRUM_BYTES", budget)
+        mp.setattr(kernels, "BLOCK_BYTES", budget // 2)
         levels = list(kernels.lightest_words(rows, p, k))
     assert len(levels) == k
     for t, (messages, weight, word) in enumerate(levels, start=1):
@@ -419,7 +419,7 @@ def test_isd_rounds_match_each_items_rref_candidates(monkeypatch, p, k, n, chunk
     if chunk is not None:
         # score the 7 rounds in chunks of 2, the last one short, and the
         # pairs that pass the bound in short blocks
-        monkeypatch.setattr(kernels, "_BATCH_BYTES", chunk * (8 * (n - k) * k + 18 * k * k))
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", chunk * (8 * (n - k) * k + 18 * k * k))
     rng = np.random.default_rng(p * 100 + k)
     # a zero column and a repeated column: items that meet them early get
     # pivots on different columns than items that do not
@@ -574,9 +574,13 @@ def test_systematize_over_f2_matches_the_reference_on_random_stacks(data):
     _check_against_reference(stack, reduced, pivots, 2, "random")
 
 
-def test_isd_batch_size_bounds_the_batch():
-    # a batch's stacked k x n generators stay within 256 KB
-    for k, n in [(28, 73), (16, 31), (29, 57), (3, 6)]:
-        b = isd_batch_size(k, n)
-        assert b * k * n <= 1 << 18 < (b + 1) * k * n
-    assert isd_batch_size(2000, 2000) == 1
+def test_row_blocks_cut_every_row_once_to_block_bytes():
+    # a search batch of PG(2,8) rounds, its scoring chunks, word tests
+    for rows, row_bytes in [(500, 28 * 73), (500, 8 * 45 * 28 + 18 * 28 * 28), (300, 4 * 585)]:
+        blocks = row_blocks(rows, row_bytes)
+        step = blocks[0].stop
+        assert step * row_bytes <= kernels.BLOCK_BYTES < (step + 1) * row_bytes
+        assert blocks == [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+    # a row wider than a block is a block of its own, and no rows one empty block
+    assert row_blocks(3, 2000 * 2000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert row_blocks(0, 100) == [slice(0, 0)]

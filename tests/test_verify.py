@@ -5,13 +5,14 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgcodes import analysis, blocking, code, kernels, verify
+from pgcodes import analysis, blocking, code, geometry, kernels, verify
 from pgcodes.analysis import (
     InconsistentSpectrum,
     NotInCode,
@@ -157,6 +158,63 @@ def test_search_rounds_have_one_default():
     assert default == verify.DEFAULT_SEARCH_ITERATIONS == 100_000
     args = build_parser().parse_args(["verify", "--p", "2", "--n", "2", "--all"])
     assert args.iterations == verify.DEFAULT_SEARCH_ITERATIONS
+
+
+def _clear_caches():
+    # the cached tables and models are built again, through the chunked paths
+    for module in (geometry, code, analysis, blocking):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+# the chunked paths of every run; a search batch holds four PG(2,8) rounds
+# at 8 KiB, and each is scored alone
+_CHUNKED = {"fq_matmul", "_annihilated_rows", "classify_words", "_small_word_faults", "_blocks"}
+
+
+@pytest.mark.parametrize(
+    "params,kwargs,size,paths",
+    [
+        ((2, 2, 2), {}, 1 << 9, _CHUNKED | {"tangent_collinear_rows"}),
+        ((3, 1, 3), {}, 1 << 9, _CHUNKED),
+        (
+            (2, 3, 2),
+            {"mode": "search", "search_iterations": 36},
+            1 << 13,
+            _CHUNKED | {"low_weight_search", "isd_rounds"},
+        ),
+    ],
+    ids=["PG(2,4)", "PG(3,3)", "PG(2,8)-search"],
+)
+def test_one_block_size_reaches_every_chunked_path(monkeypatch, params, kwargs, size, paths):
+    default = emit_report(run_suite(params, seed=2, **kwargs))
+    cuts = {}
+    row_blocks, product_blocks = kernels.row_blocks, kernels._blocks
+
+    def counting(rows, row_bytes):
+        blocks = row_blocks(rows, row_bytes)
+        caller = sys._getframe(1).f_code.co_name
+        cuts[caller] = max(cuts.get(caller, 0), len(blocks))
+        return blocks
+
+    def counting_products(*args):
+        blocks = list(product_blocks(*args))
+        cuts["_blocks"] = max(cuts.get("_blocks", 0), len(blocks))
+        yield from blocks
+
+    for module in (kernels, code, geometry, analysis, verify):
+        if hasattr(module, "row_blocks"):
+            monkeypatch.setattr(module, "row_blocks", counting)
+    monkeypatch.setattr(kernels, "_blocks", counting_products)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", size)
+    _clear_caches()
+    try:
+        small = emit_report(run_suite(params, seed=2, **kwargs))
+    finally:
+        _clear_caches()
+    assert small == default
+    assert {path for path, most in cuts.items() if most > 1} >= paths
 
 
 @pytest.mark.parametrize("row", [0, -1])
