@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from pgcodes import kernels
-from pgcodes.code import CodeModel, as_word, as_words, build_model
+from pgcodes.code import CodeModel, as_word, as_words, build_model, in_row_space
 from pgcodes.geometry import (
     DimensionOutOfRange,
     GeometrySpec,
@@ -327,9 +327,10 @@ def classify_words(model: CodeModel, words) -> WordClassifications:
     """
     g = model.geometry
     arr = as_words(g, words)
-    blocks = kernels.row_blocks(arr.shape[0], 4 * arr.shape[1])
-    parts = [_classify_block(g, arr[rows]) for rows in blocks]
-    return WordClassifications(g, *(np.concatenate(col) for col in zip(*parts)))
+    columns = np.empty((4, arr.shape[0]), dtype=np.int64)
+    for rows in kernels.row_blocks(arr.shape[0], 4 * arr.shape[1]):
+        columns[:, rows] = _classify_block(g, arr[rows])
+    return WordClassifications(g, *columns)
 
 
 def _classify_block(g: GeometrySpec, arr: np.ndarray):
@@ -525,7 +526,7 @@ def minimum_weight(basis, p: int, symmetries, contains_rows=None):
     pivots = np.flatnonzero(~free)
     if contains_rows is None:
         def contains_rows(words):
-            return (kernels._product_mod_p(words[:, pivots], basis, p) == words).all(axis=1)
+            return in_row_space(words, basis, pivots, p)
     _certify_symmetries(np.asarray(symmetries), basis, contains_rows)
     weights = np.count_nonzero(basis, axis=1)
     best, word = int(weights.min()), basis[weights.argmin()]

@@ -6,16 +6,21 @@ as_words), whose LengthMismatch is re-exported here.  The incidence matrix
 has hyperplane rows in the same order, so it is symmetric.  All linear
 algebra here is mod p (the prime subfield), not mod q.
 
-A model build runs three eliminations: the incidence matrix, its k-row
-generator right to left, and the k x k Gram matrix right to left; nothing
-of size (theta_n - k) x theta_n is ever eliminated.  The check basis needs
-no more, by matroid duality: the RREF of the dual code has its pivots on the
-lexicographically first basis J of the dual matroid, the complement of the
-lexicographically last column basis K of the generator, and K is the set of
-pivots of the generator reduced right to left (see check_basis).  The hull
+A model build runs two eliminations: the incidence matrix, and the k x k
+Gram matrix right to left.  The incidence matrix is taken in row blocks
+(see rref_mod_p): each block is first reduced by the basis found so far in
+one product, so the many rows that basis already spans cost a product, not
+a pass of the eliminator.  Membership is read off the generator, which is
+systematic, the identity on its pivot columns (see in_row_space).  The hull
 needs no elimination of its own: the RREF R of the Gram matrix's kernel
 times the generator G is already reduced, because G has unit columns at its
-pivots (see hull_basis).
+pivots (see hull_basis).  The check basis is built only on first access,
+from one more elimination, of the k-row generator right to left; nothing of
+size (theta_n - k) x theta_n is ever eliminated.  It needs no more, by
+matroid duality: the RREF of the dual code has its pivots on the
+lexicographically first basis J of the dual matroid, the complement of the
+lexicographically last column basis K of the generator, and K is the set of
+pivots of the generator reduced right to left (see check_basis).
 
 Every mod-p matrix product of the package, here, in analysis, in verify and
 behind geometry's GF(q) products, is kernels._product_mod_p: an exact float
@@ -24,7 +29,7 @@ product on BLAS, reduced as integers.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -64,16 +69,44 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     A uint8 matrix with entries below p, such as the incidence matrix or a
     basis from this module, goes to the eliminator without a widening copy;
-    any other integer matrix is reduced mod p in int64 first.  The
-    elimination is the one-item case of the batched Gauss-Jordan pass in
-    kernels._systematize, which works on 64-column words over F_2 and in
-    uint8 or uint16 over odd p.
+    any other integer matrix is reduced mod p in int64 first.  The rows are
+    taken in kernels.row_blocks of the bytes the eliminator holds per row
+    (bits over F_2, entries over odd p).  Each block is reduced by the
+    basis found so far in one product, since that basis is the identity on
+    its pivot columns; the rows left nonzero go through one pass of
+    kernels._systematize (which works on 64-column words over F_2 and in
+    uint8 or uint16 over odd p), their pivot columns are cleared from the
+    basis in one more product, and the two merge in pivot order.  A matrix
+    that fits one block is one elimination.  The RREF is unique, so the
+    result does not depend on the blocks: the basis rows, then zero rows.
     """
     m = np.asarray(mat)
     if m.dtype != np.uint8 or (m.size and m.max() >= p):
-        m = m.astype(np.int64) % p
-    reduced, pivots = _systematize(m[None], p)
-    return reduced[0].astype(np.uint8, copy=False), [c for c in pivots[0].tolist() if c < m.shape[1]]
+        m = (m.astype(np.int64) % p).astype(np.uint8)
+    rows, n = m.shape
+    basis = np.zeros((0, n), dtype=np.uint8)
+    pivots = np.zeros(0, dtype=np.intp)
+    for block in row_blocks(rows, -(-n // 8) if p == 2 else n * (1 if p * p <= 256 else 2)):
+        part = m[block]
+        if pivots.size:
+            # part - part[:, P] B is zero on the pivot columns P, where the
+            # basis B is the identity
+            part = _product_mod_p((p - part[:, pivots]) % p, basis, p, plus=part)
+            part = part[part.any(axis=1)]
+            if not len(part):
+                continue
+        reduced, found = _systematize(part[None], p)
+        rank = np.count_nonzero(found[0] < n)
+        new_rows, new_pivots = reduced[0, :rank].astype(np.uint8, copy=False), found[0, :rank]
+        if pivots.size and rank:
+            # the same step clears the new pivot columns from the basis
+            basis = _product_mod_p((p - basis[:, new_pivots]) % p, new_rows, p, plus=basis)
+        order = np.argsort(np.concatenate([pivots, new_pivots]), kind="stable")
+        basis = np.concatenate([basis, new_rows])[order]
+        pivots = np.concatenate([pivots, new_pivots])[order]
+    out = np.zeros((rows, n), dtype=np.uint8)
+    out[: len(basis)] = basis
+    return out, pivots.tolist()
 
 
 def p_rank(mat: np.ndarray, p: int) -> int:
@@ -118,6 +151,22 @@ def hull_basis(generator: np.ndarray, pivots, p: int) -> tuple[np.ndarray, list[
     return _product_mod_p(combo, generator, p), [pivots[j] for j in kernel_pivots]
 
 
+def in_row_space(words: np.ndarray, basis: np.ndarray, pivots, p: int) -> np.ndarray:
+    """For each row w of a uint8 (m, n) word array with entries below p:
+    does it lie in the row space of a reduced basis with these pivot
+    columns?  The basis is the identity on its pivots, so w[:, pivots] @
+    basis is the one word of that space that agrees with w there, and w
+    lies in the space iff it is that word.  One product per row block."""
+    pivots = np.asarray(pivots, dtype=np.intp)
+    basis = basis.astype(_exact_float(pivots.size, p))
+    inside = np.empty(words.shape[0], dtype=bool)
+    # a block's float32 product; its temporaries are a few times as much
+    for rows in row_blocks(words.shape[0], 4 * words.shape[1]):
+        block = words[rows]
+        inside[rows] = (_product_mod_p(block[:, pivots], basis, p) == block).all(axis=1)
+    return inside
+
+
 def zero_word(g: GeometrySpec) -> np.ndarray:
     return np.zeros(g.num_points, dtype=np.uint8)
 
@@ -156,15 +205,15 @@ def inner_product(a, b, p: int) -> int:
 class CodeModel:
     """The code C(n,q) with generator, check, and hull bases in RREF.
 
-    The generator is the RREF of the incidence matrix.  The check basis is
-    the RREF of its kernel, read off the generator reduced right to left:
-    its pivots J are the complement of that reduction's pivots K (the dual
-    matroid's first basis is the complement of the matroid's last one), so
-    no (theta_n - k)-row matrix is eliminated.  The hull is the RREF of the
-    Gram matrix's kernel times the generator, which is already reduced
-    because the generator is the identity on its pivot columns, so a build
-    runs three eliminations in all: the incidence matrix, the reversed
-    generator and the reversed k x k Gram matrix (see hull_basis).
+    The generator is the RREF of the incidence matrix, and membership is
+    read off it (in_row_space): it is the identity on its pivot columns.
+    The hull is the RREF of the Gram matrix's kernel times the generator,
+    which is already reduced for the same reason, so a build runs two
+    eliminations: the incidence matrix and the reversed k x k Gram matrix
+    (see hull_basis).  The check basis, the RREF of the generator's kernel,
+    is built by check_basis on first access, from one more elimination (the
+    generator right to left), and kept; no (theta_n - k)-row matrix is ever
+    eliminated.
 
     The construction asserts the closed-form dimension; a mismatch would
     mean the incidence matrix or the elimination is wrong, so it fails
@@ -185,23 +234,36 @@ class CodeModel:
                 f"p-rank {self.dimension} != closed form {expected} for "
                 f"PG({geometry.n},{geometry.q})"
             )
-        self.check, check_pivots = check_basis(self.generator, p)
-        self.check_pivots = tuple(check_pivots)
         self.hull, hull_pivots = hull_basis(self.generator, self.generator_pivots, p)
         self.hull_pivots = tuple(hull_pivots)
-        for arr in (self.generator, self.check, self.hull):
+        for arr in (self.generator, self.hull):
             arr.setflags(write=False)
+
+    @cached_property
+    def _check_basis(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        check, pivots = check_basis(self.generator, self.geometry.field.p)
+        check.setflags(write=False)
+        return check, tuple(pivots)
+
+    @property
+    def check(self) -> np.ndarray:
+        """The RREF of the dual code, built on first access (check_basis)."""
+        return self._check_basis[0]
+
+    @property
+    def check_pivots(self) -> tuple[int, ...]:
+        return self._check_basis[1]
 
     @property
     def hull_dimension(self) -> int:
         return self.hull.shape[0]
 
-    def _annihilated_rows(self, words, tests: np.ndarray) -> np.ndarray:
-        """For each row of an (m, theta_n) word array: do all rows of tests
-        have zero inner product with it mod p?  One product per row block."""
+    def _annihilated_rows(self, arr: np.ndarray, tests: np.ndarray) -> np.ndarray:
+        """For each row of a checked (m, theta_n) word array: do all rows of
+        tests have zero inner product with it mod p?  One product per row
+        block."""
         g = self.geometry
         p = g.field.p
-        arr = as_words(g, words)
         columns = tests.T.astype(_exact_float(g.num_points, p))
         inside = np.empty(arr.shape[0], dtype=bool)
         # a block's float32 copy; its temporaries are a few times as much
@@ -210,9 +272,10 @@ class CodeModel:
         return inside
 
     def contains_rows(self, words) -> np.ndarray:
-        """Code membership of every row of an (m, theta_n) word array: a word
-        lies in the code iff the check rows annihilate it."""
-        return self._annihilated_rows(words, self.check)
+        """Code membership of every row of an (m, theta_n) word array, read
+        off the generator (in_row_space)."""
+        g = self.geometry
+        return in_row_space(as_words(g, words), self.generator, self.generator_pivots, g.field.p)
 
     def contains(self, w) -> bool:
         return bool(self.contains_rows(as_word(self.geometry, w)[None])[0])
@@ -221,12 +284,11 @@ class CodeModel:
         return bool(self._annihilated_rows(as_word(self.geometry, w)[None], self.generator)[0])
 
     def hull_contains_rows(self, words) -> np.ndarray:
-        """Hull membership of every row of an (m, theta_n) word array.
-
-        A word lies in the code iff the check rows annihilate it and in the
-        dual iff the generator rows do, so both tests are one product.
-        """
-        return self._annihilated_rows(words, np.concatenate([self.check, self.generator]))
+        """Hull membership of every row of an (m, theta_n) word array: in
+        the code (contains_rows), and in the dual, where the generator rows
+        annihilate it."""
+        arr = as_words(self.geometry, words)
+        return self.contains_rows(arr) & self._annihilated_rows(arr, self.generator)
 
     def hull_contains(self, w) -> bool:
         return bool(self.hull_contains_rows(as_word(self.geometry, w)[None])[0])

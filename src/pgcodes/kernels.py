@@ -24,9 +24,12 @@ halves' groups.
 
 _systematize is the package's one mod-p Gauss-Jordan eliminator: a single
 pass brings every item of a (B, k, n) stack to reduced row-echelon form.
-code.rref_mod_p, and through it every rank, basis and nullspace of the code
-model, is its one-item case.  A model's matrices have rank far below their
-width (65 of 585 columns on PG(3,8)), so most columns can hold no pivot; the
+code.rref_mod_p, and through it every rank and basis of the code model,
+runs it one item at a time on row_blocks of the matrix, each block first
+reduced by the basis found so far with one _product_mod_p, so that rows
+already spanned skip it; a matrix that fits one block is one item.  A
+model's matrices have rank far below their width (65 of 585 columns on
+PG(3,8), 785 of 2,451 on PG(2,49)), so most columns can hold no pivot; the
 pass finds the next column that can with one look-ahead over a window of
 columns, in place of a numpy step per column.  Over F_2 it keeps rows as
 64-column uint64 words, so a column step is one XOR of words over the whole
@@ -72,10 +75,10 @@ BLOCK_BYTES = 1 << 18
 
 def row_blocks(rows: int, row_bytes: int) -> list[slice]:
     """Slices of range(rows) whose rows, of row_bytes bytes each, fit
-    BLOCK_BYTES; at least one, so callers see a block even when there are no
-    rows."""
+    BLOCK_BYTES; each holds at least one row, so there is none when there
+    are no rows."""
     step = max(1, BLOCK_BYTES // max(1, row_bytes))
-    return [slice(start, min(start + step, rows)) for start in range(0, max(rows, 1), step)]
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 # -- spectrum sweep ----------------------------------------------------------
@@ -96,20 +99,23 @@ def _exact_float(inner: int, p: int) -> type:
     return np.float32 if inner * (p - 1) ** 2 < 2**24 else np.float64
 
 
-def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p as uint8 for matrices with entries in [0, p).
+def _product_mod_p(a: np.ndarray, b: np.ndarray, p: int, plus: np.ndarray | None = None) -> np.ndarray:
+    """(a @ b) mod p as uint8 for matrices with entries in [0, p), or
+    (plus + a @ b) mod p with plus of the product's shape.
 
     The product is one exact float product on BLAS (operands already in the
     exact float type are not copied).  Its entries are whole numbers of at
-    most inner * (p-1)^2, so they are reduced as integers in the narrowest
-    unsigned type that holds that bound (a byte for the short inner sizes of
-    geometry's GF(q) products, up to uint64 for float64 sums), by _mod_p,
-    which is much faster than a float remainder.
+    most inner * (p-1)^2, and p - 1 more with plus, so they are reduced as
+    integers in the narrowest unsigned type that holds that bound (a byte
+    for the short inner sizes of geometry's GF(q) products, up to uint64 for
+    float64 sums), by _mod_p, which is much faster than a float remainder.
     """
     inner = a.shape[1]
     exact = _exact_float(inner, p)
-    whole = np.min_scalar_type(inner * (p - 1) ** 2)
+    whole = np.min_scalar_type(inner * (p - 1) ** 2 + (0 if plus is None else p - 1))
     sums = (a.astype(exact, copy=False) @ b.astype(exact, copy=False)).astype(whole)
+    if plus is not None:
+        sums += plus
     return _mod_p(sums, p).astype(np.uint8, copy=False)
 
 
@@ -231,25 +237,28 @@ def _blocks(a: np.ndarray, b: np.ndarray, p: int, n_free: int):
     first n_free columns, their sum's weight there less n_free / 2 over F_2
     and less n_free over odd p.
 
-    Chunks of rows are encoded to about 2 * BLOCK_BYTES.  The smaller of a
-    and b is held four chunks at a time and the other encoded chunk by chunk
-    once per held part, so once in all when the smaller fits in one part.
-    Each block stays near 2 * BLOCK_BYTES.
+    Rows are encoded in row_blocks chunks of about 2 * BLOCK_BYTES.  The
+    smaller of a and b is held four chunks at a time and the other encoded
+    chunk by chunk once per held part, so once in all when the smaller fits
+    in one part.  Each block stays near 2 * BLOCK_BYTES, and there is none
+    when a or b has no rows.
     """
-    budget = 2 * BLOCK_BYTES
-    chunk = max(1, budget // (4 * max(1, n_free * (1 if p == 2 else p))))
+    # half the float32 bytes of an encoded row, for chunks of 2 * BLOCK_BYTES
+    chunk_bytes = 2 * n_free * (1 if p == 2 else p)
     hold_a = len(a) <= len(b)
     held, other = (a, b) if hold_a else (b, a)
-    for h in range(0, len(held), 4 * chunk):
-        held_code = _encode(held[h : h + 4 * chunk, :n_free], p, right=not hold_a)
-        for o in range(0, len(other), chunk):
-            other_code = _encode(other[o : o + chunk, :n_free], p, right=hold_a)
-            step = max(1, budget // (4 * len(other_code)))
-            for s in range(0, len(held_code), step):
+    held_chunks = row_blocks(len(held), chunk_bytes)
+    for first in range(0, len(held_chunks), 4):
+        part = slice(held_chunks[first].start, held_chunks[first : first + 4][-1].stop)
+        held_code = _encode(held[part, :n_free], p, right=not hold_a)
+        for chunk in row_blocks(len(other), chunk_bytes):
+            other_code = _encode(other[chunk, :n_free], p, right=hold_a)
+            # a held row's block row is 4 * len(other_code) float32 bytes
+            for s in row_blocks(len(held_code), 2 * len(other_code)):
                 if hold_a:
-                    yield h + s, o, held_code[s : s + step] @ other_code.T
+                    yield part.start + s.start, chunk.start, held_code[s] @ other_code.T
                 else:
-                    yield o, h + s, other_code @ held_code[s : s + step].T
+                    yield chunk.start, part.start + s.start, other_code @ held_code[s].T
 
 
 def spectrum(rows: np.ndarray, p: int, collect_limit: int):
@@ -527,7 +536,7 @@ def _low_weight_combinations(u: np.ndarray, a: np.ndarray, p: int, max_weight: i
         # laid out (c, column, pair), so that counting adds contiguous rows
         scales = np.arange(1, p, dtype=u.dtype)[:, None, None]
         count = np.min_scalar_type(a.shape[1] + 2)
-        keep = []
+        keep = [np.zeros((0, 2), dtype=np.intp)]
         for pair in row_blocks(item.size, 4 * (p - 1) * a.shape[1]):
             sums = scales * a[item[pair], :, j[pair]].T
             sums += a[item[pair], :, i[pair]].T
@@ -583,12 +592,11 @@ def isd_rounds(gen: np.ndarray, perms: np.ndarray, p: int, max_weight: int):
         *_systematize(np.ascontiguousarray(gen[:, perms].transpose(1, 0, 2)), p), perms
     )
     b, k, n = restored.shape
+    found = [(np.zeros((0, n), dtype=np.uint8), np.zeros(0, dtype=np.intp))]
     # a round's scoring copies: its float32 support and characters, and
     # about 18 bytes per row pair of k x k products and masks
-    chunks = row_blocks(b, 8 * (n - k) * k + 18 * k * k)
-    found = [
-        _low_weight_combinations(restored[rounds], non_pivot[rounds], p, max_weight)
-        for rounds in chunks
-    ]
-    words = np.concatenate([w for w, _ in found])
-    return words, np.concatenate([items + c.start for c, (_, items) in zip(chunks, found)])
+    for rounds in row_blocks(b, 8 * (n - k) * k + 18 * k * k):
+        words, items = _low_weight_combinations(restored[rounds], non_pivot[rounds], p, max_weight)
+        found.append((words, items + rounds.start))
+    words, items = zip(*found)
+    return np.concatenate(words), np.concatenate(items)

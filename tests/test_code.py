@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgcodes import code, geometry, kernels
 from pgcodes.gf import make_field
+from pgcodes.verify import DEFAULT_GRID
 from pgcodes.geometry import (
     GeometryMismatch,
     GeometrySpec,
@@ -120,6 +121,74 @@ def test_rref_mod_p_matches_reference_loop(p):
         assert pivots == expected_pivots, name
         assert all(isinstance(c, int) for c in pivots), name
         assert len(pivots) == python_rank_mod_p(mat.tolist(), p), name
+
+
+def _blocked_cases(p):
+    """Random matrices of 30 rows that span many small row blocks."""
+    rng = np.random.default_rng(1000 + p)
+    low_rank = rng.integers(0, p, size=(30, 4)) @ rng.integers(0, p, size=(4, 20))
+    # blocks that reduce to nothing: repeats and multiples of earlier rows,
+    # and zero rows among them
+    repeats = rng.integers(0, p, size=(6, 20))
+    repeats = np.concatenate([repeats, 2 * repeats[::-1], np.zeros((6, 20), dtype=np.int64), repeats])
+    return [
+        ("rank-deficient", low_rank),
+        ("full-rank", rng.integers(0, p, size=(30, 20))),
+        ("full row rank", rng.integers(0, p, size=(12, 20))),
+        ("repeats", repeats),
+        ("all-zero", np.zeros((30, 20), dtype=np.int64)),
+        ("no rows", np.zeros((0, 20), dtype=np.int64)),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17, 251])
+def test_rref_mod_p_in_many_row_blocks_matches_one_block_and_the_reference(p, monkeypatch):
+    # 17 and 251 take the eliminator's uint16 rows
+    passes = []
+    systematize = code._systematize
+
+    def counting(gens, p):
+        passes.append(gens.shape[1])
+        return systematize(gens, p)
+
+    monkeypatch.setattr(code, "_systematize", counting)
+    for name, mat in _blocked_cases(p):
+        expected, expected_pivots = rref_mod_p_reference(mat, p)
+        passes.clear()
+        one, one_pivots = rref_mod_p(mat, p)
+        assert len(passes) == (1 if len(mat) else 0), name
+        assert np.array_equal(one, expected) and one_pivots == expected_pivots, name
+        for size in (1, 8, 64):
+            passes.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "BLOCK_BYTES", size)
+                reduced, pivots = rref_mod_p(mat, p)
+            assert reduced.dtype == np.uint8, name
+            assert np.array_equal(reduced, one), (name, size)
+            assert pivots == one_pivots, (name, size)
+            if name != "all-zero":
+                # past the first pivot, only blocks with rows the basis does
+                # not yet span are eliminated
+                assert len(passes) <= len(pivots), (name, size)
+            if size == 1 and name == "full-rank":
+                assert len(passes) == len(pivots) == 20
+
+
+def test_a_flipped_incidence_entry_in_the_last_row_block_is_caught(monkeypatch):
+    # PG(3,9) reaches its rank, 101, long before its 820th row, so every
+    # block must still be reduced: a row moved off the code in the last
+    # block raises the rank to 102
+    g = GeometrySpec(make_field(3, 2), 3)
+    npts = g.num_points
+    blocks = kernels.row_blocks(npts, npts)
+    assert len(blocks) == 3
+    tampered = build_incidence_matrix(g).copy()
+    row = npts - 1
+    assert blocks[-1].start <= row
+    tampered[row, 0] = (tampered[row, 0] + 1) % 3
+    monkeypatch.setattr(code, "build_incidence_matrix", lambda geometry: tampered)
+    with pytest.raises(code.DimensionMismatch, match="p-rank 102"):
+        CodeModel(g)
 
 
 @st.composite
@@ -286,13 +355,26 @@ def test_model_build_eliminates_the_incidence_matrix_and_small_matrices(params, 
 
     monkeypatch.setattr(code, "rref_mod_p", counting_rref)
     model = CodeModel(g)
-    # incidence, reversed generator, reversed Gram matrix; the hull rows are
-    # already reduced
-    assert len(calls) == 3
+    # incidence, then the reversed Gram matrix; the hull rows are already
+    # reduced, and membership needs no check basis
+    assert len(calls) == 2
     assert np.array_equal(calls[0], incidence)
-    assert np.array_equal(calls[1], model.generator[:, ::-1])
     gram = (model.generator.astype(np.int64) @ model.generator.T.astype(np.int64)) % p
-    assert np.array_equal(calls[2], gram[:, ::-1])
+    assert np.array_equal(calls[1], gram[:, ::-1])
+    assert model.contains_rows(incidence).all() and model.hull_contains_rows(model.hull).all()
+    assert len(calls) == 2
+    # the first access to the check basis reduces the reversed generator
+    # once, and later ones reuse it
+    check, check_pivots = model.check, model.check_pivots
+    assert len(calls) == 3
+    assert np.array_equal(calls[2], model.generator[:, ::-1])
+    assert model.check is check and model.check_pivots is check_pivots
+    assert len(calls) == 3
+    assert not check.flags.writeable
+    with pytest.raises(AttributeError):
+        model.check = check
+    with pytest.raises(AttributeError):
+        model.check_pivots = check_pivots
 
 
 def test_rref_of_the_incidence_matrix_makes_no_wide_copy():
@@ -422,6 +504,35 @@ def test_contains_rows_matches_contains_and_a_rank_oracle(g, monkeypatch):
         model.contains_rows(words[:, 1:])
     with pytest.raises(ValueError):
         model.contains_rows(np.full((1, npts), p))
+
+
+@pytest.mark.parametrize(
+    "params", [*DEFAULT_GRID, (5, 1, 2), (7, 1, 2), (3, 2, 3)], ids=lambda t: "PG({2},{0}^{1})".format(*t)
+)
+def test_generator_membership_matches_the_check_basis_rule(params):
+    # a word lies in the code iff the check rows annihilate it, and in the
+    # hull iff the generator rows do as well
+    p, h, n = params
+    g = GeometrySpec(make_field(p, h), n)
+    model = CodeModel(g)
+    rng = np.random.default_rng(n * 100 + p ** h)
+    npts = g.num_points
+    codewords = rng.integers(0, p, size=(30, model.dimension)) @ model.generator.astype(np.int64)
+    hull_words = rng.integers(0, p, size=(30, model.hull_dimension)) @ model.hull.astype(np.int64)
+    moved = codewords.copy()
+    moved[np.arange(30), rng.integers(npts, size=30)] += rng.integers(1, p, size=30)
+    noise = rng.integers(0, p, size=(30, npts))
+    words = np.concatenate([codewords, hull_words, moved, noise, np.zeros((1, npts), dtype=np.int64)])
+    words = (words % p).astype(np.uint8)
+    wide = words.astype(np.int64)
+    in_code = ~((wide @ model.check.T.astype(np.int64)) % p).any(axis=1)
+    in_dual = ~((wide @ model.generator.T.astype(np.int64)) % p).any(axis=1)
+    assert in_code[:60].all() and not in_code[60:90].any() and in_code[-1]
+    assert in_dual[30:60].all()
+    assert model.contains_rows(words).tolist() == in_code.tolist()
+    assert model.hull_contains_rows(words).tolist() == (in_code & in_dual).tolist()
+    # the generator test is also minimum_weight's default one
+    assert code.in_row_space(words, model.generator, model.generator_pivots, p).tolist() == in_code.tolist()
 
 
 @pytest.mark.parametrize("g", [PG22, PG23, PG24, PG32])

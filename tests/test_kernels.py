@@ -581,6 +581,6 @@ def test_row_blocks_cut_every_row_once_to_block_bytes():
         step = blocks[0].stop
         assert step * row_bytes <= kernels.BLOCK_BYTES < (step + 1) * row_bytes
         assert blocks == [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
-    # a row wider than a block is a block of its own, and no rows one empty block
+    # a row wider than a block is a block of its own, and no rows no block
     assert row_blocks(3, 2000 * 2000) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-    assert row_blocks(0, 100) == [slice(0, 0)]
+    assert row_blocks(0, 100) == []

@@ -170,14 +170,15 @@ def _clear_caches():
 
 # the chunked paths of every run; a search batch holds four PG(2,8) rounds
 # at 8 KiB, and each is scored alone
-_CHUNKED = {"fq_matmul", "_annihilated_rows", "classify_words", "_small_word_faults", "_blocks"}
+_CHUNKED = {"fq_matmul", "_annihilated_rows", "in_row_space", "classify_words", "_small_word_faults", "_blocks"}
 
 
 @pytest.mark.parametrize(
     "params,kwargs,size,paths",
     [
         ((2, 2, 2), {}, 1 << 9, _CHUNKED | {"tangent_collinear_rows"}),
-        ((3, 1, 3), {}, 1 << 9, _CHUNKED),
+        # PG(3,3)'s incidence rows take 40 bytes in the eliminator
+        ((3, 1, 3), {}, 1 << 9, _CHUNKED | {"rref_mod_p"}),
         (
             (2, 3, 2),
             {"mode": "search", "search_iterations": 36},
@@ -740,6 +741,33 @@ def test_dimension_suite_eliminates_the_incidence_matrix_once(monkeypatch):
     dim = expected_dimension(g)
     assert check.status == "pass"
     assert check.details == {"p_rank": dim, "formula": dim, "dimension": dim}
+
+
+@pytest.mark.parametrize(
+    "params,kwargs",
+    [(t, {}) for t in _EXHAUSTIVE_GRID] + [((5, 1, 2), {"mode": "search", "search_iterations": 50})],
+)
+def test_no_suite_builds_a_model_check_basis(monkeypatch, params, kwargs):
+    # membership is read off the generator, so the only matrices that reach
+    # check_basis are the k x k Gram matrices of the hull bases; a model's
+    # check basis would be its k x theta_n generator
+    shapes = []
+    check_basis = code.check_basis
+
+    def recording(mat, p):
+        shapes.append(mat.shape)
+        return check_basis(mat, p)
+
+    monkeypatch.setattr(code, "check_basis", recording)
+    _clear_caches()
+    try:
+        report = run_suite(params, seed=1, **kwargs)
+    finally:
+        _clear_caches()
+    assert report.passed
+    dimension = report.code["dimension"]
+    assert (dimension, dimension) in shapes
+    assert all(rows == columns for rows, columns in shapes)
 
 
 # sha256 of emit_report(run_suite(params, seed=seed), fmt) for json, table and
